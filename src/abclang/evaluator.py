@@ -14,6 +14,9 @@ from .terms import (
     Apply,
     Attr,
     AtomApply,
+    Aware,
+    Call,
+    Choice,
     Compare,
     EMPTY_SUBST,
     EnumDomain,
@@ -21,10 +24,14 @@ from .terms import (
     Expr,
     FALSE,
     FalsePred,
+    Inact,
+    Input,
     Literal,
     Member,
     Not,
     Or,
+    Output,
+    Par,
     Predicate,
     Span,
     Subst,
@@ -355,8 +362,6 @@ def substitute_proc(p, subst: Subst):
     """Substitution over process terms.  Input binders shadow; a call
     captures the substitution in its closure so the definition body sees
     the bindings of its own call site when unfolded."""
-    from .terms import Aware, Call, Choice, Inact, Input, Output, Par
-
     if not subst.pairs:
         return p
     if isinstance(p, Inact):
@@ -388,9 +393,11 @@ def substitute_proc(p, subst: Subst):
 # predicate closure
 
 
-def close_expr(e: Expr, env: Env, subst: Subst, externs=None, chooser=None) -> Expr:
+def close_expr(e: Expr, env: Env, subst: Subst, externs=None, chooser=None, draw=False) -> Expr:
     """Freezes `this.a` and bound variables to literals; keeps bare
-    attribute references symbolic (they name the judging party's state)."""
+    attribute references symbolic (they name the judging party's state).
+    With `draw`, calls of enumerated externs are drawn now, through the
+    chooser, instead of being left for the judging party."""
     if isinstance(e, Literal):
         return e
     if isinstance(e, Var):
@@ -410,38 +417,51 @@ def close_expr(e: Expr, env: Env, subst: Subst, externs=None, chooser=None) -> E
             if v is not None:
                 return Literal(v, e.span)
             return e
-        return Attr(e.name, tuple(close_expr(i, env, subst, externs, chooser) for i in e.index), e.span)
+        return Attr(e.name, tuple(close_expr(i, env, subst, externs, chooser, draw) for i in e.index), e.span)
     if isinstance(e, Apply):
-        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser) for a in e.args), e.span)
+        if draw and isinstance((externs or {}).get(e.fn), EnumDomain):
+            return Literal(evaluate(e, env, subst, externs, chooser), e.span)
+        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in e.args), e.span)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def close(p: Predicate, env: Env, subst: Subst = EMPTY_SUBST, externs=None, chooser=None) -> Predicate:
+def close(p: Predicate, env: Env, subst: Subst = EMPTY_SUBST, externs=None, chooser=None, draw=False) -> Predicate:
+    """Closes a predicate in the speaker's environment (see `close_expr`).
+    A sender closes its target predicate with `draw`, so receivers judge
+    the values it drew; guards leave their draws to `satisfies`."""
     if isinstance(p, (TruePred, FalsePred)):
         return p
     if isinstance(p, Compare):
         return Compare(
             p.op,
-            close_expr(p.lhs, env, subst, externs, chooser),
-            close_expr(p.rhs, env, subst, externs, chooser),
+            close_expr(p.lhs, env, subst, externs, chooser, draw),
+            close_expr(p.rhs, env, subst, externs, chooser, draw),
             p.span,
         )
     if isinstance(p, Member):
         return Member(
-            close_expr(p.elem, env, subst, externs, chooser),
-            close_expr(p.set, env, subst, externs, chooser),
+            close_expr(p.elem, env, subst, externs, chooser, draw),
+            close_expr(p.set, env, subst, externs, chooser, draw),
             p.span,
         )
     if isinstance(p, AtomApply):
         return AtomApply(
-            p.name, tuple(close_expr(a, env, subst, externs, chooser) for a in p.args), p.span
+            p.name, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in p.args), p.span
         )
     if isinstance(p, And):
-        return And(close(p.lhs, env, subst, externs, chooser), close(p.rhs, env, subst, externs, chooser), p.span)
+        return And(
+            close(p.lhs, env, subst, externs, chooser, draw),
+            close(p.rhs, env, subst, externs, chooser, draw),
+            p.span,
+        )
     if isinstance(p, Or):
-        return Or(close(p.lhs, env, subst, externs, chooser), close(p.rhs, env, subst, externs, chooser), p.span)
+        return Or(
+            close(p.lhs, env, subst, externs, chooser, draw),
+            close(p.rhs, env, subst, externs, chooser, draw),
+            p.span,
+        )
     if isinstance(p, Not):
-        return Not(close(p.inner, env, subst, externs, chooser), p.span)
+        return Not(close(p.inner, env, subst, externs, chooser, draw), p.span)
     raise TypeError(f"not a predicate: {p!r}")
 
 

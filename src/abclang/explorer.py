@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .semantics import system_steps
+from .semantics import Unfoldings, system_steps
 from .terms import (
     BroadcastEvent,
     Event,
@@ -53,12 +53,17 @@ class LTS:
     initial: int = 0
     truncated: bool = False
     truncation_reason: str = ""
+    _out: Optional[List[List[int]]] = field(default=None, init=False, repr=False, compare=False)
 
     def out_edges(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in self.states]
-        for i, t in enumerate(self.transitions):
-            out[t.src].append(i)
-        return out
+        """Outgoing transition indices per state, built on the first call;
+        the LTS must be complete by then."""
+        if self._out is None:
+            out: List[List[int]] = [[] for _ in self.states]
+            for i, t in enumerate(self.transitions):
+                out[t.src].append(i)
+            self._out = out
+        return self._out
 
     def export_text(self) -> str:
         lines = []
@@ -81,6 +86,7 @@ def explore(
     externs = spec.externs_map()
     names = spec.component_names()
     initial = spec.initial_state()
+    memo: Unfoldings = {}  # unfoldings of this run's definitions, see semantics.unfold
 
     states: List[SystemState] = [initial]
     index: Dict[tuple, int] = {state_key(initial): 0}
@@ -96,7 +102,7 @@ def explore(
                 lts.truncated = True
                 lts.truncation_reason = f"depth limit {max_depth} reached"
                 break
-            expand = lambda sid: system_steps(states[sid], defs, externs)
+            expand = lambda sid: system_steps(states[sid], defs, externs, memo)
             if pool is not None:
                 results = list(pool.map(expand, frontier))
             else:

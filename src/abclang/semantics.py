@@ -46,18 +46,30 @@ from .terms import (
     Value,
 )
 
-MAX_UNFOLD_DEPTH = 64
+# Unfolded definition bodies of one run, keyed by (process name, call-site
+# closure).  A memo belongs to one definitions map: `explore` and `simulate`
+# make one per call and pass it down.
+Unfoldings = Dict[Tuple[str, Subst], ProcessTerm]
 
 
-class UnguardedRecursion(Exception):
-    pass
-
-
-def unfold(name: str, defs: Dict[str, ProcessTerm], closure: Subst = EMPTY_SUBST) -> ProcessTerm:
+def unfold(
+    name: str,
+    defs: Dict[str, ProcessTerm],
+    closure: Subst = EMPTY_SUBST,
+    memo: Optional[Unfoldings] = None,
+) -> ProcessTerm:
     """Expands one level of a process definition, applying the bindings
-    captured at the call site."""
-    body = defs[name]
-    return substitute_proc(body, closure)
+    captured at the call site.  With a memo, each call instance is
+    instantiated once and its (immutable) body shared afterwards."""
+    if memo is None:
+        return substitute_proc(defs[name], closure)
+    key = (name, closure)
+    body = memo.get(key)
+    if body is None:
+        # two worker threads may both miss and both instantiate; the
+        # bodies are equal, so whichever is stored last is as good
+        body = memo[key] = substitute_proc(defs[name], closure)
+    return body
 
 
 @dataclass
@@ -71,12 +83,9 @@ class _Occ:
     rebuild: Callable[[ProcessTerm], ProcessTerm]
 
 
-def _occurrences(proc: ProcessTerm, defs, want_input: bool, depth: int = 0) -> List[_Occ]:
-    if depth > MAX_UNFOLD_DEPTH:
-        raise UnguardedRecursion(
-            f"process unfolding exceeded depth {MAX_UNFOLD_DEPTH}; "
-            "recursion is probably not guarded by a prefix"
-        )
+def _occurrences(proc: ProcessTerm, defs, want_input: bool, memo: Optional[Unfoldings]) -> List[_Occ]:
+    """Action occurrences of `proc`.  Terminates because `validate`
+    rejects call cycles that are not under a prefix (E-UNGUARDED)."""
     if isinstance(proc, Inact):
         return []
     if isinstance(proc, Input):
@@ -89,30 +98,30 @@ def _occurrences(proc: ProcessTerm, defs, want_input: bool, depth: int = 0) -> L
         return []
     if isinstance(proc, Aware):
         out = []
-        for o in _occurrences(proc.body, defs, want_input, depth):
+        for o in _occurrences(proc.body, defs, want_input, memo):
             out.append(_Occ(o.node, (proc.guard,) + o.guards, o.rebuild))
         return out
     if isinstance(proc, Choice):
         out = []
-        for o in _occurrences(proc.left, defs, want_input, depth):
+        for o in _occurrences(proc.left, defs, want_input, memo):
             out.append(_Occ(o.node, o.guards, o.rebuild))  # losing branch dropped
-        for o in _occurrences(proc.right, defs, want_input, depth):
+        for o in _occurrences(proc.right, defs, want_input, memo):
             out.append(_Occ(o.node, o.guards, o.rebuild))
         return out
     if isinstance(proc, Par):
         out = []
-        for o in _occurrences(proc.left, defs, want_input, depth):
+        for o in _occurrences(proc.left, defs, want_input, memo):
             out.append(
                 _Occ(o.node, o.guards, (lambda rb, r: lambda c: Par(rb(c), r))(o.rebuild, proc.right))
             )
-        for o in _occurrences(proc.right, defs, want_input, depth):
+        for o in _occurrences(proc.right, defs, want_input, memo):
             out.append(
                 _Occ(o.node, o.guards, (lambda rb, l: lambda c: Par(l, rb(c)))(o.rebuild, proc.left))
             )
         return out
     if isinstance(proc, Call):
-        body = unfold(proc.name, defs, proc.closure)
-        return _occurrences(body, defs, want_input, depth + 1)
+        body = unfold(proc.name, defs, proc.closure, memo)
+        return _occurrences(body, defs, want_input, memo)
     raise TypeError(f"not a process: {proc!r}")
 
 
@@ -146,12 +155,12 @@ def _guards_hold(guards, env, subst, externs, ch) -> bool:
     return all(satisfies(env, close(g, env, subst, externs, ch), externs, ch) for g in guards)
 
 
-def out_steps(c: ComponentState, defs, externs) -> List[OutCandidate]:
+def out_steps(c: ComponentState, defs, externs, memo: Optional[Unfoldings] = None) -> List[OutCandidate]:
     """Every output action enabled in `c`, one candidate per extern draw
     combination.  Message, closed predicate and exposed environment all
     come from the pre-update environment.  A candidate whose evaluation
     fails is reported with its diagnostic rather than silently skipped."""
-    occs = _occurrences(c.proc, defs, want_input=False)
+    occs = _occurrences(c.proc, defs, False, memo)
     exposed = restrict(c.env, c.interface)
     candidates: List[OutCandidate] = []
     for ordinal, occ in enumerate(occs):
@@ -164,7 +173,7 @@ def out_steps(c: ComponentState, defs, externs) -> List[OutCandidate]:
                 msg = tuple(
                     evaluate(e, c.env, c.subst, externs, ch) for e in node.payload
                 )
-                pred = close(node.target, c.env, c.subst, externs, ch)
+                pred = close(node.target, c.env, c.subst, externs, ch, draw=True)
                 new_env = apply_updates(c.env, node.cont.updates, c.subst, externs, ch)
             except EvalError as err:
                 return OutCandidate((), node.target, exposed, c, ordinal, diagnostic=err)
@@ -186,6 +195,7 @@ def in_step(
     msg: Tuple[Value, ...],
     defs,
     externs,
+    memo: Optional[Unfoldings] = None,
 ) -> InResult:
     """Receive-or-discard judgement for one component and one broadcast.
 
@@ -199,7 +209,7 @@ def in_step(
     """
     if not satisfies(restrict(c.env, c.interface), sent_pred, externs):
         return DISCARD
-    occs = _occurrences(c.proc, defs, want_input=True)
+    occs = _occurrences(c.proc, defs, True, memo)
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, occ in enumerate(occs):
         node = occ.node
@@ -234,18 +244,23 @@ def in_step(
     return InResult(successors)
 
 
-def system_steps(state: SystemState, defs, externs) -> List[Tuple[BroadcastEvent, SystemState]]:
+def system_steps(
+    state: SystemState, defs, externs, memo: Optional[Unfoldings] = None
+) -> List[Tuple[BroadcastEvent, SystemState]]:
     """All system transitions from `state`.
 
     For each component and each of its output candidates, the broadcast
     is delivered atomically: every other component either receives
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
-    never receives its own message.
+    never receives its own message.  Without a memo, unfoldings are
+    shared within this state only.
     """
+    if memo is None:
+        memo = {}
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
-        for cand in out_steps(sender, defs, externs):
+        for cand in out_steps(sender, defs, externs, memo):
             if cand.diagnostic is not None:
                 raise cand.diagnostic
             receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
@@ -253,7 +268,7 @@ def system_steps(state: SystemState, defs, externs) -> List[Tuple[BroadcastEvent
             for j, other in enumerate(state):
                 if j == i:
                     continue
-                r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, defs, externs)
+                r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, defs, externs, memo)
                 if r.is_receive:
                     receiver_choices.append((j, r.successors))
                 else:

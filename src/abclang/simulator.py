@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .evaluator import EvalError
 from .pretty import pp_pred, pp_value
-from .semantics import system_steps
+from .semantics import Unfoldings, system_steps
 from .terms import (
     BroadcastEvent,
     SystemSpec,
@@ -66,9 +66,10 @@ def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) ->
     rng = random.Random(seed)
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()
+    memo: Unfoldings = {}  # unfoldings of this run's definitions, see semantics.unfold
     for i in range(max_steps):
         try:
-            steps = system_steps(state, defs, externs)
+            steps = system_steps(state, defs, externs, memo)
         except EvalError as e:
             trace.termination = "error"
             trace.error = str(e)

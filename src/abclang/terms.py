@@ -249,9 +249,6 @@ class Subst:
     def without(self, names) -> "Subst":
         return Subst(tuple((n, v) for n, v in self.pairs if n not in names))
 
-    def as_dict(self):
-        return dict(self.pairs)
-
 
 EMPTY_SUBST = Subst()
 
@@ -495,18 +492,12 @@ class Env:
     def restricted(self, names) -> "Env":
         return Env(tuple((k, v) for k, v in self.entries if k[0] in names))
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def __len__(self):
         return len(self.entries)
 
 
 def _key_order(k: AttrKey):
     return (k[0], tuple(ser_value(v) for v in k[1]))
-
-
-EMPTY_ENV = Env()
 
 
 def ser_env(env: Env) -> str:
@@ -568,10 +559,6 @@ class ComponentState:
 
 
 SystemState = Tuple[ComponentState, ...]
-
-
-def canonical_component(c: ComponentState) -> ComponentState:
-    return ComponentState(c.name, c.env, c.interface, canonicalize(c.proc), c.subst)
 
 
 def ser_component(c: ComponentState) -> str:
@@ -715,9 +702,6 @@ class SystemSpec:
 
     def externs_map(self):
         return dict(self.externs)
-
-    def properties_map(self):
-        return dict(self.properties)
 
     def initial_state(self) -> SystemState:
         comps = []

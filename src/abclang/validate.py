@@ -148,6 +148,53 @@ def _reachable_defs(root, defs) -> Set[str]:
     return seen
 
 
+def _unguarded_calls(proc, out: List[Call]) -> List[Call]:
+    """Calls not under an input or output prefix; choice, parallel
+    composition and awareness are transparent."""
+    if isinstance(proc, Call):
+        out.append(proc)
+    elif isinstance(proc, (Choice, Par)):
+        _unguarded_calls(proc.left, out)
+        _unguarded_calls(proc.right, out)
+    elif isinstance(proc, Aware):
+        _unguarded_calls(proc.body, out)
+    return out
+
+
+def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
+    """Cycles of the graph of unguarded calls between definitions, as
+    (names along the cycle, first call), each cycle reported once from
+    its first definition.  Unfolding such a cycle never reaches an
+    action, so the step relation would not terminate."""
+    edges = {name: [c for c in _unguarded_calls(body, []) if c.name in defs]
+             for name, body in defs.items()}
+    reported: Set[str] = set()
+    cycles = []
+    for root in defs:
+        if root in reported:
+            continue
+        # breadth-first search for the shortest way back to `root`
+        prev: Dict[str, Tuple[str, Call]] = {}
+        queue = [root]
+        while queue and root not in prev:
+            nxt = []
+            for u in queue:
+                for call in edges[u]:
+                    if call.name not in prev:
+                        prev[call.name] = (u, call)
+                        nxt.append(call.name)
+            queue = nxt
+        if root not in prev:
+            continue
+        path = [root]
+        while len(path) == 1 or path[-1] != root:
+            path.append(prev[path[-1]][0])
+        path.reverse()
+        reported.update(path)
+        cycles.append((path, prev[path[1]][1]))
+    return cycles
+
+
 def _apply_names(proc) -> Set[str]:
     names: Set[str] = set()
 
@@ -250,6 +297,16 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                 diags.append(
                     Diagnostic("error", None, f"undefined extern or function {fn}", "E-UNDEF-EXTERN")
                 )
+
+    for path, call in _unguarded_cycles(defs):
+        diags.append(
+            Diagnostic(
+                "error", call.span,
+                f"unguarded recursion {' -> '.join(path)}: the call cycle passes "
+                "no input or output prefix",
+                "E-UNGUARDED",
+            )
+        )
 
     # distinct binders
     for root in all_roots:

@@ -1,8 +1,11 @@
 """State-space exploration and property checking."""
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import fixture_path
 
+from abclang import explorer
 from abclang.explorer import (
     LTS,
     Transition,
@@ -85,7 +88,82 @@ class TestExplore:
             assert state_key(lts.states[t.dst]) in succs
 
 
+    def test_out_edges_built_once(self):
+        lts = explore_fixture("choice.abc")
+        assert lts.out_edges() is lts.out_edges()
+        assert lts.out_edges() == [[0, 1], [], []]
+
+
+# Two specs that define `proc K` with different bodies; the call instance
+# K{c=1} occurs in both.
+SAME_NAME_A = """
+proc K = ("done", c)@(tt).0
+proc W = (tt)(t, c).K
+component S { attrs { } interface { } run ("go", 1)@(tt).0 }
+component R { attrs { } interface { } run W }
+"""
+SAME_NAME_B = SAME_NAME_A.replace('("done", c)@(tt).0', '("x", c)@(tt).("y", c)@(tt).0')
+
+
+class TestUnfoldMemo:
+    def test_same_process_name_in_two_specs(self):
+        # A: go, then done: 3 states, 2 transitions.  B: go, x, y: 4 and 3.
+        a = load_spec(SAME_NAME_A, "a.abc")[0]
+        b = load_spec(SAME_NAME_B, "b.abc")[0]
+        want = {id(a): (3, 2, ["go", "done"]), id(b): (4, 3, ["go", "x", "y"])}
+        specs = [a, b, a, b]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda spec: explore(spec, workers=2), specs))
+        for spec, lts in zip(specs, results):
+            tags = [t.event.tag() for t in lts.transitions]
+            assert (len(lts.states), len(lts.transitions), tags) == want[id(spec)]
+
+    def test_threads_sharing_one_memo_give_the_same_lts(self):
+        spec = load(fixture_path("travel-booking.abc"))
+        want = explore(spec, max_states=400).export_text()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = explore(spec, max_states=400, workers=4).export_text()
+        finally:
+            sys.setswitchinterval(old)
+        assert got == want
+
+    def test_fresh_memo_per_state_gives_the_same_lts(self, monkeypatch):
+        caps = {"travel-booking.abc": 5_000}
+        for name in ["ping.abc", "choice.abc", "fake3.abc", "travel-booking.abc"]:
+            spec = load(fixture_path(name))
+            shared = explore(spec, max_states=caps.get(name, 100_000))
+            with monkeypatch.context() as m:
+                m.setattr(
+                    explorer, "system_steps",
+                    lambda state, defs, externs, memo: system_steps(state, defs, externs),
+                )
+                fresh = explore(spec, max_states=caps.get(name, 100_000))
+            assert shared.export_text() == fresh.export_text(), name
+
+
 class TestVerdicts:
+    def test_enum_extern_in_send_predicate_reaches_its_receiver(self):
+        # the sender draws pick() when it sends: one transition per value,
+        # each received by the one component whose n matches
+        src = """
+extern pick : { 1, 2 }
+proc S = ("m")@(n = pick()).0
+proc R = (x = "m")(x).0
+component A { attrs { role = "a"; } interface { role } run S }
+component B1 { attrs { n = 1; } interface { n } run R }
+component B2 { attrs { n = 2; } interface { n } run R }
+property got1 = reachable received(B1, "m")
+property got2 = reachable received(B2, "m")
+"""
+        spec = load_spec(src, "pick.abc")[0]
+        lts = explore(spec)
+        assert (len(lts.states), len(lts.transitions)) == (3, 2)
+        assert [sorted(t.event.receivers) for t in lts.transitions] == [[(1, 0)], [(2, 0)]]
+        for name, prop in spec.properties:
+            assert check_property(name, prop, lts).status == "holds", name
+
     def test_reachable_event_holds(self):
         lts = explore_fixture("ping.abc")
         v = check_property("p", Reachable(Received("B", "ping")), lts)

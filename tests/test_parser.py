@@ -166,6 +166,31 @@ class TestValidation:
         src = 'component C { attrs { } interface { } run (tt)(c).(("m", c)@(tt).0) }'
         assert self.check(src) == []
 
+    def test_unguarded_direct_recursion(self):
+        diags = self.check("proc P = P + P\ncomponent C { attrs { } interface { } run P }")
+        assert [d.code for d in diags] == ["E-UNGUARDED"]
+        assert "P -> P" in diags[0].message
+
+    def test_unguarded_mutual_recursion(self):
+        src = (
+            'proc P = Q\nproc Q = P | ("m")@(tt).0\n'
+            "component C { attrs { } interface { } run P }"
+        )
+        diags = self.check(src)
+        assert [d.code for d in diags] == ["E-UNGUARDED"]
+        assert "P -> Q -> P" in diags[0].message
+
+    def test_unguarded_recursion_under_awareness(self):
+        src = "proc P = <a = 1> P\ncomponent C { attrs { a = 1; } interface { } run P }"
+        assert self.codes(src) == ["E-UNGUARDED"]
+
+    def test_recursion_under_a_prefix_is_guarded(self):
+        src = (
+            'proc P = <a = 1> ("m")@(tt).P + (tt)(x).Q\nproc Q = P\n'
+            "component C { attrs { a = 1; } interface { } run P }"
+        )
+        assert self.check(src) == []
+
     def test_clean_fixtures_have_no_diagnostics(self):
         for name in ["travel-booking.abc", "ping.abc", "fake3.abc", "choice.abc"]:
             path = fixture_path(name)

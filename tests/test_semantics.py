@@ -5,9 +5,11 @@ from _gen import rand_component, rand_env, rand_message, rand_pred, rand_subst
 
 from abclang.evaluator import close, substitute_proc
 from abclang.parser import parse_pred_str, parse_process_str
+from abclang.pretty import pp_pred
 from abclang.semantics import in_step, out_steps, system_steps, unfold
 from abclang.terms import (
     ComponentState,
+    EnumDomain,
     Env,
     FalsePred,
     Inact,
@@ -55,6 +57,17 @@ class TestUnfold:
         assert out.cont.then == body.cont.then
 
 
+    def test_memo_instantiates_each_call_instance_once(self):
+        body = parse_process_str('("m", c)@(tt).K')
+        defs, memo = {"K": body}, {}
+        c1, c2 = Subst.of({"c": VStr("c1")}), Subst.of({"c": VStr("c2")})
+        first = unfold("K", defs, c1, memo)
+        assert unfold("K", defs, Subst.of({"c": VStr("c1")}), memo) is first
+        assert first == unfold("K", defs, c1)
+        assert unfold("K", defs, c2, memo) == substitute_proc(body, c2)
+        assert set(memo) == {("K", c1), ("K", c2)}
+
+
 class TestOutSteps:
     def test_fake_output_enabled(self):
         c = comp("Cust", {"send": VBool(True), "id": VStr("c1")}, ["id"], CUSTOMER_F)
@@ -66,6 +79,11 @@ class TestOutSteps:
         # updates applied in the successor
         assert cand.successor.env.lookup("day") == VInt(5)
         assert cand.successor.env.lookup("price") == VInt(85)
+
+    def test_enum_extern_in_target_is_drawn_by_the_sender(self):
+        c = comp("S", {"role": VStr("s")}, ["role"], '("m")@(n = pick()).0')
+        cands = out_steps(c, {}, {"pick": EnumDomain.of([VInt(1), VInt(2)])})
+        assert [pp_pred(cand.sent_pred) for cand in cands] == ["n = 1", "n = 2"]
 
     def test_awareness_blocks(self):
         c = comp("Cust", {"send": VBool(False), "id": VStr("c1")}, ["id"], CUSTOMER_F)

@@ -139,6 +139,13 @@ class TestCli:
         )
         assert main(["run", str(bad)]) == 4
 
+    def test_unguarded_recursion_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "loop.abc"
+        bad.write_text("proc P = P + P\ncomponent C { attrs { } interface { } run P }\n")
+        for args in (["run"], ["explore"], ["check", "--all"]):
+            assert main([args[0], str(bad), *args[1:]]) == 2
+            assert "E-UNGUARDED" in capsys.readouterr().err
+
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0
         assert "3 state(s), 2 transition(s)" in capsys.readouterr().out
