@@ -65,7 +65,7 @@ def _cmd_explore(args) -> int:
     if spec is None:
         return EXIT_SPEC_ERROR
     try:
-        lts = explore(spec, max_states=args.max_states, max_depth=args.max_depth, workers=args.workers)
+        lts = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
     except EvalError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_EVAL_ERROR
@@ -93,7 +93,7 @@ def _cmd_check(args) -> int:
         print("no properties to check", file=sys.stderr)
         return EXIT_SPEC_ERROR
     try:
-        lts = explore(spec, max_states=args.max_states, workers=args.workers)
+        lts = explore(spec, max_states=args.max_states)
     except EvalError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_EVAL_ERROR
@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=100_000)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--export-lts", metavar="FILE", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser("check", help="verify declared properties")
@@ -142,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--property", metavar="NAME", default=None)
     g.add_argument("--all", action="store_true")
     p.add_argument("--max-states", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_check)
     return ap
 

@@ -2,14 +2,11 @@
 
 The explorer builds a labelled transition system by breadth-first
 search over the broadcast step relation, deduplicating states by their
-canonical key.  Expansion is level-synchronized: every state of the
-current depth is expanded (optionally on a thread pool) and the results
-are merged in frontier order, so the resulting LTS is byte-identical
-regardless of worker count.
+canonical key.  States are numbered in the order they are first reached,
+so the resulting LTS is the same on every run.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,6 +33,7 @@ from .terms import (
     state_key,
 )
 from .evaluator import compare_values, EvalError
+from .validate import require_guarded
 
 
 @dataclass
@@ -80,9 +78,12 @@ def explore(
     spec: SystemSpec,
     max_states: int = 100_000,
     max_depth: Optional[int] = None,
-    workers: int = 1,
 ) -> LTS:
+    """Breadth-first exploration of `spec`'s reachable states.  Raises
+    `EvalError` for an unguarded call cycle (which `validate` reports as
+    E-UNGUARDED) and for a failed evaluation in a reachable state."""
     defs = spec.defs_map()
+    require_guarded(defs)
     externs = spec.externs_map()
     names = spec.component_names()
     initial = spec.initial_state()
@@ -95,42 +96,32 @@ def explore(
 
     frontier = [0]
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if max_depth is not None and depth >= max_depth:
-                lts.truncated = True
-                lts.truncation_reason = f"depth limit {max_depth} reached"
-                break
-            expand = lambda sid: system_steps(states[sid], defs, externs, memo)
-            if pool is not None:
-                results = list(pool.map(expand, frontier))
-            else:
-                results = [expand(sid) for sid in frontier]
-            next_frontier: List[int] = []
-            capped = False
-            for sid, steps in zip(frontier, results):
-                for event, succ in steps:
-                    key = state_key(succ)
-                    dst = index.get(key)
-                    if dst is None:
-                        if len(states) >= max_states:
-                            capped = True
-                            continue
-                        dst = len(states)
-                        index[key] = dst
-                        states.append(succ)
-                        next_frontier.append(dst)
-                    transitions.append(Transition(sid, dst, event))
-            if capped:
-                lts.truncated = True
-                lts.truncation_reason = f"state limit {max_states} reached"
-                break
-            frontier = next_frontier
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            lts.truncated = True
+            lts.truncation_reason = f"depth limit {max_depth} reached"
+            break
+        next_frontier: List[int] = []
+        capped = False
+        for sid in frontier:
+            for event, succ in system_steps(states[sid], defs, externs, memo):
+                key = state_key(succ)
+                dst = index.get(key)
+                if dst is None:
+                    if len(states) >= max_states:
+                        capped = True
+                        continue
+                    dst = len(states)
+                    index[key] = dst
+                    states.append(succ)
+                    next_frontier.append(dst)
+                transitions.append(Transition(sid, dst, event))
+        if capped:
+            lts.truncated = True
+            lts.truncation_reason = f"state limit {max_states} reached"
+            break
+        frontier = next_frontier
+        depth += 1
     return lts
 
 

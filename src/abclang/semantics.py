@@ -6,7 +6,7 @@ broadcast (`in_step`).  System level: `system_steps` atomically
 delivers each candidate broadcast to every other component and builds
 the successor states.
 
-All functions are pure; different states can be expanded concurrently.
+All functions are pure.
 """
 from __future__ import annotations
 
@@ -66,8 +66,6 @@ def unfold(
     key = (name, closure)
     body = memo.get(key)
     if body is None:
-        # two worker threads may both miss and both instantiate; the
-        # bodies are equal, so whichever is stored last is as good
         body = memo[key] = substitute_proc(defs[name], closure)
     return body
 
@@ -151,8 +149,8 @@ class InResult:
 DISCARD = InResult()
 
 
-def _guards_hold(guards, env, subst, externs, ch) -> bool:
-    return all(satisfies(env, close(g, env, subst, externs, ch), externs, ch) for g in guards)
+def _guards_hold(guards, env, externs, ch) -> bool:
+    return all(satisfies(env, close(g, env, externs=externs, chooser=ch), externs, ch) for g in guards)
 
 
 def out_steps(c: ComponentState, defs, externs, memo: Optional[Unfoldings] = None) -> List[OutCandidate]:
@@ -167,19 +165,15 @@ def out_steps(c: ComponentState, defs, externs, memo: Optional[Unfoldings] = Non
         node = occ.node
 
         def fire(ch: Chooser, occ=occ, node=node, ordinal=ordinal):
-            if not _guards_hold(occ.guards, c.env, c.subst, externs, ch):
+            if not _guards_hold(occ.guards, c.env, externs, ch):
                 return None
             try:
-                msg = tuple(
-                    evaluate(e, c.env, c.subst, externs, ch) for e in node.payload
-                )
-                pred = close(node.target, c.env, c.subst, externs, ch, draw=True)
-                new_env = apply_updates(c.env, node.cont.updates, c.subst, externs, ch)
+                msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
+                pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
+                new_env = apply_updates(c.env, node.cont.updates, externs=externs, chooser=ch)
             except EvalError as err:
                 return OutCandidate((), node.target, exposed, c, ordinal, diagnostic=err)
-            succ = ComponentState(
-                c.name, new_env, c.interface, occ.rebuild(node.cont.then), c.subst
-            )
+            succ = ComponentState(c.name, new_env, c.interface, occ.rebuild(node.cont.then))
             return OutCandidate(msg, pred, exposed, succ, ordinal)
 
         for cand in all_runs(fire):
@@ -215,26 +209,22 @@ def in_step(
         node = occ.node
         if len(node.binders) != len(msg):
             continue
-        bindings = dict(zip(node.binders, msg))
+        bindings = Subst.of(dict(zip(node.binders, msg)))
 
         def consume(ch: Chooser, occ=occ, node=node, bindings=bindings):
             # a guard that cannot even be evaluated (absent attribute,
             # type error) cannot authorize reception: treat as discard
             try:
-                if not _guards_hold(occ.guards, c.env, c.subst, externs, ch):
+                if not _guards_hold(occ.guards, c.env, externs, ch):
                     return None
-                guard = substitute(node.guard, Subst.of(bindings))
-                guard = close(guard, c.env, c.subst, externs, ch)
+                guard = close(substitute(node.guard, bindings), c.env, externs=externs, chooser=ch)
                 if not satisfies(exposed_env, guard, externs, ch):
                     return None
             except EvalError:
                 return None
-            cont = substitute_useq(node.cont, Subst.of(bindings))
-            new_env = apply_updates(c.env, cont.updates, c.subst, externs, ch)
-            new_subst = c.subst.extended(bindings)
-            return ComponentState(
-                c.name, new_env, c.interface, occ.rebuild(cont.then), new_subst
-            )
+            cont = substitute_useq(node.cont, bindings)
+            new_env = apply_updates(c.env, cont.updates, externs=externs, chooser=ch)
+            return ComponentState(c.name, new_env, c.interface, occ.rebuild(cont.then))
 
         for succ in all_runs(consume):
             if succ is not None:

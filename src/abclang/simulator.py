@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 from .evaluator import EvalError
 from .pretty import pp_pred, pp_value
 from .semantics import Unfoldings, system_steps
+from .validate import require_guarded
 from .terms import (
     BroadcastEvent,
     SystemSpec,
@@ -67,21 +68,21 @@ def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) ->
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()
     memo: Unfoldings = {}  # unfoldings of this run's definitions, see semantics.unfold
-    for i in range(max_steps):
-        try:
+    try:
+        require_guarded(defs)
+        for i in range(max_steps):
             steps = system_steps(state, defs, externs, memo)
-        except EvalError as e:
-            trace.termination = "error"
-            trace.error = str(e)
-            break
-        if not steps:
-            trace.termination = "deadlock"
-            break
-        event, succ = steps[rng.randrange(len(steps))]
-        trace.steps.append(TraceStep(i, event, _env_updates(state, succ)))
-        state = succ
-    else:
-        trace.termination = "step-limit"
+            if not steps:
+                trace.termination = "deadlock"
+                break
+            event, succ = steps[rng.randrange(len(steps))]
+            trace.steps.append(TraceStep(i, event, _env_updates(state, succ)))
+            state = succ
+        else:
+            trace.termination = "step-limit"
+    except EvalError as e:
+        trace.termination = "error"
+        trace.error = str(e)
     trace.final_state = state
     return trace
 

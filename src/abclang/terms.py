@@ -240,12 +240,6 @@ class Subst:
     def domain(self):
         return frozenset(n for n, _ in self.pairs)
 
-    def extended(self, bindings) -> "Subst":
-        """New bindings shadow existing ones."""
-        d = dict(self.pairs)
-        d.update(bindings)
-        return Subst.of(d)
-
     def without(self, names) -> "Subst":
         return Subst(tuple((n, v) for n, v in self.pairs if n not in names))
 
@@ -551,27 +545,20 @@ ExternDecl = Union[EnumDomain, TableFn]
 
 @dataclass(frozen=True)
 class ComponentState:
+    """Γ :_I P.  Received values live in the process term, substituted
+    into the continuation of the input that bound them."""
+
     name: str
     env: Env
     interface: frozenset
     proc: ProcessTerm
-    subst: Subst = EMPTY_SUBST
 
 
 SystemState = Tuple[ComponentState, ...]
 
 
 def ser_component(c: ComponentState) -> str:
-    return (
-        c.name
-        + "{"
-        + ser_env(c.env)
-        + "}"
-        + "σ{"
-        + ",".join(f"{n}={ser_value(v)}" for n, v in c.subst.pairs)
-        + "}"
-        + ser_proc(canonicalize(c.proc))
-    )
+    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(canonicalize(c.proc))
 
 
 def state_key(s: SystemState) -> Tuple[str, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .evaluator import BUILTIN_NAMES
+from .evaluator import BUILTIN_NAMES, EvalError
 from .parser import Diagnostic
 from .terms import (
     And,
@@ -195,6 +195,18 @@ def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
     return cycles
 
 
+def _unguarded_message(path: List[str]) -> str:
+    return f"unguarded recursion {' -> '.join(path)}: the call cycle passes no input or output prefix"
+
+
+def require_guarded(defs) -> None:
+    """Raises EvalError for the first unguarded call cycle in `defs`.  The
+    step relation relies on there being none; `explore` and `simulate`
+    check it themselves because a spec need not have been validated."""
+    for path, call in _unguarded_cycles(defs):
+        raise EvalError(_unguarded_message(path), call.span)
+
+
 def _apply_names(proc) -> Set[str]:
     names: Set[str] = set()
 
@@ -300,12 +312,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
 
     for path, call in _unguarded_cycles(defs):
         diags.append(
-            Diagnostic(
-                "error", call.span,
-                f"unguarded recursion {' -> '.join(path)}: the call cycle passes "
-                "no input or output prefix",
-                "E-UNGUARDED",
-            )
+            Diagnostic("error", call.span, _unguarded_message(path), "E-UNGUARDED")
         )
 
     # distinct binders

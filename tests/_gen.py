@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from abclang.evaluator import substitute_proc
 from abclang.terms import (
     And,
     Apply,
@@ -161,7 +162,7 @@ def rand_component(rng: random.Random, name: str = "C") -> ComponentState:
     subst = rand_subst(rng)
     names = {k[0] for k, _ in env.entries}
     iface = frozenset(n for n in names if rng.random() < 0.6)
-    return ComponentState(name, env, iface, rand_proc(rng, env, subst), subst)
+    return ComponentState(name, env, iface, substitute_proc(rand_proc(rng, env, subst), subst))
 
 
 def rand_message(rng: random.Random) -> Tuple:

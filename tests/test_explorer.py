@@ -1,11 +1,13 @@
 """State-space exploration and property checking."""
 import random
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from conftest import fixture_path
 
+import pytest
+
 from abclang import explorer
+from abclang.evaluator import EvalError
 from abclang.explorer import (
     LTS,
     Transition,
@@ -13,6 +15,7 @@ from abclang.explorer import (
     check_property,
     explore,
 )
+from abclang.parser import parse_spec
 from abclang.semantics import system_steps
 from abclang.terms import (
     BroadcastEvent,
@@ -26,6 +29,7 @@ from abclang.terms import (
     Sent,
     TruePred,
     Env,
+    VInt,
     VStr,
     state_key,
 )
@@ -47,8 +51,6 @@ class TestExplore:
         lts = explore_fixture("ping.abc")
         assert (len(lts.states), len(lts.transitions)) == (2, 1)
         assert not lts.truncated
-        # the receiver's substitution records the binding
-        assert lts.states[1][1].subst.get("x") == VStr("ping")
 
     def test_choice_lts(self):
         lts = explore_fixture("choice.abc")
@@ -66,12 +68,6 @@ class TestExplore:
         lts = explore_fixture("ping.abc", max_depth=0)
         assert lts.truncated and len(lts.states) == 1
 
-    def test_worker_counts_agree(self):
-        for name in ["ping.abc", "choice.abc", "fake3.abc"]:
-            a = explore_fixture(name, workers=1)
-            b = explore_fixture(name, workers=4)
-            assert a.export_text() == b.export_text()
-
     def test_export_format(self):
         lts = explore_fixture("ping.abc")
         lines = lts.export_text().splitlines()
@@ -87,6 +83,22 @@ class TestExplore:
             succs = {state_key(s) for _, s in system_steps(lts.states[t.src], defs, ext)}
             assert state_key(lts.states[t.dst]) in succs
 
+    def test_received_value_does_not_leak_into_sibling_branch(self):
+        # y is bound in the left branch only; the right branch creates
+        # the attribute y and sends it, whichever branch moves first
+        src = """
+proc R = (y = "m")(y).0 | ()@(ff).[y := 5] ("ok", y)@(tt).0
+component S { attrs { } interface { } run ("m")@(tt).0 }
+component C { attrs { } interface { } run R }
+"""
+        lts = explore(load_spec(src, "leak.abc")[0])
+        oks = [t.event.message for t in lts.transitions if t.event.tag() == "ok"]
+        assert oks and all(msg == (VStr("ok"), VInt(5)) for msg in oks)
+
+    def test_unvalidated_unguarded_recursion_raises(self):
+        spec, _ = parse_spec("proc P = P + P\ncomponent C { attrs { } interface { } run P }\n")
+        with pytest.raises(EvalError, match="unguarded recursion P -> P"):
+            explore(spec)
 
     def test_out_edges_built_once(self):
         lts = explore_fixture("choice.abc")
@@ -113,21 +125,10 @@ class TestUnfoldMemo:
         want = {id(a): (3, 2, ["go", "done"]), id(b): (4, 3, ["go", "x", "y"])}
         specs = [a, b, a, b]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(lambda spec: explore(spec, workers=2), specs))
+            results = list(pool.map(explore, specs))
         for spec, lts in zip(specs, results):
             tags = [t.event.tag() for t in lts.transitions]
             assert (len(lts.states), len(lts.transitions), tags) == want[id(spec)]
-
-    def test_threads_sharing_one_memo_give_the_same_lts(self):
-        spec = load(fixture_path("travel-booking.abc"))
-        want = explore(spec, max_states=400).export_text()
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = explore(spec, max_states=400, workers=4).export_text()
-        finally:
-            sys.setswitchinterval(old)
-        assert got == want
 
     def test_fresh_memo_per_state_gives_the_same_lts(self, monkeypatch):
         caps = {"travel-booking.abc": 5_000}
@@ -186,7 +187,7 @@ property got2 = reachable received(B2, "m")
         assert v.status == "fails" and v.witness == []  # initial state violates
 
     def test_invariant_counterexample_path(self):
-        from abclang.terms import SNot, VInt
+        from abclang.terms import SNot
 
         lts = explore_fixture("choice.abc")
         expr = SCompare("B", "r", (), "=", VInt(2))

@@ -23,10 +23,10 @@ from abclang.terms import (
 )
 
 
-def comp(name, env_map, interface, proc_src, defs=None, subst=None):
+def comp(name, env_map, interface, proc_src):
     env = Env.of(env_map)
     proc = parse_process_str(proc_src)
-    return ComponentState(name, env, frozenset(interface), proc, subst or Subst())
+    return ComponentState(name, env, frozenset(interface), proc)
 
 
 CUSTOMER_F = (
@@ -122,7 +122,7 @@ class TestOutSteps:
         assert "q" in repr(succ)
 
 
-def hotel_bh(blist):
+def hotel_bh(blist, cont="0"):
     env = {
         ("type", ()): VStr("Hotel"),
         ("locality", ()): VStr("rome"),
@@ -130,7 +130,7 @@ def hotel_bh(blist):
     }
     return comp(
         "H", env, ["type", "locality"],
-        '(x = "acms" && b in this.blist)(x, c, d, b).0',
+        '(x = "acms" && b in this.blist)(x, c, d, b).' + cont,
     )
 
 
@@ -141,14 +141,15 @@ BROKER_ENV = Env.of({"id": VStr("br1")})
 
 class TestInStep:
     def test_hotel_receives_acms(self):
-        res = in_step(hotel_bh(["br1"]), BROKER_ENV, HOTEL_PRED, ACMS_MSG, {}, {})
+        hotel = hotel_bh(["br1"], cont="(x, c, d, b)@(tt).0")
+        res = in_step(hotel, BROKER_ENV, HOTEL_PRED, ACMS_MSG, {}, {})
         assert res.is_receive
         assert len(res.successors) == 1
         _, succ = res.successors[0]
-        assert succ.subst.get("x") == VStr("acms")
-        assert succ.subst.get("c") == VStr("c1")
-        assert succ.subst.get("d") == VInt(5)
-        assert succ.subst.get("b") == VStr("br1")
+        # the received values are substituted into the continuation,
+        # which echoes them back
+        [cand] = out_steps(succ, {}, {})
+        assert cand.message == ACMS_MSG
 
     def test_empty_blist_discards(self):
         res = in_step(hotel_bh([]), BROKER_ENV, HOTEL_PRED, ACMS_MSG, {}, {})

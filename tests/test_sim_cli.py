@@ -8,6 +8,7 @@ import pytest
 from conftest import fixture_path
 
 from abclang.cli import main
+from abclang.parser import parse_spec
 from abclang.semantics import system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
 from abclang.terms import VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key
@@ -25,6 +26,13 @@ def load(path):
 
 
 class TestSimulate:
+    def test_unvalidated_unguarded_recursion_is_an_error_trace(self):
+        src = "proc P = P + P\ncomponent C { attrs { } interface { } run P }\n"
+        spec, _ = parse_spec(src)
+        trace = simulate(spec, src, seed=0)
+        assert trace.termination == "error" and trace.steps == []
+        assert "unguarded recursion P -> P" in trace.error
+
     def test_deterministic_given_seed(self):
         spec, src = load(fixture_path("travel-booking.abc"))
         names = spec.component_names()

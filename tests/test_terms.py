@@ -3,6 +3,7 @@ import random
 
 from _gen import rand_env, rand_proc, rand_subst, rand_value
 
+from abclang.evaluator import substitute_proc
 from abclang.terms import (
     Attr,
     Call,
@@ -68,11 +69,14 @@ def test_env_indexed_keys_are_independent():
 
 
 def test_subst_extension_shadows():
-    s = Subst.of({"x": VInt(1)})
-    s2 = s.extended({"x": VInt(2), "y": VInt(3)})
-    assert s2.get("x") == VInt(2) and s2.get("y") == VInt(3)
-    assert s.get("x") == VInt(1)
-    assert s2.without(["y"]).get("y") is None
+    # an input binder shadows an outer binding of the same name: the
+    # substitution goes under the input without the binders
+    s = Subst.of({"x": VInt(2), "y": VInt(3)})
+    assert s.without(["y"]).get("y") is None
+    assert s.without(["y"]).get("x") == VInt(2)
+    assert s.get("y") == VInt(3)
+    p = parse_process_str('(tt)(y).("m", x, y)@(tt).0')
+    assert substitute_proc(p, s) == parse_process_str('(tt)(y).("m", 2, y)@(tt).0')
 
 
 def test_canonicalize_sorts_par():
@@ -103,20 +107,20 @@ def test_canonicalize_merges_choice_orders():
 def test_state_key_ignores_component_internals_order():
     rng = random.Random(11)
     env, subst = rand_env(rng), rand_subst(rng)
-    c1 = ComponentState("C", env, frozenset(), Par(Call("B"), Call("A")), subst)
-    c2 = ComponentState("C", env, frozenset(), Par(Call("A"), Call("B")), subst)
+    c1 = ComponentState("C", env, frozenset(), Par(Call("B", subst), Call("A")))
+    c2 = ComponentState("C", env, frozenset(), Par(Call("A"), Call("B", subst)))
     assert state_key((c1,)) == state_key((c2,))
     assert state_hash((c1,)) == state_hash((c2,))
 
 
 def test_state_key_distinguishes_envs():
-    c1 = ComponentState("C", Env.of({"a": VInt(1)}), frozenset(), Inact(), Subst())
-    c2 = ComponentState("C", Env.of({"a": VInt(2)}), frozenset(), Inact(), Subst())
+    c1 = ComponentState("C", Env.of({"a": VInt(1)}), frozenset(), Inact())
+    c2 = ComponentState("C", Env.of({"a": VInt(2)}), frozenset(), Inact())
     assert state_key((c1,)) != state_key((c2,))
 
 
 def test_state_hash_is_stable_text():
-    c = ComponentState("C", Env.of({"a": VInt(1)}), frozenset(["a"]), Inact(), Subst())
+    c = ComponentState("C", Env.of({"a": VInt(1)}), frozenset(["a"]), Inact())
     h = state_hash((c,))
     assert isinstance(h, str) and len(h) == 16
     assert h == state_hash((c,))
