@@ -7,7 +7,7 @@ exploration via `all_runs`).
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from .terms import (
     And,
@@ -345,7 +345,7 @@ def substitute(p: Predicate, subst: Subst) -> Predicate:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def substitute_useq(u: UpdateSeq, subst: Subst) -> UpdateSeq:
+def substitute_useq(u: UpdateSeq, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None) -> UpdateSeq:
     ups = tuple(
         Update(
             up.name,
@@ -355,36 +355,41 @@ def substitute_useq(u: UpdateSeq, subst: Subst) -> UpdateSeq:
         )
         for up in u.updates
     )
-    return UpdateSeq(ups, substitute_proc(u.then, subst))
+    return UpdateSeq(ups, substitute_proc(u.then, subst, needs))
 
 
-def substitute_proc(p, subst: Subst):
+def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None):
     """Substitution over process terms.  Input binders shadow; a call
     captures the substitution in its closure so the definition body sees
-    the bindings of its own call site when unfolded."""
+    the bindings of its own call site when unfolded.  With `needs` (see
+    `validate.call_needs`), a closure keeps only the names its definition
+    reads; without, it keeps every binding in scope."""
     if not subst.pairs:
         return p
     if isinstance(p, Inact):
         return p
     if isinstance(p, Input):
         inner = subst.without(p.binders)
-        return Input(substitute(p.guard, inner), p.binders, substitute_useq(p.cont, inner), p.span)
+        return Input(substitute(p.guard, inner), p.binders, substitute_useq(p.cont, inner, needs), p.span)
     if isinstance(p, Output):
         return Output(
             tuple(substitute_expr(e, subst) for e in p.payload),
             substitute(p.target, subst),
-            substitute_useq(p.cont, subst),
+            substitute_useq(p.cont, subst, needs),
             p.span,
         )
     if isinstance(p, Aware):
-        return Aware(substitute(p.guard, subst), substitute_proc(p.body, subst), p.span)
+        return Aware(substitute(p.guard, subst), substitute_proc(p.body, subst, needs), p.span)
     if isinstance(p, Choice):
-        return Choice(substitute_proc(p.left, subst), substitute_proc(p.right, subst), p.span)
+        return Choice(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
     if isinstance(p, Par):
-        return Par(substitute_proc(p.left, subst), substitute_proc(p.right, subst), p.span)
+        return Par(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
     if isinstance(p, Call):
         merged = dict(subst.pairs)
         merged.update(p.closure.pairs)  # call-site bindings already captured win
+        if needs is not None:
+            read = needs[p.name]
+            merged = {n: v for n, v in merged.items() if n in read}
         return Call(p.name, Subst.of(merged), p.span)
     raise TypeError(f"not a process: {p!r}")
 

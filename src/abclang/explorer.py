@@ -16,6 +16,7 @@ from .terms import (
     Event,
     Invariant,
     LeadsTo,
+    ProcessTerm,
     Property,
     Reachable,
     Received,
@@ -33,7 +34,7 @@ from .terms import (
     state_key,
 )
 from .evaluator import compare_values, EvalError
-from .validate import require_guarded
+from .validate import call_needs, require_guarded
 
 
 @dataclass
@@ -80,17 +81,19 @@ def explore(
     max_depth: Optional[int] = None,
 ) -> LTS:
     """Breadth-first exploration of `spec`'s reachable states.  Raises
-    `EvalError` for an unguarded call cycle (which `validate` reports as
-    E-UNGUARDED) and for a failed evaluation in a reachable state."""
+    `EvalError` for an unguarded call cycle or a call to an undefined
+    process (which `validate` reports as E-UNGUARDED and E-UNDEF-PROC) and
+    for a failed evaluation in a reachable state."""
     defs = spec.defs_map()
     require_guarded(defs)
+    memo = Unfoldings(call_needs(defs, [d.proc for d in spec.components]))
     externs = spec.externs_map()
     names = spec.component_names()
     initial = spec.initial_state()
-    memo: Unfoldings = {}  # unfoldings of this run's definitions, see semantics.unfold
+    texts: Dict[ProcessTerm, str] = {}  # see state_key
 
     states: List[SystemState] = [initial]
-    index: Dict[tuple, int] = {state_key(initial): 0}
+    index: Dict[tuple, int] = {state_key(initial, texts): 0}
     transitions: List[Transition] = []
     lts = LTS(states, transitions, names)
 
@@ -105,7 +108,7 @@ def explore(
         capped = False
         for sid in frontier:
             for event, succ in system_steps(states[sid], defs, externs, memo):
-                key = state_key(succ)
+                key = state_key(succ, texts)
                 dst = index.get(key)
                 if dst is None:
                     if len(states) >= max_states:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .evaluator import (
     Chooser,
@@ -45,11 +45,21 @@ from .terms import (
     SystemState,
     Value,
 )
+from .validate import call_needs
 
-# Unfolded definition bodies of one run, keyed by (process name, call-site
-# closure).  A memo belongs to one definitions map: `explore` and `simulate`
-# make one per call and pass it down.
-Unfoldings = Dict[Tuple[str, Subst], ProcessTerm]
+
+@dataclass
+class Unfoldings:
+    """What one run derives from its definitions map.  `needs` is
+    `validate.call_needs` of the map (None keeps whole closures): every
+    call closure that `substitute_proc` builds keeps only the names its
+    definition reads, so call instances that differ in dead bindings are
+    one term.  `bodies` holds the unfolded body of each call instance,
+    keyed by (process name, closure).  `explore` and `simulate` make one
+    per call and pass it down."""
+
+    needs: Optional[Dict[str, FrozenSet[str]]]
+    bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
 
 
 def unfold(
@@ -64,9 +74,9 @@ def unfold(
     if memo is None:
         return substitute_proc(defs[name], closure)
     key = (name, closure)
-    body = memo.get(key)
+    body = memo.bodies.get(key)
     if body is None:
-        body = memo[key] = substitute_proc(defs[name], closure)
+        body = memo.bodies[key] = substitute_proc(defs[name], closure, memo.needs)
     return body
 
 
@@ -204,6 +214,7 @@ def in_step(
     if not satisfies(restrict(c.env, c.interface), sent_pred, externs):
         return DISCARD
     occs = _occurrences(c.proc, defs, True, memo)
+    needs = memo.needs if memo is not None else None
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, occ in enumerate(occs):
         node = occ.node
@@ -222,7 +233,7 @@ def in_step(
                     return None
             except EvalError:
                 return None
-            cont = substitute_useq(node.cont, bindings)
+            cont = substitute_useq(node.cont, bindings, needs)
             new_env = apply_updates(c.env, cont.updates, externs=externs, chooser=ch)
             return ComponentState(c.name, new_env, c.interface, occ.rebuild(cont.then))
 
@@ -243,11 +254,11 @@ def system_steps(
     is delivered atomically: every other component either receives
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
-    never receives its own message.  Without a memo, unfoldings are
-    shared within this state only.
+    never receives its own message.  Without a memo, one is made for this
+    state only, so closures are still trimmed.
     """
     if memo is None:
-        memo = {}
+        memo = Unfoldings(call_needs(defs))
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
         for cand in out_steps(sender, defs, externs, memo):

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from .evaluator import EvalError
 from .pretty import pp_pred, pp_value
 from .semantics import Unfoldings, system_steps
-from .validate import require_guarded
+from .validate import call_needs, require_guarded
 from .terms import (
     BroadcastEvent,
     SystemSpec,
@@ -67,9 +67,9 @@ def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) ->
     rng = random.Random(seed)
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()
-    memo: Unfoldings = {}  # unfoldings of this run's definitions, see semantics.unfold
     try:
         require_guarded(defs)
+        memo = Unfoldings(call_needs(defs, [d.proc for d in spec.components]))
         for i in range(max_steps):
             steps = system_steps(state, defs, externs, memo)
             if not steps:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +374,6 @@ def _ser_useq(u: UpdateSeq) -> str:
     return "[" + ups + "]" + ser_proc(u.then)
 
 
-@lru_cache(maxsize=None)
 def ser_proc(p: ProcessTerm) -> str:
     if isinstance(p, Inact):
         return "0"
@@ -408,13 +406,14 @@ def _flatten(p: ProcessTerm, kind) -> list:
     return [p]
 
 
-@lru_cache(maxsize=None)
 def canonicalize(p: ProcessTerm) -> ProcessTerm:
-    """Normal form under commutativity/associativity of `|` and `+`.
+    """Normal form under commutativity/associativity of `|` and `+` and
+    the unit law P | 0 = P.
 
-    Nested parallel and choice chains are flattened, the operands sorted
-    under the total term order, and the chain rebuilt right-nested.  No
-    operands are dropped, only reordered, so the result is
+    Nested parallel and choice chains are flattened, `0` operands of a
+    parallel chain dropped (one is kept if all are `0`), the operands
+    sorted under the total term order, and the chain rebuilt
+    right-nested.  An inactive operand has no actions, so the result is
     behaviour-equivalent by construction.  Idempotent.
     """
     if isinstance(p, (Inact, Call)):
@@ -431,6 +430,8 @@ def canonicalize(p: ProcessTerm) -> ProcessTerm:
         for q in _flatten(p, kind):
             q = canonicalize(q)
             parts.extend(_flatten(q, kind))
+        if kind is Par:
+            parts = [q for q in parts if not isinstance(q, Inact)] or [ZERO]
         parts.sort(key=ser_proc)
         out = parts[-1]
         for q in reversed(parts[:-1]):
@@ -557,12 +558,20 @@ class ComponentState:
 SystemState = Tuple[ComponentState, ...]
 
 
-def ser_component(c: ComponentState) -> str:
-    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(canonicalize(c.proc))
+def ser_component(c: ComponentState, texts: Dict[ProcessTerm, str]) -> str:
+    text = texts.get(c.proc)
+    if text is None:
+        text = texts[c.proc] = ser_proc(canonicalize(c.proc))
+    return c.name + "{" + ser_env(c.env) + "}" + text
 
 
-def state_key(s: SystemState) -> Tuple[str, ...]:
-    return tuple(ser_component(c) for c in s)
+def state_key(s: SystemState, texts: Optional[Dict[ProcessTerm, str]] = None) -> Tuple[str, ...]:
+    """The canonical key of a state.  `texts` memoises the canonical text
+    of each process term; `explore` passes one per run, so no term is
+    kept after the run."""
+    if texts is None:
+        texts = {}
+    return tuple(ser_component(c, texts) for c in s)
 
 
 def state_hash(s: SystemState) -> str:

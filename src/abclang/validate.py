@@ -123,6 +123,77 @@ def _useq_free(cont: UpdateSeq, def_free) -> FrozenSet[str]:
     return frozenset(names) | _free_names(cont.then, def_free)
 
 
+def _read_names(proc, needs: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
+    """Names that a substitution applied to `proc` replaces: bare names in
+    every position, predicates included, less input binders; a call reads
+    what its definition is known to need, less its closure.  Raises
+    EvalError for a call to a process `needs` does not know.
+
+    Unlike `_free_names`, guards and targets count: `substitute` replaces
+    a bound name there too, so a closure value can be read only in a guard.
+    """
+    if isinstance(proc, Inact):
+        return frozenset()
+    if isinstance(proc, Call):
+        need = needs.get(proc.name)
+        if need is None:
+            raise EvalError(f"undefined process {proc.name}", proc.span)
+        return need - proc.closure.domain() if proc.closure.pairs else need
+    if isinstance(proc, (Choice, Par)):
+        return _read_names(proc.left, needs) | _read_names(proc.right, needs)
+    names: Set[str] = set()
+    if isinstance(proc, Aware):
+        _pred_names(proc.guard, names)
+        return _read_names(proc.body, needs).union(names)
+    if isinstance(proc, Output):
+        for e in proc.payload:
+            _expr_names(e, names)
+        _pred_names(proc.target, names)
+    elif isinstance(proc, Input):
+        _pred_names(proc.guard, names)
+    else:
+        raise TypeError(f"not a process: {proc!r}")
+    for u in proc.cont.updates:
+        for i in u.index:
+            _expr_names(i, names)
+        _expr_names(u.rhs, names)
+    names |= _read_names(proc.cont.then, needs)
+    if isinstance(proc, Input):
+        names.difference_update(proc.binders)
+    return frozenset(names)
+
+
+def _fixpoint(defs, names_of) -> Dict[str, FrozenSet[str]]:
+    """Least solution of `known[name] = names_of(defs[name], known)` over
+    the definitions, iterated up from empty sets."""
+    known: Dict[str, FrozenSet[str]] = {name: frozenset() for name in defs}
+    changed = True
+    while changed:
+        changed = False
+        for name, body in defs.items():
+            names = names_of(body, known)
+            if names != known[name]:
+                known[name] = names
+                changed = True
+    return known
+
+
+def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
+    """The names each definition needs from the closure of a call to it,
+    with what the definitions it calls need.  `substitute_proc` keeps only
+    these in the closures it builds: the other bindings cannot change the
+    unfolded body, and would only tell apart states that behave the same.
+
+    Raises EvalError for a call, in a definition or in one of `roots`, to
+    a process `defs` does not define; `explore` and `simulate` pass the
+    components' processes, because a spec need not have been validated.
+    """
+    needs = _fixpoint(defs, _read_names)
+    for root in roots:
+        _read_names(root, needs)
+    return needs
+
+
 def _walk(proc, visit):
     visit(proc)
     if isinstance(proc, (Choice, Par)):
@@ -323,16 +394,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                     Diagnostic("error", inp.span, "input binders must be pairwise distinct", "E-DUP-BINDER")
                 )
 
-    # free-variable fixpoint over definitions
-    def_free: Dict[str, FrozenSet[str]] = {name: frozenset() for name in defs}
-    changed = True
-    while changed:
-        changed = False
-        for name, body in defs.items():
-            fv = _free_names(body, def_free)
-            if fv != def_free[name]:
-                def_free[name] = fv
-                changed = True
+    def_free = _fixpoint(defs, _free_names)
 
     for comp in spec.components:
         declared = {k[0] for k, _ in comp.attrs}

@@ -18,6 +18,18 @@ def full_label(t: Transition) -> Hashable:
     return t.event
 
 
+def behaviour_label(t: Transition) -> Hashable:
+    """The broadcast without the receivers' branch ordinals: sender,
+    message, closed predicate, exposed environment, receiver set and
+    discard set.  An ordinal indexes an input occurrence in the syntax of
+    the stored state.  A reduction that merges states keeps whichever was
+    reached first, and merged states may lay out `|` differently, so two
+    equivalent systems can number the same branch differently."""
+    e = t.event
+    receivers = frozenset(j for j, _ordinal in e.receivers)
+    return (e.sender, e.message, e.sent_pred, e.exposed_env, receivers, e.discarded)
+
+
 def bisimilar(a: LTS, b: LTS, label: Callable[[Transition], Hashable] = full_label) -> bool:
     """Whether the initial states of `a` and `b` are strongly bisimilar
     when transitions are compared by `label`."""

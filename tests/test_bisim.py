@@ -1,9 +1,15 @@
-"""Canonical-key deduplication against deduplication on the raw state.
+"""The state-space reductions against the unreduced systems.
 
 `explore` identifies states by `state_key`, which canonicalises each
-component's process up to reordering of `|` and `+`.  Exploring with the
-raw `SystemState` as the key gives the unreduced system; the two must be
-strongly bisimilar on full transition labels.
+component's process up to reordering of `|` and `+` and drops `0`
+operands of `|`.  Exploring with the raw `SystemState` as the key gives
+the unreduced system; the two must be strongly bisimilar on full
+transition labels.
+
+Call closures keep only the names their definition reads
+(`validate.call_needs`).  Exploring with whole closures must give a
+system bisimilar on behaviour labels, which leave out the receivers'
+branch ordinals (see `behaviour_label`).
 """
 import random
 
@@ -11,16 +17,17 @@ import pytest
 
 from conftest import fixture_path
 
-from _bisim import bisimilar
+from _bisim import behaviour_label, bisimilar
 from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import make_lts
 
 from abclang import explorer
 from abclang.evaluator import EvalError
 from abclang.explorer import explore
+from abclang.terms import VInt, VStr
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
-# two raw ones.
+# two raw ones.  W's received x is read by nothing, so W's closure is empty.
 REORDERED = """
 proc Q = ("q")@(tt).0
 proc R = ("r")@(tt).0
@@ -30,14 +37,51 @@ component B { attrs { } interface { } run W }
 """
 
 
+# After "a" or "b", B runs W with a closure binding x to the tag; W does
+# not read x, so trimming merges the two states.
+DEAD_BINDING = """
+proc W = ("done")@(tt).0
+component A { attrs { } interface { } run ("a")@(tt).0 + ("b")@(tt).0 }
+component B { attrs { } interface { } run (tt)(x).W }
+"""
+
+# G reads its closure's v only in its input guard: dropping v would make
+# `n = v` a reference to the sender's (absent) attribute v, and B would
+# never receive ("m", 1).
+GUARD_ONLY = """
+proc G = (x = "m" && n = v)(x, n).("got", n)@(tt).0
+component A { attrs { } interface { } run ("v", 1)@(tt).("m", 2)@(tt).("m", 1)@(tt).0 }
+component B { attrs { } interface { } run (x = "v")(x, v).G }
+"""
+
+
 @pytest.fixture
 def explore_raw(monkeypatch):
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(explorer, "state_key", lambda state: state)
+            m.setattr(explorer, "state_key", lambda state, texts: state)
             return explore(spec, **kw)
 
     return run
+
+
+@pytest.fixture
+def explore_untrimmed(monkeypatch):
+    """`explore` with call closures that keep every binding in scope."""
+
+    def run(spec, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(explorer, "call_needs", lambda defs, roots=(): None)
+            return explore(spec, **kw)
+
+    return run
+
+
+def fixture_specs(corpus_spec):
+    specs = {name: load(fixture_path(name)) for name in ["ping.abc", "choice.abc", "fake3.abc"]}
+    specs["mini corpus"] = mini_corpus(corpus_spec)
+    specs["reordered"] = load(REORDERED, is_path=False)
+    return specs
 
 
 def test_refinement_separates_when_choice_is_made():
@@ -53,19 +97,31 @@ def test_refinement_separates_when_choice_is_made():
 
 
 def test_fixtures_and_mini_corpus(corpus_spec, explore_raw):
-    specs = {name: load(fixture_path(name)) for name in ["ping.abc", "choice.abc", "fake3.abc"]}
-    specs["mini corpus"] = mini_corpus(corpus_spec)
-    specs["reordered"] = load(REORDERED, is_path=False)
     sizes = {}
-    for name, spec in specs.items():
+    for name, spec in fixture_specs(corpus_spec).items():
         reduced, raw = explore(spec), explore_raw(spec)
         assert not reduced.truncated and not raw.truncated, name
         assert bisimilar(reduced, raw), name
         sizes[name] = (len(reduced.states), len(raw.states))
-    assert sizes["reordered"] == (6, 9)
+    assert sizes["reordered"] == (5, 8)
 
 
-def test_fuzz_specs(explore_raw):
+def test_trimmed_closures_behave_the_same(corpus_spec, explore_untrimmed):
+    specs = fixture_specs(corpus_spec)
+    specs["dead binding"] = load(DEAD_BINDING, is_path=False)
+    specs["guard only"] = load(GUARD_ONLY, is_path=False)
+    sizes = {}
+    for name, spec in specs.items():
+        trimmed, whole = explore(spec), explore_untrimmed(spec)
+        assert not trimmed.truncated and not whole.truncated, name
+        assert bisimilar(trimmed, whole, behaviour_label), name
+        sizes[name] = (len(trimmed.states), len(whole.states))
+    assert sizes["dead binding"] == (3, 4)
+    got = [t for t in explore(specs["guard only"]).transitions if t.event.tag() == "got"]
+    assert [t.event.message for t in got] == [(VStr("got"), VInt(1))]
+
+
+def test_fuzz_specs(explore_raw, explore_untrimmed):
     rng = random.Random(2024)
     compared = 0
     for _ in range(150):
@@ -73,10 +129,12 @@ def test_fuzz_specs(explore_raw):
         try:
             reduced = explore(spec, max_states=300)
             raw = explore_raw(spec, max_states=300)
+            whole = explore_untrimmed(spec, max_states=300)
         except EvalError:
             continue  # unguarded recursion or a failing evaluation
-        if reduced.truncated or raw.truncated:
+        if reduced.truncated or raw.truncated or whole.truncated:
             continue
         assert bisimilar(reduced, raw)
+        assert bisimilar(reduced, whole, behaviour_label)
         compared += 1
     assert compared >= 40

@@ -1,5 +1,8 @@
 """State-space exploration and property checking."""
+import gc
 import random
+import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from conftest import fixture_path
@@ -99,6 +102,34 @@ component C { attrs { } interface { } run R }
         spec, _ = parse_spec("proc P = P + P\ncomponent C { attrs { } interface { } run P }\n")
         with pytest.raises(EvalError, match="unguarded recursion P -> P"):
             explore(spec)
+
+    def test_unvalidated_undefined_process_raises(self):
+        spec, _ = parse_spec('component C { attrs { } interface { } run ("m")@(tt).Nope }\n')
+        with pytest.raises(EvalError, match="undefined process Nope"):
+            explore(spec)
+
+    def test_travel_booking_lts_size(self, corpus_spec):
+        # call closures trimmed to what their definitions read, P | 0 = P
+        lts = explore(corpus_spec, max_states=1_000_000)
+        assert not lts.truncated
+        assert (len(lts.states), len(lts.transitions)) == (1_048, 2_979)
+
+    def test_no_term_outlives_its_run(self, corpus_spec):
+        # process-wide term caches once held 575 and then 941 entries
+        # after these two runs
+        for cap in (300, 600):
+            lts = explore(corpus_spec, max_states=cap)
+            initial = {id(d.proc) for d in corpus_spec.components}
+            probe = weakref.ref(next(c.proc for c in lts.states[-1] if id(c.proc) not in initial))
+            del lts
+            gc.collect()
+            assert probe() is None
+            engine = [m for name, m in sys.modules.items() if name.startswith("abclang")]
+            cached = [
+                f for m in engine for f in vars(m).values()
+                if hasattr(f, "cache_info") and f.cache_info().currsize
+            ]
+            assert cached == []
 
     def test_out_edges_built_once(self):
         lts = explore_fixture("choice.abc")

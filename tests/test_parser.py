@@ -6,7 +6,7 @@ from conftest import fixture_path
 from abclang.parser import ParseError, parse_spec, parse_process_str, parse_pred_str
 from abclang.pretty import pp_proc, pp_spec
 from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice
-from abclang.validate import load_spec, validate
+from abclang.validate import call_needs, load_spec, validate
 
 
 class TestParseProcess:
@@ -190,6 +190,16 @@ class TestValidation:
             "component C { attrs { a = 1; } interface { } run P }"
         )
         assert self.check(src) == []
+
+    def test_call_needs_of_the_fixture(self, corpus_spec):
+        needs = call_needs(corpus_spec.defs_map())
+        # BrkA reads its session's c and p only in its input guard
+        assert {"c", "l", "p"} <= needs["BrkA"]
+        # none of the x, c, l, d, p that BrkMain binds: its closure stays
+        # empty.  The names left are attributes in BrkH's target predicate,
+        # which cannot be told from variables syntactically.
+        assert needs["BrkMain"] == {"id", "locality", "type"}
+        assert needs["BrkCC"] == frozenset()
 
     def test_clean_fixtures_have_no_diagnostics(self):
         for name in ["travel-booking.abc", "ping.abc", "fake3.abc", "choice.abc"]:

@@ -6,21 +6,26 @@ from _gen import rand_component, rand_env, rand_message, rand_pred, rand_subst
 from abclang.evaluator import close, substitute_proc
 from abclang.parser import parse_pred_str, parse_process_str
 from abclang.pretty import pp_pred
-from abclang.semantics import in_step, out_steps, system_steps, unfold
+from abclang.semantics import Unfoldings, in_step, out_steps, system_steps, unfold
 from abclang.terms import (
+    Call,
     ComponentState,
     EnumDomain,
     Env,
     FalsePred,
     Inact,
     Input,
+    Par,
     Subst,
+    TruePred,
+    UpdateSeq,
     VBool,
     VInt,
     VSet,
     VStr,
     state_key,
 )
+from abclang.validate import call_needs
 
 
 def comp(name, env_map, interface, proc_src):
@@ -59,13 +64,31 @@ class TestUnfold:
 
     def test_memo_instantiates_each_call_instance_once(self):
         body = parse_process_str('("m", c)@(tt).K')
-        defs, memo = {"K": body}, {}
+        defs = {"K": body}
+        memo = Unfoldings(call_needs(defs))
         c1, c2 = Subst.of({"c": VStr("c1")}), Subst.of({"c": VStr("c2")})
         first = unfold("K", defs, c1, memo)
         assert unfold("K", defs, Subst.of({"c": VStr("c1")}), memo) is first
         assert first == unfold("K", defs, c1)
         assert unfold("K", defs, c2, memo) == substitute_proc(body, c2)
-        assert set(memo) == {("K", c1), ("K", c2)}
+        assert set(memo.bodies) == {("K", c1), ("K", c2)}
+
+    def test_call_closure_keeps_what_the_definition_reads(self):
+        # K reads c in a payload and g in a guard, and binds its own x
+        defs = {
+            "K": parse_process_str('("m", c)@(tt).0 + (x = g)(x).0'),
+            "L": parse_process_str('("n")@(tt).K'),
+        }
+        assert call_needs(defs) == {"K": {"c", "g"}, "L": {"c", "g"}}
+        scope = Subst.of({"c": VInt(1), "g": VInt(2), "x": VInt(3), "y": VInt(4)})
+        kept = Subst.of({"c": VInt(1), "g": VInt(2)})
+        memo = Unfoldings(call_needs(defs))
+        assert unfold("L", defs, scope, memo).cont.then.closure == kept
+        assert substitute_proc(parse_process_str("L | (tt)(c).K"), scope, call_needs(defs)) == Par(
+            Call("L", kept), Input(TruePred(), ("c",), UpdateSeq((), Call("K", Subst.of({"g": VInt(2)}))))
+        )
+        # without needs, a closure keeps every binding in scope
+        assert unfold("L", defs, scope).cont.then.closure == scope
 
 
 class TestOutSteps:

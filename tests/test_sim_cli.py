@@ -33,6 +33,13 @@ class TestSimulate:
         assert trace.termination == "error" and trace.steps == []
         assert "unguarded recursion P -> P" in trace.error
 
+    def test_unvalidated_undefined_process_is_an_error_trace(self):
+        src = 'component C { attrs { } interface { } run ("m")@(tt).Nope }\n'
+        spec, _ = parse_spec(src)
+        trace = simulate(spec, src, seed=0)
+        assert trace.termination == "error" and trace.steps == []
+        assert "undefined process Nope" in trace.error
+
     def test_deterministic_given_seed(self):
         spec, src = load(fixture_path("travel-booking.abc"))
         names = spec.component_names()

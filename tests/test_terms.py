@@ -80,18 +80,30 @@ def test_subst_extension_shadows():
 
 
 def test_canonicalize_sorts_par():
-    # the spec example: Par(B, Par(A, 0)) normalizes to the sorted chain
-    a, b = Call("A"), Call("B")
-    t = Par(b, Par(a, Inact()))
-    c = canonicalize(t)
-    assert c == canonicalize(Par(a, Par(b, Inact())))
+    # C | (B | (A | 0)) normalizes to the sorted chain A | (B | C): the
+    # operands are reordered and the 0 is dropped
+    a, b, c = Call("A"), Call("B"), Call("C")
+    t = Par(c, Par(b, Par(a, Inact())))
+    n = canonicalize(t)
+    assert n == canonicalize(Par(a, Par(b, Par(Inact(), c))))
     flat = []
-    cur = c
+    cur = n
     while isinstance(cur, Par):
         flat.append(cur.left)
         cur = cur.right
     flat.append(cur)
+    assert flat == [a, b, c]
     assert ser_proc(flat[0]) <= ser_proc(flat[1]) <= ser_proc(flat[2])
+
+
+def test_canonicalize_drops_inactive_par_operands():
+    p = parse_process_str('("a")@(tt).0 + (x = "b")(x).(0 | K)')
+    assert canonicalize(Par(p, Inact())) == canonicalize(p)
+    assert state_key((ComponentState("C", Env(), frozenset(), Par(Inact(), p)),)) == state_key(
+        (ComponentState("C", Env(), frozenset(), p),)
+    )
+    assert canonicalize(Par(Inact(), Inact())) == Inact()
+    assert canonicalize(Par(Inact(), Par(Inact(), Inact()))) == Inact()
 
 
 def test_canonicalize_identity_on_inact():
