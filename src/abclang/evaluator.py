@@ -1,9 +1,10 @@
 """Expression evaluation, predicate closure and satisfaction, substitution.
 
 All functions here are pure.  Nondeterministic externs (enumerated
-domains) draw through a `Chooser`, which either samples from a seeded
-RNG (simulation) or follows a scripted index vector (exhaustive
-exploration via `all_runs`).
+domains) draw through a `ScriptedChooser`, which follows a scripted
+index vector; `all_runs` enumerates every combination of draws.  Both
+exploration and simulation take all of them: a simulation picks
+uniformly among the resulting successors.
 """
 from __future__ import annotations
 
@@ -69,20 +70,7 @@ class EvalError(Exception):
 # choice reification
 
 
-class Chooser:
-    def choose(self, options: Sequence[Value]) -> Value:
-        raise NotImplementedError
-
-
-class RandomChooser(Chooser):
-    def __init__(self, rng):
-        self.rng = rng
-
-    def choose(self, options):
-        return options[self.rng.randrange(len(options))]
-
-
-class ScriptedChooser(Chooser):
+class ScriptedChooser:
     """Follows a prefix of choice indices, then picks index 0.
 
     Records (index, domain size) for every draw so a caller can
@@ -93,7 +81,7 @@ class ScriptedChooser(Chooser):
         self.prefix = prefix
         self.trace: List[Tuple[int, int]] = []
 
-    def choose(self, options):
+    def choose(self, options: Sequence[Value]) -> Value:
         pos = len(self.trace)
         idx = self.prefix[pos] if pos < len(self.prefix) else 0
         self.trace.append((idx, len(options)))
@@ -103,7 +91,7 @@ class ScriptedChooser(Chooser):
 T = TypeVar("T")
 
 
-def all_runs(fn: Callable[[Chooser], T]) -> List[T]:
+def all_runs(fn: Callable[[ScriptedChooser], T]) -> List[T]:
     """Runs `fn` once per combination of extern draws it can make.
 
     `fn` must be deterministic given the chooser's answers.  Later draw
@@ -247,7 +235,7 @@ def evaluate(
     env: Env,
     subst: Subst = EMPTY_SUBST,
     externs: Optional[Dict] = None,
-    chooser: Optional[Chooser] = None,
+    chooser: Optional[ScriptedChooser] = None,
 ) -> Value:
     """Local evaluation: both `a` and `this.a` read the own environment.
 
@@ -555,7 +543,6 @@ def restrict(env: Env, interface) -> Env:
 def apply_updates(
     env: Env,
     updates: Tuple[Update, ...],
-    subst: Subst = EMPTY_SUBST,
     externs=None,
     chooser=None,
 ) -> Env:
@@ -563,7 +550,7 @@ def apply_updates(
     sees the effect of the previous assignments.  New keys may be
     created."""
     for up in updates:
-        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in up.index)
-        val = evaluate(up.rhs, env, subst, externs, chooser)
+        idx = tuple(evaluate(i, env, EMPTY_SUBST, externs, chooser) for i in up.index)
+        val = evaluate(up.rhs, env, EMPTY_SUBST, externs, chooser)
         env = env.updated(up.name, idx, val)
     return env

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .semantics import Unfoldings, system_steps
+from .semantics import Run, system_steps
 from .terms import (
     BroadcastEvent,
     Event,
@@ -34,7 +34,6 @@ from .terms import (
     state_key,
 )
 from .evaluator import compare_values, EvalError
-from .validate import call_needs, require_guarded
 
 
 @dataclass
@@ -84,10 +83,7 @@ def explore(
     `EvalError` for an unguarded call cycle or a call to an undefined
     process (which `validate` reports as E-UNGUARDED and E-UNDEF-PROC) and
     for a failed evaluation in a reachable state."""
-    defs = spec.defs_map()
-    require_guarded(defs)
-    memo = Unfoldings(call_needs(defs, [d.proc for d in spec.components]))
-    externs = spec.externs_map()
+    run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
     names = spec.component_names()
     initial = spec.initial_state()
     texts: Dict[ProcessTerm, str] = {}  # see state_key
@@ -107,7 +103,7 @@ def explore(
         next_frontier: List[int] = []
         capped = False
         for sid in frontier:
-            for event, succ in system_steps(states[sid], defs, externs, memo):
+            for event, succ in system_steps(states[sid], run):
                 key = state_key(succ, texts)
                 dst = index.get(key)
                 if dst is None:
@@ -266,16 +262,14 @@ def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
     if lts.truncated:
         return Verdict(name, "unknown", f"exploration was truncated: {lts.truncation_reason}")
     names = lts.component_names
+    triggers = [ti for ti, t in enumerate(lts.transitions) if event_matches(prop.trigger, t, names)]
+    if not triggers:
+        return Verdict(name, "holds", "vacuously: the trigger event never occurs")
     out = lts.out_edges()
     goal = [
         any(event_matches(g, t, names) for g in prop.goals) for t in lts.transitions
     ]
-    trigger_targets = sorted(
-        {t.dst for ti, t in enumerate(lts.transitions)
-         if event_matches(prop.trigger, t, names) and not goal[ti]}
-    )
-    if not any(event_matches(prop.trigger, t, names) for t in lts.transitions):
-        return Verdict(name, "holds", "vacuously: the trigger event never occurs")
+    trigger_targets = sorted({lts.transitions[ti].dst for ti in triggers if not goal[ti]})
 
     # In the subgraph with goal-labelled transitions removed, the property
     # fails iff some trigger successor can reach a state that is terminal

@@ -6,7 +6,8 @@ broadcast (`in_step`).  System level: `system_steps` atomically
 delivers each candidate broadcast to every other component and builds
 the successor states.
 
-All functions are pure.
+Every step function takes the `Run` it belongs to.  They are pure,
+except that `unfold` fills the run's memo of unfolded bodies.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .evaluator import (
-    Chooser,
     EvalError,
+    ScriptedChooser,
     all_runs,
     evaluate,
     apply_updates,
@@ -33,7 +34,6 @@ from .terms import (
     Call,
     Choice,
     ComponentState,
-    EMPTY_SUBST,
     Env,
     Inact,
     Input,
@@ -45,38 +45,43 @@ from .terms import (
     SystemState,
     Value,
 )
-from .validate import call_needs
+from .validate import call_needs, require_guarded
 
 
 @dataclass
-class Unfoldings:
-    """What one run derives from its definitions map.  `needs` is
-    `validate.call_needs` of the map (None keeps whole closures): every
+class Run:
+    """What one `explore` or `simulate` run derives from its spec: the
+    definitions and externs, `needs` (`validate.call_needs` of the
+    definitions; None keeps whole closures), and `bodies`, the unfolded
+    body of each call instance, keyed by (process name, closure).  Every
     call closure that `substitute_proc` builds keeps only the names its
     definition reads, so call instances that differ in dead bindings are
-    one term.  `bodies` holds the unfolded body of each call instance,
-    keyed by (process name, closure).  `explore` and `simulate` make one
-    per call and pass it down."""
+    one term."""
 
+    defs: Dict[str, ProcessTerm]
+    externs: Dict
     needs: Optional[Dict[str, FrozenSet[str]]]
     bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, defs, externs, roots=()) -> "Run":
+        """Raises EvalError for an unguarded call cycle or a call, in a
+        definition or in one of `roots`, to an undefined process
+        (`validate` reports these as E-UNGUARDED and E-UNDEF-PROC): the
+        step relation relies on there being none, and a spec need not
+        have been validated."""
+        require_guarded(defs)
+        return cls(defs, externs, call_needs(defs, roots))
 
-def unfold(
-    name: str,
-    defs: Dict[str, ProcessTerm],
-    closure: Subst = EMPTY_SUBST,
-    memo: Optional[Unfoldings] = None,
-) -> ProcessTerm:
+
+def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
     """Expands one level of a process definition, applying the bindings
-    captured at the call site.  With a memo, each call instance is
-    instantiated once and its (immutable) body shared afterwards."""
-    if memo is None:
-        return substitute_proc(defs[name], closure)
+    captured at the call site.  Each call instance is instantiated once
+    per run and its (immutable) body shared afterwards."""
     key = (name, closure)
-    body = memo.bodies.get(key)
+    body = run.bodies.get(key)
     if body is None:
-        body = memo.bodies[key] = substitute_proc(defs[name], closure, memo.needs)
+        body = run.bodies[key] = substitute_proc(run.defs[name], closure, run.needs)
     return body
 
 
@@ -91,9 +96,9 @@ class _Occ:
     rebuild: Callable[[ProcessTerm], ProcessTerm]
 
 
-def _occurrences(proc: ProcessTerm, defs, want_input: bool, memo: Optional[Unfoldings]) -> List[_Occ]:
-    """Action occurrences of `proc`.  Terminates because `validate`
-    rejects call cycles that are not under a prefix (E-UNGUARDED)."""
+def _occurrences(proc: ProcessTerm, want_input: bool, run: Run) -> List[_Occ]:
+    """Action occurrences of `proc`.  Terminates because `Run.of`
+    rejects call cycles that are not under a prefix."""
     if isinstance(proc, Inact):
         return []
     if isinstance(proc, Input):
@@ -106,30 +111,25 @@ def _occurrences(proc: ProcessTerm, defs, want_input: bool, memo: Optional[Unfol
         return []
     if isinstance(proc, Aware):
         out = []
-        for o in _occurrences(proc.body, defs, want_input, memo):
+        for o in _occurrences(proc.body, want_input, run):
             out.append(_Occ(o.node, (proc.guard,) + o.guards, o.rebuild))
         return out
     if isinstance(proc, Choice):
-        out = []
-        for o in _occurrences(proc.left, defs, want_input, memo):
-            out.append(_Occ(o.node, o.guards, o.rebuild))  # losing branch dropped
-        for o in _occurrences(proc.right, defs, want_input, memo):
-            out.append(_Occ(o.node, o.guards, o.rebuild))
-        return out
+        # the losing branch is dropped: each rebuild covers one side only
+        return _occurrences(proc.left, want_input, run) + _occurrences(proc.right, want_input, run)
     if isinstance(proc, Par):
         out = []
-        for o in _occurrences(proc.left, defs, want_input, memo):
+        for o in _occurrences(proc.left, want_input, run):
             out.append(
                 _Occ(o.node, o.guards, (lambda rb, r: lambda c: Par(rb(c), r))(o.rebuild, proc.right))
             )
-        for o in _occurrences(proc.right, defs, want_input, memo):
+        for o in _occurrences(proc.right, want_input, run):
             out.append(
                 _Occ(o.node, o.guards, (lambda rb, l: lambda c: Par(l, rb(c)))(o.rebuild, proc.left))
             )
         return out
     if isinstance(proc, Call):
-        body = unfold(proc.name, defs, proc.closure, memo)
-        return _occurrences(body, defs, want_input, memo)
+        return _occurrences(unfold(proc.name, proc.closure, run), want_input, run)
     raise TypeError(f"not a process: {proc!r}")
 
 
@@ -142,7 +142,6 @@ class OutCandidate:
     exposed_env: Env  # pre-step Γ restricted to the interface
     successor: ComponentState
     branch: int  # ordinal of the syntactic occurrence that fired
-    diagnostic: Optional[EvalError] = None
 
 
 @dataclass
@@ -163,26 +162,24 @@ def _guards_hold(guards, env, externs, ch) -> bool:
     return all(satisfies(env, close(g, env, externs=externs, chooser=ch), externs, ch) for g in guards)
 
 
-def out_steps(c: ComponentState, defs, externs, memo: Optional[Unfoldings] = None) -> List[OutCandidate]:
+def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     """Every output action enabled in `c`, one candidate per extern draw
     combination.  Message, closed predicate and exposed environment all
-    come from the pre-update environment.  A candidate whose evaluation
-    fails is reported with its diagnostic rather than silently skipped."""
-    occs = _occurrences(c.proc, defs, False, memo)
+    come from the pre-update environment.  An evaluation error in a guard,
+    payload, target or update propagates."""
+    externs = run.externs
+    occs = _occurrences(c.proc, False, run)
     exposed = restrict(c.env, c.interface)
     candidates: List[OutCandidate] = []
     for ordinal, occ in enumerate(occs):
         node = occ.node
 
-        def fire(ch: Chooser, occ=occ, node=node, ordinal=ordinal):
+        def fire(ch: ScriptedChooser, occ=occ, node=node, ordinal=ordinal):
             if not _guards_hold(occ.guards, c.env, externs, ch):
                 return None
-            try:
-                msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
-                pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
-                new_env = apply_updates(c.env, node.cont.updates, externs=externs, chooser=ch)
-            except EvalError as err:
-                return OutCandidate((), node.target, exposed, c, ordinal, diagnostic=err)
+            msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
+            pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
+            new_env = apply_updates(c.env, node.cont.updates, externs=externs, chooser=ch)
             succ = ComponentState(c.name, new_env, c.interface, occ.rebuild(node.cont.then))
             return OutCandidate(msg, pred, exposed, succ, ordinal)
 
@@ -197,9 +194,7 @@ def in_step(
     exposed_env: Env,
     sent_pred: Predicate,
     msg: Tuple[Value, ...],
-    defs,
-    externs,
-    memo: Optional[Unfoldings] = None,
+    run: Run,
 ) -> InResult:
     """Receive-or-discard judgement for one component and one broadcast.
 
@@ -211,10 +206,10 @@ def in_step(
     discards and is left untouched.  An arity mismatch between binders
     and message is an ordinary discard.
     """
+    externs = run.externs
     if not satisfies(restrict(c.env, c.interface), sent_pred, externs):
         return DISCARD
-    occs = _occurrences(c.proc, defs, True, memo)
-    needs = memo.needs if memo is not None else None
+    occs = _occurrences(c.proc, True, run)
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, occ in enumerate(occs):
         node = occ.node
@@ -222,7 +217,7 @@ def in_step(
             continue
         bindings = Subst.of(dict(zip(node.binders, msg)))
 
-        def consume(ch: Chooser, occ=occ, node=node, bindings=bindings):
+        def consume(ch: ScriptedChooser, occ=occ, node=node, bindings=bindings):
             # a guard that cannot even be evaluated (absent attribute,
             # type error) cannot authorize reception: treat as discard
             try:
@@ -233,7 +228,7 @@ def in_step(
                     return None
             except EvalError:
                 return None
-            cont = substitute_useq(node.cont, bindings, needs)
+            cont = substitute_useq(node.cont, bindings, run.needs)
             new_env = apply_updates(c.env, cont.updates, externs=externs, chooser=ch)
             return ComponentState(c.name, new_env, c.interface, occ.rebuild(cont.then))
 
@@ -245,31 +240,24 @@ def in_step(
     return InResult(successors)
 
 
-def system_steps(
-    state: SystemState, defs, externs, memo: Optional[Unfoldings] = None
-) -> List[Tuple[BroadcastEvent, SystemState]]:
+def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, SystemState]]:
     """All system transitions from `state`.
 
     For each component and each of its output candidates, the broadcast
     is delivered atomically: every other component either receives
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
-    never receives its own message.  Without a memo, one is made for this
-    state only, so closures are still trimmed.
+    never receives its own message.
     """
-    if memo is None:
-        memo = Unfoldings(call_needs(defs))
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
-        for cand in out_steps(sender, defs, externs, memo):
-            if cand.diagnostic is not None:
-                raise cand.diagnostic
+        for cand in out_steps(sender, run):
             receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
             discarded = set()
             for j, other in enumerate(state):
                 if j == i:
                     continue
-                r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, defs, externs, memo)
+                r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
                 if r.is_receive:
                     receiver_choices.append((j, r.successors))
                 else:

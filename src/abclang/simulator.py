@@ -14,8 +14,7 @@ from typing import List, Optional, Tuple
 
 from .evaluator import EvalError
 from .pretty import pp_pred, pp_value
-from .semantics import Unfoldings, system_steps
-from .validate import call_needs, require_guarded
+from .semantics import Run, system_steps
 from .terms import (
     BroadcastEvent,
     SystemSpec,
@@ -62,16 +61,13 @@ def _env_updates(pre: SystemState, post: SystemState) -> List[Tuple[str, str, Tu
 
 
 def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) -> Trace:
-    defs = spec.defs_map()
-    externs = spec.externs_map()
     rng = random.Random(seed)
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()
     try:
-        require_guarded(defs)
-        memo = Unfoldings(call_needs(defs, [d.proc for d in spec.components]))
+        run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
         for i in range(max_steps):
-            steps = system_steps(state, defs, externs, memo)
+            steps = system_steps(state, run)
             if not steps:
                 trace.termination = "deadlock"
                 break

@@ -233,9 +233,6 @@ class Subst:
                 return v
         return None
 
-    def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.pairs)
-
     def domain(self):
         return frozenset(n for n, _ in self.pairs)
 
@@ -481,14 +478,8 @@ class Env:
         d[(name, index)] = value
         return Env(tuple(sorted(d.items(), key=lambda kv: _key_order(kv[0]))))
 
-    def names(self) -> frozenset:
-        return frozenset(k[0] for k, _ in self.entries)
-
     def restricted(self, names) -> "Env":
         return Env(tuple((k, v) for k, v in self.entries if k[0] in names))
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _key_order(k: AttrKey):

@@ -185,7 +185,7 @@ def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
     unfolded body, and would only tell apart states that behave the same.
 
     Raises EvalError for a call, in a definition or in one of `roots`, to
-    a process `defs` does not define; `explore` and `simulate` pass the
+    a process `defs` does not define; `semantics.Run.of` passes the
     components' processes, because a spec need not have been validated.
     """
     needs = _fixpoint(defs, _read_names)
@@ -272,8 +272,8 @@ def _unguarded_message(path: List[str]) -> str:
 
 def require_guarded(defs) -> None:
     """Raises EvalError for the first unguarded call cycle in `defs`.  The
-    step relation relies on there being none; `explore` and `simulate`
-    check it themselves because a spec need not have been validated."""
+    step relation relies on there being none; `semantics.Run.of` checks
+    it because a spec need not have been validated."""
     for path, call in _unguarded_cycles(defs):
         raise EvalError(_unguarded_message(path), call.span)
 

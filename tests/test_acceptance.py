@@ -28,7 +28,7 @@ from abclang.evaluator import EvalError, close, restrict, substitute
 from abclang.explorer import check_leads_to, explore
 from abclang.parser import parse_spec
 from abclang.pretty import pp_spec
-from abclang.semantics import in_step, system_steps
+from abclang.semantics import Run, in_step, system_steps
 from abclang.terms import (
     ComponentDecl,
     EnumDomain,
@@ -128,7 +128,7 @@ def test_criterion_3_exclusivity_and_partition_fuzz():
     exactly Receive xor Discard; every BroadcastEvent partitions the
     component indices."""
     rng = random.Random(31337)
-    defs = {"K1": Inact(), "K2": Inact()}
+    run = Run.of({"K1": Inact(), "K2": Inact()}, {})
     in_checked = 0
     while in_checked < 10_000:
         c = rand_component(rng)
@@ -138,7 +138,7 @@ def test_criterion_3_exclusivity_and_partition_fuzz():
         except EvalError:
             continue
         try:
-            res = in_step(c, rand_env(rng), pred, rand_message(rng), defs, {})
+            res = in_step(c, rand_env(rng), pred, rand_message(rng), run)
         except Exception:
             continue  # genuine update-evaluation errors are out of scope here
         assert res.is_receive == bool(res.successors)
@@ -148,7 +148,7 @@ def test_criterion_3_exclusivity_and_partition_fuzz():
     while events < 2_000:
         comps = tuple(rand_component(rng, f"C{i}") for i in range(rng.randrange(2, 5)))
         try:
-            steps = system_steps(comps, defs, {})
+            steps = system_steps(comps, run)
         except Exception:
             continue
         for ev, succ in steps:

@@ -21,7 +21,7 @@ from _bisim import behaviour_label, bisimilar
 from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import make_lts
 
-from abclang import explorer
+from abclang import explorer, semantics
 from abclang.evaluator import EvalError
 from abclang.explorer import explore
 from abclang.terms import VInt, VStr
@@ -71,7 +71,7 @@ def explore_untrimmed(monkeypatch):
 
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(explorer, "call_needs", lambda defs, roots=(): None)
+            m.setattr(semantics, "call_needs", lambda defs, roots=(): None)
             return explore(spec, **kw)
 
     return run

@@ -7,7 +7,6 @@ from _gen import rand_env, rand_pred, rand_subst
 
 from abclang.evaluator import (
     EvalError,
-    RandomChooser,
     ScriptedChooser,
     all_runs,
     apply_updates,
@@ -116,10 +115,6 @@ class TestEvaluate:
         e = Apply("pick", ())
         results = all_runs(lambda ch: evaluate(e, Env(), externs={"pick": dom}, chooser=ch))
         assert sorted(results, key=lambda v: v.v) == [VInt(1), VInt(2), VInt(3)]
-        # a seeded chooser draws deterministically
-        v1 = evaluate(e, Env(), externs={"pick": dom}, chooser=RandomChooser(random.Random(3)))
-        v2 = evaluate(e, Env(), externs={"pick": dom}, chooser=RandomChooser(random.Random(3)))
-        assert v1 == v2
 
     def test_enum_domain_without_chooser_errors(self):
         dom = EnumDomain.of([VInt(1)])

@@ -19,7 +19,7 @@ from abclang.explorer import (
     explore,
 )
 from abclang.parser import parse_spec
-from abclang.semantics import system_steps
+from abclang.semantics import Run, system_steps
 from abclang.terms import (
     BroadcastEvent,
     Invariant,
@@ -47,6 +47,13 @@ def load(path):
 
 def explore_fixture(name, **kw):
     return explore(load(fixture_path(name)), **kw)
+
+
+# P's payload divides by a drawn 0 in the state after "go"
+DIVISION_BY_ZERO = """extern pick : { 0, 1 }
+proc P = (1 / pick())@(tt).0
+component C { attrs { } interface { } run ("go")@(tt).P }
+"""
 
 
 class TestExplore:
@@ -81,9 +88,9 @@ class TestExplore:
         # every transition must be among the enabled successors of its source
         spec = load(fixture_path("choice.abc"))
         lts = explore(spec)
-        defs, ext = spec.defs_map(), spec.externs_map()
+        run = Run.of(spec.defs_map(), spec.externs_map())
         for t in lts.transitions:
-            succs = {state_key(s) for _, s in system_steps(lts.states[t.src], defs, ext)}
+            succs = {state_key(s) for _, s in system_steps(lts.states[t.src], run)}
             assert state_key(lts.states[t.dst]) in succs
 
     def test_received_value_does_not_leak_into_sibling_branch(self):
@@ -107,6 +114,14 @@ component C { attrs { } interface { } run R }
         spec, _ = parse_spec('component C { attrs { } interface { } run ("m")@(tt).Nope }\n')
         with pytest.raises(EvalError, match="undefined process Nope"):
             explore(spec)
+
+    def test_payload_error_in_a_reachable_state_raises_with_its_span(self):
+        spec, _ = parse_spec(DIVISION_BY_ZERO, "div.abc")
+        with pytest.raises(EvalError, match="division by zero") as ei:
+            explore(spec)
+        span = ei.value.span
+        assert (span.file, span.line, span.col) == ("div.abc", 2, 11)
+        assert str(ei.value) == "div.abc:2:11: division by zero"
 
     def test_travel_booking_lts_size(self, corpus_spec):
         # call closures trimmed to what their definitions read, P | 0 = P
@@ -169,7 +184,7 @@ class TestUnfoldMemo:
             with monkeypatch.context() as m:
                 m.setattr(
                     explorer, "system_steps",
-                    lambda state, defs, externs, memo: system_steps(state, defs, externs),
+                    lambda state, run: system_steps(state, Run(run.defs, run.externs, run.needs)),
                 )
                 fresh = explore(spec, max_states=caps.get(name, 100_000))
             assert shared.export_text() == fresh.export_text(), name

@@ -1,12 +1,14 @@
 """Component and system step relations, checked against hand-derived cases."""
 import random
 
+import pytest
+
 from _gen import rand_component, rand_env, rand_message, rand_pred, rand_subst
 
-from abclang.evaluator import close, substitute_proc
+from abclang.evaluator import EvalError, close, substitute_proc
 from abclang.parser import parse_pred_str, parse_process_str
 from abclang.pretty import pp_pred
-from abclang.semantics import Unfoldings, in_step, out_steps, system_steps, unfold
+from abclang.semantics import Run, in_step, out_steps, system_steps, unfold
 from abclang.terms import (
     Call,
     ComponentState,
@@ -40,23 +42,40 @@ CUSTOMER_F = (
     '(("acms", this.id, this.price)@(type = "Broker").[send := false] F)'
 )
 
+# no definitions, so its memo stays empty and the tests can share it
+NO_DEFS = Run.of({}, {})
+
+
+class TestRun:
+    def test_rejects_unguarded_recursion(self):
+        # unvalidated: bare system_steps once ended in RecursionError here
+        defs = {"P": parse_process_str("P + P")}
+        with pytest.raises(EvalError, match="unguarded recursion P -> P"):
+            Run.of(defs, {})
+
+    def test_rejects_a_call_to_an_undefined_process(self):
+        with pytest.raises(EvalError, match="undefined process Nope"):
+            Run.of({"P": parse_process_str('("m")@(tt).Nope')}, {})
+        with pytest.raises(EvalError, match="undefined process Nope"):
+            Run.of({}, {}, [parse_process_str("Nope")])
+
 
 class TestUnfold:
     def test_returns_definition_body(self):
         body = parse_process_str('(x = "acms")(x, c).K')
-        assert unfold("K", {"K": body}, Subst()) == body
+        assert unfold("K", Subst(), Run.of({"K": body}, {})) == body
 
     def test_inact_definition(self):
-        assert unfold("Z", {"Z": Inact()}, Subst()) == Inact()
+        assert unfold("Z", Subst(), Run.of({"Z": Inact()}, {})) == Inact()
 
     def test_closure_is_pushed_into_body(self):
         body = parse_process_str('("m", c)@(tt).0')
-        out = unfold("K", {"K": body}, Subst.of({"c": VStr("c1")}))
+        out = unfold("K", Subst.of({"c": VStr("c1")}), Run.of({"K": body}, {}))
         assert out == substitute_proc(body, Subst.of({"c": VStr("c1")}))
 
     def test_recursive_definition_unfolds_one_level(self):
         body = parse_process_str('(tt)(x).K')
-        out = unfold("K", {"K": body}, Subst())
+        out = unfold("K", Subst(), Run.of({"K": body}, {}))
         assert isinstance(out, Input)
         # the continuation is still a call, not an infinite expansion
         assert out.cont.then == body.cont.then
@@ -65,13 +84,13 @@ class TestUnfold:
     def test_memo_instantiates_each_call_instance_once(self):
         body = parse_process_str('("m", c)@(tt).K')
         defs = {"K": body}
-        memo = Unfoldings(call_needs(defs))
+        run = Run.of(defs, {})
         c1, c2 = Subst.of({"c": VStr("c1")}), Subst.of({"c": VStr("c2")})
-        first = unfold("K", defs, c1, memo)
-        assert unfold("K", defs, Subst.of({"c": VStr("c1")}), memo) is first
-        assert first == unfold("K", defs, c1)
-        assert unfold("K", defs, c2, memo) == substitute_proc(body, c2)
-        assert set(memo.bodies) == {("K", c1), ("K", c2)}
+        first = unfold("K", c1, run)
+        assert unfold("K", Subst.of({"c": VStr("c1")}), run) is first
+        assert first == substitute_proc(body, c1)
+        assert unfold("K", c2, run) == substitute_proc(body, c2)
+        assert set(run.bodies) == {("K", c1), ("K", c2)}
 
     def test_call_closure_keeps_what_the_definition_reads(self):
         # K reads c in a payload and g in a guard, and binds its own x
@@ -82,19 +101,18 @@ class TestUnfold:
         assert call_needs(defs) == {"K": {"c", "g"}, "L": {"c", "g"}}
         scope = Subst.of({"c": VInt(1), "g": VInt(2), "x": VInt(3), "y": VInt(4)})
         kept = Subst.of({"c": VInt(1), "g": VInt(2)})
-        memo = Unfoldings(call_needs(defs))
-        assert unfold("L", defs, scope, memo).cont.then.closure == kept
+        assert unfold("L", scope, Run.of(defs, {})).cont.then.closure == kept
         assert substitute_proc(parse_process_str("L | (tt)(c).K"), scope, call_needs(defs)) == Par(
             Call("L", kept), Input(TruePred(), ("c",), UpdateSeq((), Call("K", Subst.of({"g": VInt(2)}))))
         )
         # without needs, a closure keeps every binding in scope
-        assert unfold("L", defs, scope).cont.then.closure == scope
+        assert unfold("L", scope, Run(defs, {}, None)).cont.then.closure == scope
 
 
 class TestOutSteps:
     def test_fake_output_enabled(self):
         c = comp("Cust", {"send": VBool(True), "id": VStr("c1")}, ["id"], CUSTOMER_F)
-        cands = out_steps(c, {}, {})
+        cands = out_steps(c, NO_DEFS)
         assert len(cands) == 1
         cand = cands[0]
         assert cand.message == ()
@@ -105,12 +123,12 @@ class TestOutSteps:
 
     def test_enum_extern_in_target_is_drawn_by_the_sender(self):
         c = comp("S", {"role": VStr("s")}, ["role"], '("m")@(n = pick()).0')
-        cands = out_steps(c, {}, {"pick": EnumDomain.of([VInt(1), VInt(2)])})
+        cands = out_steps(c, Run.of({}, {"pick": EnumDomain.of([VInt(1), VInt(2)])}))
         assert [pp_pred(cand.sent_pred) for cand in cands] == ["n = 1", "n = 2"]
 
     def test_awareness_blocks(self):
         c = comp("Cust", {"send": VBool(False), "id": VStr("c1")}, ["id"], CUSTOMER_F)
-        assert out_steps(c, {}, {}) == []
+        assert out_steps(c, NO_DEFS) == []
 
     def test_hotel_offer_candidate(self):
         src = (
@@ -119,26 +137,26 @@ class TestOutSteps:
         )
         env = {("room", (VInt(5),)): VInt(2), ("id", ()): VStr("h1"), ("price", ()): VInt(80)}
         c = comp("H", env, ["id"], src)
-        cands = out_steps(c, {}, {})
+        cands = out_steps(c, NO_DEFS)
         assert len(cands) == 1
         assert cands[0].message == (VStr("offer"), VStr("c1"), VStr("h1"), VInt(80))
         assert cands[0].sent_pred == parse_pred_str('id = "b1"')
 
     def test_exposed_env_is_pre_step_restriction(self):
         c = comp("A", {"id": VStr("a"), "secret": VInt(1)}, ["id"], '("m")@(tt).[id := "z"] 0')
-        cand = out_steps(c, {}, {})[0]
+        cand = out_steps(c, NO_DEFS)[0]
         assert cand.exposed_env == Env.of({"id": VStr("a")})
         assert cand.successor.env.lookup("id") == VStr("z")
 
     def test_message_evaluated_before_updates(self):
         c = comp("A", {"n": VInt(1)}, [], '(this.n)@(tt).[n := this.n + 1] 0')
-        cand = out_steps(c, {}, {})[0]
+        cand = out_steps(c, NO_DEFS)[0]
         assert cand.message == (VInt(1),)
         assert cand.successor.env.lookup("n") == VInt(2)
 
     def test_par_keeps_sibling(self):
         c = comp("A", {}, [], '("m")@(tt).0 | (x = "q")(x).0')
-        cands = out_steps(c, {}, {})
+        cands = out_steps(c, NO_DEFS)
         assert len(cands) == 1
         succ = cands[0].successor.proc
         # the input sibling survives the output step
@@ -165,25 +183,25 @@ BROKER_ENV = Env.of({"id": VStr("br1")})
 class TestInStep:
     def test_hotel_receives_acms(self):
         hotel = hotel_bh(["br1"], cont="(x, c, d, b)@(tt).0")
-        res = in_step(hotel, BROKER_ENV, HOTEL_PRED, ACMS_MSG, {}, {})
+        res = in_step(hotel, BROKER_ENV, HOTEL_PRED, ACMS_MSG, NO_DEFS)
         assert res.is_receive
         assert len(res.successors) == 1
         _, succ = res.successors[0]
         # the received values are substituted into the continuation,
         # which echoes them back
-        [cand] = out_steps(succ, {}, {})
+        [cand] = out_steps(succ, NO_DEFS)
         assert cand.message == ACMS_MSG
 
     def test_empty_blist_discards(self):
-        res = in_step(hotel_bh([]), BROKER_ENV, HOTEL_PRED, ACMS_MSG, {}, {})
+        res = in_step(hotel_bh([]), BROKER_ENV, HOTEL_PRED, ACMS_MSG, NO_DEFS)
         assert not res.is_receive
 
     def test_false_sent_pred_discards(self):
-        res = in_step(hotel_bh(["br1"]), BROKER_ENV, FalsePred(), ACMS_MSG, {}, {})
+        res = in_step(hotel_bh(["br1"]), BROKER_ENV, FalsePred(), ACMS_MSG, NO_DEFS)
         assert not res.is_receive
 
     def test_arity_mismatch_discards(self):
-        res = in_step(hotel_bh(["br1"]), BROKER_ENV, HOTEL_PRED, ACMS_MSG + (VInt(0),), {}, {})
+        res = in_step(hotel_bh(["br1"]), BROKER_ENV, HOTEL_PRED, ACMS_MSG + (VInt(0),), NO_DEFS)
         assert not res.is_receive
 
     def test_broker_choice_exactly_one_branch(self):
@@ -194,19 +212,19 @@ class TestInStep:
         )
         c = comp("B", {"id": VStr("br1")}, ["id"], src)
         msg = (VStr("offer"), VStr("c1"), VStr("h1"), VInt(90))
-        res = in_step(c, Env.of({"id": VStr("h1")}), parse_pred_str('id = "br1"'), msg, {}, {})
+        res = in_step(c, Env.of({"id": VStr("h1")}), parse_pred_str('id = "br1"'), msg, NO_DEFS)
         assert res.is_receive and len(res.successors) == 1
 
     def test_sender_guard_judged_on_exposed_env(self):
         c = comp("B", {}, [], '(role = "srv")(x).0')
         pred = parse_pred_str("tt")
-        ok = in_step(c, Env.of({"role": VStr("srv")}), pred, (VInt(1),), {}, {})
-        no = in_step(c, Env.of({"role": VStr("cli")}), pred, (VInt(1),), {}, {})
+        ok = in_step(c, Env.of({"role": VStr("srv")}), pred, (VInt(1),), NO_DEFS)
+        no = in_step(c, Env.of({"role": VStr("cli")}), pred, (VInt(1),), NO_DEFS)
         assert ok.is_receive and not no.is_receive
 
     def test_interface_hides_attributes_from_sender_pred(self):
         c = comp("B", {"role": VStr("srv")}, [], "(tt)(x).0")
-        res = in_step(c, Env(), parse_pred_str('role = "srv"'), (VInt(1),), {}, {})
+        res = in_step(c, Env(), parse_pred_str('role = "srv"'), (VInt(1),), NO_DEFS)
         assert not res.is_receive  # role is not exposed
 
 
@@ -219,7 +237,7 @@ class TestSystemSteps:
         sender = comp("S", {"send": VBool(True), "id": VStr("s")}, ["id"], CUSTOMER_F)
         b1 = comp("W1", {}, [], "(tt)(x).0")
         b2 = comp("W2", {}, [], "(tt)(x).0")
-        steps = system_steps(system(sender, b1, b2), {}, {})
+        steps = system_steps(system(sender, b1, b2), NO_DEFS)
         assert len(steps) == 1
         ev, succ = steps[0]
         assert ev.receivers == frozenset()
@@ -230,7 +248,7 @@ class TestSystemSteps:
         sender = comp("S", {}, [], '("m")@(tt).0')
         r1 = comp("R1", {}, [], '(x = "m")(x).0')
         r2 = comp("R2", {}, [], '(x = "m")(x).0')
-        steps = system_steps(system(sender, r1, r2), {}, {})
+        steps = system_steps(system(sender, r1, r2), NO_DEFS)
         assert len(steps) == 1
         ev, _ = steps[0]
         assert {i for i, _ in ev.receivers} == {1, 2}
@@ -238,14 +256,14 @@ class TestSystemSteps:
     def test_choice_receiver_two_successors(self):
         sender = comp("S", {}, [], '("m")@(tt).0')
         rcv = comp("R", {"r": VInt(0)}, [], '(x = "m")(x).[r := 1] 0 + (x = "m")(x).[r := 2] 0')
-        steps = system_steps(system(sender, rcv), {}, {})
+        steps = system_steps(system(sender, rcv), NO_DEFS)
         assert len(steps) == 2
         results = sorted(s[1].env.lookup("r").v for _, s in steps)
         assert results == [1, 2]
 
     def test_sender_never_self_delivers(self):
         c = comp("S", {}, [], '("m")@(tt).0 | (x = "m")(x).0')
-        steps = system_steps(system(c), {}, {})
+        steps = system_steps(system(c), NO_DEFS)
         assert len(steps) == 1
         ev, succ = steps[0]
         assert ev.receivers == frozenset() and ev.discarded == frozenset()
@@ -256,16 +274,17 @@ class TestSystemSteps:
         # a component that CAN receive appears in receivers of every event
         sender = comp("S", {}, [], '("m")@(tt).0')
         rcv = comp("R", {}, [], '(x = "m")(x).0')
-        for ev, _ in system_steps(system(sender, rcv), {}, {}):
+        for ev, _ in system_steps(system(sender, rcv), NO_DEFS):
             assert (1, 0) in ev.receivers
 
     def test_partition_and_frame_invariants_random(self):
         rng = random.Random(2024)
         checked = 0
+        run = Run.of({"K1": Inact(), "K2": Inact()}, {})
         for _ in range(300):
             comps = tuple(rand_component(rng, f"C{i}") for i in range(rng.randrange(2, 4)))
             try:
-                steps = system_steps(comps, {"K1": Inact(), "K2": Inact()}, {})
+                steps = system_steps(comps, run)
             except Exception:
                 continue  # random procs may hit genuine evaluation errors
             for ev, succ in steps:
@@ -283,6 +302,7 @@ class TestSystemSteps:
 class TestExclusivityFuzz:
     def test_in_step_exactly_one_of_receive_discard(self):
         rng = random.Random(77)
+        run = Run.of({"K1": Inact(), "K2": Inact()}, {})
         for _ in range(2000):
             c = rand_component(rng)
             env, subst = rand_env(rng), rand_subst(rng)
@@ -292,7 +312,7 @@ class TestExclusivityFuzz:
                 continue
             msg = rand_message(rng)
             try:
-                res = in_step(c, rand_env(rng), pred, msg, {"K1": Inact(), "K2": Inact()}, {})
+                res = in_step(c, rand_env(rng), pred, msg, run)
             except Exception:
                 continue  # update application may hit real type errors
             if res.is_receive:

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from conftest import fixture_path
+from test_explorer import DIVISION_BY_ZERO
 
 from abclang.cli import main
 from abclang.parser import parse_spec
-from abclang.semantics import system_steps
+from abclang.semantics import Run, system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
 from abclang.terms import VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key
 from abclang.validate import load_spec
@@ -67,11 +68,11 @@ class TestSimulate:
     def test_replay_validates(self):
         # every simulated step must be among the enabled successors
         spec, src = load(fixture_path("travel-booking.abc"))
-        defs, ext = spec.defs_map(), spec.externs_map()
+        run = Run.of(spec.defs_map(), spec.externs_map())
         t = simulate(spec, src, 7, 60)
         state = spec.initial_state()
         for step in t.steps:
-            succs = system_steps(state, defs, ext)
+            succs = system_steps(state, run)
             matches = [
                 s for ev, s in succs
                 if ev.sender == step.event.sender and ev.message == step.event.message
@@ -153,6 +154,13 @@ class TestCli:
             "component C { attrs { a = 1; } interface { } run (this.ghost)@(tt).0 }"
         )
         assert main(["run", str(bad)]) == 4
+
+    def test_explore_and_check_eval_error_exit_4(self, tmp_path, capsys):
+        bad = tmp_path / "div.abc"
+        bad.write_text(DIVISION_BY_ZERO + 'property went = reachable sent(C, "go")\n')
+        for args in (["explore"], ["check", "--all"]):
+            assert main([args[0], str(bad), *args[1:]]) == 4
+            assert f"{bad}:2:11: division by zero" in capsys.readouterr().err
 
     def test_unguarded_recursion_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "loop.abc"
