@@ -23,7 +23,6 @@ from .terms import (
     EnumDomain,
     Env,
     Expr,
-    FALSE,
     FalsePred,
     Inact,
     Input,
@@ -36,7 +35,6 @@ from .terms import (
     Predicate,
     Span,
     Subst,
-    TRUE,
     TableFn,
     ThisAttr,
     TruePred,
@@ -53,6 +51,7 @@ from .terms import (
     Value,
     Var,
     ser_value,
+    subterms,
 )
 
 
@@ -458,33 +457,9 @@ def close(p: Predicate, env: Env, subst: Subst = EMPTY_SUBST, externs=None, choo
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _expr_closed(e: Expr) -> bool:
-    if isinstance(e, Literal):
-        return True
-    if isinstance(e, (Var, ThisAttr)):
-        return False
-    if isinstance(e, Attr):
-        return all(_expr_closed(i) for i in e.index)
-    if isinstance(e, Apply):
-        return all(_expr_closed(a) for a in e.args)
-    return False
-
-
 def is_closed(p: Predicate) -> bool:
     """True when the predicate contains no this-reference and no variable."""
-    if isinstance(p, (TruePred, FalsePred)):
-        return True
-    if isinstance(p, Compare):
-        return _expr_closed(p.lhs) and _expr_closed(p.rhs)
-    if isinstance(p, Member):
-        return _expr_closed(p.elem) and _expr_closed(p.set)
-    if isinstance(p, AtomApply):
-        return all(_expr_closed(a) for a in p.args)
-    if isinstance(p, (And, Or)):
-        return is_closed(p.lhs) and is_closed(p.rhs)
-    if isinstance(p, Not):
-        return is_closed(p.inner)
-    raise TypeError(f"not a predicate: {p!r}")
+    return not any(isinstance(q, (Var, ThisAttr)) for q in subterms(p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Recursive-descent parser for the `.abc` system specification DSL.
 
-Syntax overview (see README for the full grammar):
+Syntax overview (the tokens are defined under "Lexical syntax" in the
+README):
 
     extern get_day : {5}
     extern diff : map {("rome", "rome") -> 0}
@@ -19,11 +20,11 @@ that shadow declared attributes so the two can never collide.
 """
 from __future__ import annotations
 
-import json
 import os
+import re
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .terms import (
     And,
@@ -36,7 +37,6 @@ from .terms import (
     Compare,
     ComponentDecl,
     EnumDomain,
-    FALSE,
     FalsePred,
     Inact,
     Input,
@@ -63,7 +63,6 @@ from .terms import (
     Span,
     StateExpr,
     SystemSpec,
-    TRUE,
     TableFn,
     ThisAttr,
     TruePred,
@@ -79,7 +78,6 @@ from .terms import (
     Value,
     ser_value,
 )
-from .evaluator import BUILTIN_NAMES
 
 KEYWORDS = frozenset(
     [
@@ -128,91 +126,46 @@ class Token:
     col: int
 
 
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+# One alternative per token class, tried in order: floats before ints,
+# punctuation longest first.  Numbers are ASCII; a word is a run of
+# Unicode word characters, and `_lex` rejects one that starts with a
+# numeral other than a decimal digit.
+_TOKEN = re.compile(
+    r"""(?P<skip>[ \t\r]+|\#[^\n]*)|(?P<newline>\n)
+    |(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))|(?P<int>[0-9]+)
+    |(?P<word>[^\W\d]\w*)|(?P<string>"(?:[^"\\\n]|\\.)*")
+    |(?P<punct>""" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r""")
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def _lex(src: str, filename: str) -> List[Token]:
     tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    esc = src[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                elif src[j] == "\n":
-                    break
-                else:
-                    buf.append(src[j])
-                    j += 1
-            if j >= n or src[j] != '"':
-                raise ParseError(
-                    Diagnostic("error", Span(filename, line, col, line, col),
-                               "unterminated string literal", "E-LEX")
-                )
-            tokens.append(Token("string", "".join(buf), line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(Token("float" if is_float else "int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(
-                Diagnostic("error", Span(filename, line, col, line, col),
-                           f"unexpected character {c!r}", "E-LEX")
-            )
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text = "bad", text[0]  # a numeral such as '²' starts no word
+        # the eof token sits where a trailing comment starts
+        end = m.start() if text[0] == "#" else m.end()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "word":
+            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "string":
+            body = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
+            tokens.append(Token("string", body, line, col))
+            if "\n" in text:  # a backslash-newline continues the string
+                line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
+        elif kind == "bad":
+            message = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
+            raise ParseError(Diagnostic("error", Span(filename, line, col, line, col), message, "E-LEX"))
+        elif kind != "skip":
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -260,6 +213,26 @@ class _Parser:
     def error(self, message: str, code: str = "E-PARSE") -> ParseError:
         return ParseError(Diagnostic("error", self.span_here(), message, code))
 
+    def sep_by(self, item, close: Optional[str] = None, sep: str = ",") -> list:
+        """`item (sep item)*`; nothing at all when the next token is `close`."""
+        if close is not None and self.at("punct", close):
+            return []
+        items = [item()]
+        while self.accept("punct", sep):
+            items.append(item())
+        return items
+
+    def ident(self) -> str:
+        return self.expect("ident").text
+
+    def index(self, item) -> Tuple:
+        """An optional `[item, ...]` index."""
+        if not self.accept("punct", "["):
+            return ()
+        idx = tuple(self.sep_by(item))
+        self.expect("punct", "]")
+        return idx
+
     # -- values -------------------------------------------------------------
 
     def parse_value(self) -> Value:
@@ -289,22 +262,16 @@ class _Parser:
             return UNDEF
         if t.kind == "punct" and t.text == "{":
             self.next()
-            items = []
-            if not self.at("punct", "}"):
-                items.append(self.parse_value())
-                while self.accept("punct", ","):
-                    items.append(self.parse_value())
+            items = self.sep_by(self.parse_value, "}")
             self.expect("punct", "}")
             return VSet.of(items)
         if t.kind == "punct" and t.text == "(":
             self.next()
-            items = [self.parse_value()]
+            first = self.parse_value()
             self.expect("punct", ",")
-            items.append(self.parse_value())
-            while self.accept("punct", ","):
-                items.append(self.parse_value())
+            items = (first, *self.sep_by(self.parse_value))
             self.expect("punct", ")")
-            return VTuple(tuple(items))
+            return VTuple(items)
         raise self.error(f"expected a value, found {t.text!r}")
 
     # -- expressions ---------------------------------------------------------
@@ -351,47 +318,31 @@ class _Parser:
         if t.kind == "kw" and t.text == "this":
             self.next()
             self.expect("punct", ".")
-            name = self.expect("ident").text
-            index = self._parse_index()
+            name = self.ident()
+            index = self.index(self.parse_expr)
             return ThisAttr(name, index, self.span_from(start))
         if t.kind == "ident":
             name = self.next().text
             if self.at("punct", "("):
                 self.next()
-                args = []
-                if not self.at("punct", ")"):
-                    args.append(self.parse_expr())
-                    while self.accept("punct", ","):
-                        args.append(self.parse_expr())
+                args = tuple(self.sep_by(self.parse_expr, ")"))
                 self.expect("punct", ")")
-                return Apply(name, tuple(args), self.span_from(start))
-            index = self._parse_index()
+                return Apply(name, args, self.span_from(start))
+            index = self.index(self.parse_expr)
             return Attr(name, index, self.span_from(start))
         if t.kind == "punct" and t.text == "(":
             self.next()
             first = self.parse_expr()
-            if self.at("punct", ","):
+            if self.accept("punct", ","):
                 # tuple literal / construction
-                items = [first]
-                while self.accept("punct", ","):
-                    items.append(self.parse_expr())
+                items = (first, *self.sep_by(self.parse_expr))
                 self.expect("punct", ")")
                 if all(isinstance(e, Literal) for e in items):
                     return Literal(VTuple(tuple(e.value for e in items)), self.span_from(start))
-                return Apply("tuple", tuple(items), self.span_from(start))
+                return Apply("tuple", items, self.span_from(start))
             self.expect("punct", ")")
             return first
         raise self.error(f"expected an expression, found {t.text!r}")
-
-    def _parse_index(self) -> Tuple:
-        if not self.at("punct", "["):
-            return ()
-        self.next()
-        idx = [self.parse_expr()]
-        while self.accept("punct", ","):
-            idx.append(self.parse_expr())
-        self.expect("punct", "]")
-        return tuple(idx)
 
     # -- predicates ----------------------------------------------------------
 
@@ -478,47 +429,54 @@ class _Parser:
     # -- processes -----------------------------------------------------------
 
     def parse_process(self) -> ProcessTerm:
-        start = self.span_here()
-        left = self._proc_choice()
-        if self.accept("punct", "|"):
-            right = self.parse_process()
-            return Par(left, right, self.span_from(start))
-        return left
+        return self._chain("|", Par, self._proc_choice)
 
     def _proc_choice(self) -> ProcessTerm:
-        start = self.span_here()
-        left = self._proc_prefixed()
-        if self.accept("punct", "+"):
-            right = self._proc_choice()
-            return Choice(left, right, self.span_from(start))
-        return left
+        return self._chain("+", Choice, self._proc_prefixed)
+
+    def _chain(self, op: str, node, operand) -> ProcessTerm:
+        """`operand (op operand)*`, nested to the right.  Every link ends
+        at the chain's last token, so all spans are taken at the end."""
+        parts = self.sep_by(lambda: (self.span_here(), operand()), sep=op)
+        term = parts.pop()[1]
+        for start, left in reversed(parts):
+            term = node(left, term, self.span_from(start))
+        return term
 
     def _proc_prefixed(self) -> ProcessTerm:
-        start = self.span_here()
+        """A chain of awareness, output and input prefixes ending in `0`, a
+        call or a parenthesised process.  '.' binds tightest: a
+        continuation is again such a chain; parenthesise to continue with
+        a parallel or a choice."""
+        links = []  # (start, node, fields before the body, updates or None)
+        while True:
+            start = self.span_here()
+            after = self._after_matching_paren() if self.at("punct", "(") else None
+            if self.accept("punct", "<"):
+                guard = self.parse_pred()
+                self.expect("punct", ">")
+                links.append((start, Aware, (guard,), None))
+            elif after == "@":
+                links.append((start, Output, *self._output_head()))
+            elif after == "(":
+                links.append((start, Input, *self._input_head()))
+            else:
+                break
         t = self.peek()
         if t.kind == "int" and t.text == "0":
             self.next()
-            return Inact(self.span_from(start))
-        if t.kind == "ident":
-            name = self.next().text
-            return Call(name, span=self.span_from(start))
-        if t.kind == "punct" and t.text == "<":
-            self.next()
-            guard = self.parse_pred()
-            self.expect("punct", ">")
-            body = self._proc_prefixed()
-            return Aware(guard, body, self.span_from(start))
-        if t.kind == "punct" and t.text == "(":
-            after = self._after_matching_paren()
-            if after == "@":
-                return self._proc_output(start)
-            if after == "(":
-                return self._proc_input(start)
-            self.next()
-            inner = self.parse_process()
+            term = Inact(self.span_from(start))
+        elif t.kind == "ident":
+            term = Call(self.next().text, span=self.span_from(start))
+        elif self.accept("punct", "("):
+            term = self.parse_process()
             self.expect("punct", ")")
-            return inner
-        raise self.error(f"expected a process, found {t.text!r}")
+        else:
+            raise self.error(f"expected a process, found {t.text!r}")
+        for start, node, fields, updates in reversed(links):
+            body = term if updates is None else UpdateSeq(updates, term)
+            term = node(*fields, body, self.span_from(start))
+        return term
 
     def _after_matching_paren(self) -> str:
         """Text of the token following the parenthesised group starting
@@ -540,54 +498,37 @@ class _Parser:
             i += 1
         return ""
 
-    def _proc_output(self, start: Span) -> ProcessTerm:
+    def _output_head(self):
         self.expect("punct", "(")
-        payload = []
-        if not self.at("punct", ")"):
-            payload.append(self.parse_expr())
-            while self.accept("punct", ","):
-                payload.append(self.parse_expr())
+        payload = tuple(self.sep_by(self.parse_expr, ")"))
         self.expect("punct", ")")
         self.expect("punct", "@")
         self.expect("punct", "(")
         target = self.parse_pred()
         self.expect("punct", ")")
         self.expect("punct", ".")
-        cont = self._parse_updproc()
-        return Output(tuple(payload), target, cont, self.span_from(start))
+        return (payload, target), self._updates()
 
-    def _proc_input(self, start: Span) -> ProcessTerm:
+    def _input_head(self):
         self.expect("punct", "(")
         guard = self.parse_pred()
         self.expect("punct", ")")
         self.expect("punct", "(")
-        binders = []
-        if not self.at("punct", ")"):
-            binders.append(self.expect("ident").text)
-            while self.accept("punct", ","):
-                binders.append(self.expect("ident").text)
+        binders = tuple(self.sep_by(self.ident, ")"))
         self.expect("punct", ")")
         self.expect("punct", ".")
-        cont = self._parse_updproc()
-        return Input(guard, tuple(binders), cont, self.span_from(start))
+        return (guard, binders), self._updates()
 
-    def _parse_updproc(self) -> UpdateSeq:
+    def _updates(self) -> Tuple[Update, ...]:
         updates: List[Update] = []
         while self.at("punct", "["):
-            self.next()
-            updates.append(self._parse_update())
-            while self.accept("punct", ","):
-                updates.append(self._parse_update())
-            self.expect("punct", "]")
-        # '.' binds tightest: the continuation is a single prefixed
-        # process; parenthesise to continue with a parallel or a choice.
-        proc = self._proc_prefixed()
-        return UpdateSeq(tuple(updates), proc)
+            updates.extend(self.index(self._parse_update))
+        return tuple(updates)
 
     def _parse_update(self) -> Update:
         start = self.span_here()
-        name = self.expect("ident").text
-        index = self._parse_index()
+        name = self.ident()
+        index = self.index(self.parse_expr)
         self.expect("punct", ":=")
         rhs = self.parse_expr()
         return Update(name, index, rhs, self.span_from(start))
@@ -599,10 +540,7 @@ class _Parser:
         if t.kind == "kw" and t.text in ("sent", "received"):
             self.next()
             self.expect("punct", "(")
-            if self.accept("punct", "*"):
-                comp = "*"
-            else:
-                comp = self.expect("ident").text
+            comp = "*" if self.accept("punct", "*") else self.ident()
             self.expect("punct", ",")
             tag = self.expect("string").text
             self.expect("punct", ")")
@@ -610,16 +548,11 @@ class _Parser:
         raise self.error("expected 'sent' or 'received'")
 
     def _parse_goal_events(self) -> Tuple:
-        if self.accept("punct", "("):
-            goals = [self._parse_event()]
-            while self.accept("punct", "||"):
-                goals.append(self._parse_event())
+        paren = self.accept("punct", "(")
+        goals = tuple(self.sep_by(self._parse_event, sep="||"))
+        if paren:
             self.expect("punct", ")")
-            return tuple(goals)
-        goals = [self._parse_event()]
-        while self.accept("punct", "||"):
-            goals.append(self._parse_event())
-        return tuple(goals)
+        return goals
 
     def _parse_state_expr(self) -> StateExpr:
         return self._sexpr_or()
@@ -647,19 +580,10 @@ class _Parser:
             e = self._sexpr_or()
             self.expect("punct", ")")
             return e
-        if self.accept("punct", "*"):
-            comp = "*"
-        else:
-            comp = self.expect("ident").text
+        comp = "*" if self.accept("punct", "*") else self.ident()
         self.expect("punct", ".")
-        attr = self.expect("ident").text
-        index: Tuple[Value, ...] = ()
-        if self.accept("punct", "["):
-            idx = [self.parse_value()]
-            while self.accept("punct", ","):
-                idx.append(self.parse_value())
-            self.expect("punct", "]")
-            index = tuple(idx)
+        attr = self.ident()
+        index = self.index(self.parse_value)
         t = self.peek()
         if not (t.kind == "punct" and t.text in ("=", "!=", "<", "<=", ">", ">=")):
             raise self.error("expected a comparison operator")
@@ -692,14 +616,14 @@ class _Parser:
                 externs.append(self._parse_extern())
             elif self.at("kw", "proc"):
                 self.next()
-                name = self.expect("ident").text
+                name = self.ident()
                 self.expect("punct", "=")
                 procs.append((name, self.parse_process()))
             elif self.at("kw", "component"):
                 components.append(self._parse_component())
             elif self.at("kw", "property"):
                 self.next()
-                name = self.expect("ident").text
+                name = self.ident()
                 self.expect("punct", "=")
                 props.append((name, self._parse_property()))
             else:
@@ -710,58 +634,43 @@ class _Parser:
 
     def _parse_extern(self):
         self.expect("kw", "extern")
-        name = self.expect("ident").text
+        name = self.ident()
         self.expect("punct", ":")
         if self.accept("kw", "map"):
             self.expect("punct", "{")
-            rows = {}
-            while True:
-                self.expect("punct", "(")
-                args = [self.parse_value()]
-                while self.accept("punct", ","):
-                    args.append(self.parse_value())
-                self.expect("punct", ")")
-                self.expect("punct", "->")
-                rows[tuple(args)] = self.parse_value()
-                if not self.accept("punct", ","):
-                    break
+            rows = dict(self.sep_by(self._table_row))
             self.expect("punct", "}")
             return (name, TableFn.of(rows))
         self.expect("punct", "{")
-        values = [self.parse_value()]
-        while self.accept("punct", ","):
-            values.append(self.parse_value())
+        values = self.sep_by(self.parse_value)
         self.expect("punct", "}")
         return (name, EnumDomain.of(values))
+
+    def _table_row(self):
+        self.expect("punct", "(")
+        args = tuple(self.sep_by(self.parse_value))
+        self.expect("punct", ")")
+        self.expect("punct", "->")
+        return args, self.parse_value()
 
     def _parse_component(self) -> ComponentDecl:
         start = self.span_here()
         self.expect("kw", "component")
-        name = self.expect("ident").text
+        name = self.ident()
         self.expect("punct", "{")
         self.expect("kw", "attrs")
         self.expect("punct", "{")
         attrs = {}
         while not self.at("punct", "}"):
-            aname = self.expect("ident").text
-            index: Tuple[Value, ...] = ()
-            if self.accept("punct", "["):
-                idx = [self.parse_value()]
-                while self.accept("punct", ","):
-                    idx.append(self.parse_value())
-                self.expect("punct", "]")
-                index = tuple(idx)
+            aname = self.ident()
+            index = self.index(self.parse_value)
             self.expect("punct", "=")
             attrs[(aname, index)] = self.parse_value()
             self.expect("punct", ";")
         self.expect("punct", "}")
         self.expect("kw", "interface")
         self.expect("punct", "{")
-        iface: List[str] = []
-        if self.at("ident"):
-            iface.append(self.next().text)
-            while self.accept("punct", ","):
-                iface.append(self.expect("ident").text)
+        iface = self.sep_by(self.ident) if self.at("ident") else []
         self.expect("punct", "}")
         self.expect("kw", "run")
         proc = self.parse_process()
@@ -779,30 +688,25 @@ def parse_spec(source: str, filename: str = "<spec>"):
     non-empty.
     """
     try:
-        tokens = _lex(source, filename)
-        parser = _Parser(tokens, filename)
-        spec = parser.parse_spec()
-        return spec, []
+        return _parse_whole(_Parser.parse_spec, source, filename), []
     except ParseError as e:
         return None, [e.diagnostic]
 
 
-def parse_process_str(source: str, filename: str = "<proc>") -> ProcessTerm:
+def _parse_whole(rule, source: str, filename: str):
     p = _Parser(_lex(source, filename), filename)
-    proc = p.parse_process()
+    result = rule(p)
     p.expect("eof")
-    return proc
+    return result
+
+
+def parse_process_str(source: str, filename: str = "<proc>") -> ProcessTerm:
+    return _parse_whole(_Parser.parse_process, source, filename)
 
 
 def parse_pred_str(source: str, filename: str = "<pred>") -> Predicate:
-    p = _Parser(_lex(source, filename), filename)
-    pred = p.parse_pred()
-    p.expect("eof")
-    return pred
+    return _parse_whole(_Parser.parse_pred, source, filename)
 
 
 def parse_expr_str(source: str, filename: str = "<expr>"):
-    p = _Parser(_lex(source, filename), filename)
-    e = p.parse_expr()
-    p.expect("eof")
-    return e
+    return _parse_whole(_Parser.parse_expr, source, filename)

@@ -325,6 +325,39 @@ ProcessTerm = Union[Inact, Input, Output, Aware, Choice, Par, Call]
 ZERO = Inact()
 
 
+_CHILDREN = {
+    Attr: lambda e: e.index,
+    ThisAttr: lambda e: e.index,
+    Apply: lambda e: e.args,
+    Compare: lambda p: (p.lhs, p.rhs),
+    Member: lambda p: (p.elem, p.set),
+    AtomApply: lambda p: p.args,
+    And: lambda p: (p.lhs, p.rhs),
+    Or: lambda p: (p.lhs, p.rhs),
+    Not: lambda p: (p.inner,),
+    Update: lambda u: (*u.index, u.rhs),
+    UpdateSeq: lambda u: (*u.updates, u.then),
+    Input: lambda p: (p.guard, p.cont),
+    Output: lambda p: (*p.payload, p.target, p.cont),
+    Aware: lambda p: (p.guard, p.body),
+    Choice: lambda p: (p.left, p.right),
+    Par: lambda p: (p.left, p.right),
+}
+
+
+def subterms(node):
+    """Every expression, predicate, update and process term inside `node`,
+    `node` first, in preorder (left to right).  A call is a leaf: its
+    closure holds values, not terms.  Iterative, so depth costs no stack."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(reversed(children(node)))
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization (total term order + stable hashing)
 

@@ -13,23 +13,17 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from .evaluator import BUILTIN_NAMES, EvalError
 from .parser import Diagnostic
 from .terms import (
-    And,
     Apply,
     Attr,
     AtomApply,
     Aware,
     Call,
     Choice,
-    Compare,
     EnumDomain,
     Inact,
     Input,
     Invariant,
     LeadsTo,
-    Literal,
-    Member,
-    Not,
-    Or,
     Output,
     Par,
     Reachable,
@@ -40,51 +34,18 @@ from .terms import (
     SOr,
     Sent,
     SystemSpec,
-    ThisAttr,
+    Update,
     UpdateSeq,
     Var,
+    subterms,
 )
 
 
-def _expr_names(e, out: Set[str]):
-    """Collects bare, unindexed identifier references (variable or
+def _names(*terms) -> Set[str]:
+    """Bare, unindexed identifier references in `terms` (variable or
     attribute; they cannot be told apart syntactically)."""
-    if isinstance(e, Literal):
-        return
-    if isinstance(e, Var):
-        out.add(e.name)
-        return
-    if isinstance(e, Attr):
-        if not e.index:
-            out.add(e.name)
-        for i in e.index:
-            _expr_names(i, out)
-        return
-    if isinstance(e, ThisAttr):
-        for i in e.index:
-            _expr_names(i, out)
-        return
-    if isinstance(e, Apply):
-        for a in e.args:
-            _expr_names(a, out)
-        return
-
-
-def _pred_names(p, out: Set[str]):
-    if isinstance(p, Compare):
-        _expr_names(p.lhs, out)
-        _expr_names(p.rhs, out)
-    elif isinstance(p, Member):
-        _expr_names(p.elem, out)
-        _expr_names(p.set, out)
-    elif isinstance(p, AtomApply):
-        for a in p.args:
-            _expr_names(a, out)
-    elif isinstance(p, (And, Or)):
-        _pred_names(p.lhs, out)
-        _pred_names(p.rhs, out)
-    elif isinstance(p, Not):
-        _pred_names(p.inner, out)
+    return {q.name for t in terms for q in subterms(t)
+            if isinstance(q, Var) or isinstance(q, Attr) and not q.index}
 
 
 def _free_names(proc, def_free: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
@@ -104,10 +65,7 @@ def _free_names(proc, def_free: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
     if isinstance(proc, (Choice, Par)):
         return _free_names(proc.left, def_free) | _free_names(proc.right, def_free)
     if isinstance(proc, Output):
-        names: Set[str] = set()
-        for e in proc.payload:
-            _expr_names(e, names)
-        return frozenset(names) | _useq_free(proc.cont, def_free)
+        return _useq_free(proc.cont, def_free).union(_names(*proc.payload))
     if isinstance(proc, Input):
         inner = _useq_free(proc.cont, def_free)
         return inner - frozenset(proc.binders)
@@ -115,12 +73,7 @@ def _free_names(proc, def_free: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
 
 
 def _useq_free(cont: UpdateSeq, def_free) -> FrozenSet[str]:
-    names: Set[str] = set()
-    for u in cont.updates:
-        for i in u.index:
-            _expr_names(i, names)
-        _expr_names(u.rhs, names)
-    return frozenset(names) | _free_names(cont.then, def_free)
+    return _free_names(cont.then, def_free).union(_names(*cont.updates))
 
 
 def _read_names(proc, needs: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
@@ -141,22 +94,14 @@ def _read_names(proc, needs: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
         return need - proc.closure.domain() if proc.closure.pairs else need
     if isinstance(proc, (Choice, Par)):
         return _read_names(proc.left, needs) | _read_names(proc.right, needs)
-    names: Set[str] = set()
     if isinstance(proc, Aware):
-        _pred_names(proc.guard, names)
-        return _read_names(proc.body, needs).union(names)
+        return _read_names(proc.body, needs).union(_names(proc.guard))
     if isinstance(proc, Output):
-        for e in proc.payload:
-            _expr_names(e, names)
-        _pred_names(proc.target, names)
+        names = _names(*proc.payload, proc.target, *proc.cont.updates)
     elif isinstance(proc, Input):
-        _pred_names(proc.guard, names)
+        names = _names(proc.guard, *proc.cont.updates)
     else:
         raise TypeError(f"not a process: {proc!r}")
-    for u in proc.cont.updates:
-        for i in u.index:
-            _expr_names(i, names)
-        _expr_names(u.rhs, names)
     names |= _read_names(proc.cont.then, needs)
     if isinstance(proc, Input):
         names.difference_update(proc.binders)
@@ -194,28 +139,16 @@ def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
     return needs
 
 
-def _walk(proc, visit):
-    visit(proc)
-    if isinstance(proc, (Choice, Par)):
-        _walk(proc.left, visit)
-        _walk(proc.right, visit)
-    elif isinstance(proc, Aware):
-        _walk(proc.body, visit)
-    elif isinstance(proc, (Input, Output)):
-        _walk(proc.cont.then, visit)
-
-
-def _reachable_defs(root, defs) -> Set[str]:
+def _reachable(names, def_calls: Dict[str, Set[str]]) -> Set[str]:
+    """The definitions that calls to `names` reach, directly or through
+    the calls in the definitions they reach."""
     seen: Set[str] = set()
-    frontier = [root]
+    frontier = list(names)
     while frontier:
-        p = frontier.pop()
-        calls: List[str] = []
-        _walk(p, lambda q: calls.append(q.name) if isinstance(q, Call) else None)
-        for name in calls:
-            if name in defs and name not in seen:
-                seen.add(name)
-                frontier.append(defs[name])
+        name = frontier.pop()
+        if name in def_calls and name not in seen:
+            seen.add(name)
+            frontier.extend(def_calls[name])
     return seen
 
 
@@ -278,73 +211,24 @@ def require_guarded(defs) -> None:
         raise EvalError(_unguarded_message(path), call.span)
 
 
-def _apply_names(proc) -> Set[str]:
-    names: Set[str] = set()
-
-    def from_expr(e):
-        if isinstance(e, Apply):
-            names.add(e.fn)
-            for a in e.args:
-                from_expr(a)
-        elif isinstance(e, (Attr, ThisAttr)):
-            for i in e.index:
-                from_expr(i)
-
-    def from_pred(p):
-        if isinstance(p, Compare):
-            from_expr(p.lhs)
-            from_expr(p.rhs)
-        elif isinstance(p, Member):
-            from_expr(p.elem)
-            from_expr(p.set)
-        elif isinstance(p, AtomApply):
-            names.add(p.name)
-            for a in p.args:
-                from_expr(a)
-        elif isinstance(p, (And, Or)):
-            from_pred(p.lhs)
-            from_pred(p.rhs)
-        elif isinstance(p, Not):
-            from_pred(p.inner)
-
-    def visit(q):
-        if isinstance(q, Aware):
-            from_pred(q.guard)
-        elif isinstance(q, Input):
-            from_pred(q.guard)
-            for u in q.cont.updates:
-                from_expr(u.rhs)
-                for i in u.index:
-                    from_expr(i)
-        elif isinstance(q, Output):
-            from_pred(q.target)
-            for e in q.payload:
-                from_expr(e)
-            for u in q.cont.updates:
-                from_expr(u.rhs)
-                for i in u.index:
-                    from_expr(i)
-
-    _walk(proc, visit)
-    return names
+# Each takes the subterms of a process, listed once by `validate`.
 
 
-def _update_targets(proc) -> Set[str]:
-    targets: Set[str] = set()
-
-    def visit(q):
-        if isinstance(q, (Input, Output)):
-            for u in q.cont.updates:
-                targets.add(u.name)
-
-    _walk(proc, visit)
-    return targets
+def _apply_names(terms) -> Set[str]:
+    return {q.fn if isinstance(q, Apply) else q.name
+            for q in terms if isinstance(q, (Apply, AtomApply))}
 
 
-def _binders(proc) -> List[Tuple]:
-    found: List[Tuple] = []
-    _walk(proc, lambda q: found.append(q) if isinstance(q, Input) else None)
-    return found
+def _called(terms) -> Set[str]:
+    return {q.name for q in terms if isinstance(q, Call)}
+
+
+def _update_targets(terms) -> Set[str]:
+    return {q.name for q in terms if isinstance(q, Update)}
+
+
+def _bound(terms) -> Set[str]:
+    return {b for q in terms if isinstance(q, Input) for b in q.binders}
 
 
 def validate(spec: SystemSpec) -> List[Diagnostic]:
@@ -366,16 +250,15 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
             diags.append(Diagnostic("error", None, f"extern {name} has an empty domain", "E-EMPTY-DOMAIN"))
 
     # call targets and extern/builtin references
-    all_roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]
-    for root in all_roots:
-        calls: List = []
-        _walk(root, lambda q: calls.append(q) if isinstance(q, Call) else None)
-        for call in calls:
-            if call.name not in defs:
+    roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]
+    walked = [list(subterms(root)) for root in roots]
+    for terms in walked:
+        for call in terms:
+            if isinstance(call, Call) and call.name not in defs:
                 diags.append(
                     Diagnostic("error", call.span, f"undefined process {call.name}", "E-UNDEF-PROC")
                 )
-        for fn in sorted(_apply_names(root)):
+        for fn in sorted(_apply_names(terms)):
             if fn not in externs and fn not in BUILTIN_NAMES:
                 diags.append(
                     Diagnostic("error", None, f"undefined extern or function {fn}", "E-UNDEF-EXTERN")
@@ -387,16 +270,21 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
         )
 
     # distinct binders
-    for root in all_roots:
-        for inp in _binders(root):
-            if len(set(inp.binders)) != len(inp.binders):
+    for terms in walked:
+        for inp in terms:
+            if isinstance(inp, Input) and len(set(inp.binders)) != len(inp.binders):
                 diags.append(
                     Diagnostic("error", inp.span, "input binders must be pairwise distinct", "E-DUP-BINDER")
                 )
 
     def_free = _fixpoint(defs, _free_names)
+    # the last definition of a name is the one in `defs`
+    def_terms = dict(zip([name for name, _ in spec.proc_defs], walked))
+    def_calls = {name: _called(terms) for name, terms in def_terms.items()}
+    def_targets = {name: _update_targets(terms) for name, terms in def_terms.items()}
+    def_bound = {name: _bound(terms) for name, terms in def_terms.items()}
 
-    for comp in spec.components:
+    for comp, terms in zip(spec.components, walked[len(spec.proc_defs):]):
         declared = {k[0] for k, _ in comp.attrs}
         if any(i not in declared for i in comp.interface):
             bad = [i for i in comp.interface if i not in declared]
@@ -408,14 +296,9 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                     "E-BAD-INTERFACE",
                 )
             )
-        reachable = _reachable_defs(comp.proc, defs)
-        known = set(declared) | _update_targets(comp.proc)
-        all_binders: Set[str] = set()
-        for name in reachable:
-            known |= _update_targets(defs[name])
-        for root in [comp.proc] + [defs[n] for n in reachable]:
-            for inp in _binders(root):
-                all_binders |= set(inp.binders)
+        reachable = _reachable(_called(terms), def_calls)
+        known = declared.union(_update_targets(terms), *(def_targets[n] for n in reachable))
+        all_binders = _bound(terms).union(*(def_bound[n] for n in reachable))
         shadowed = sorted(all_binders & declared)
         if shadowed:
             diags.append(

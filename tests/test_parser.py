@@ -3,10 +3,85 @@ import pytest
 
 from conftest import fixture_path
 
-from abclang.parser import ParseError, parse_spec, parse_process_str, parse_pred_str
+from abclang.parser import ParseError, _lex, parse_spec, parse_process_str, parse_pred_str
 from abclang.pretty import pp_proc, pp_spec
-from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice
+from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice, Span
 from abclang.validate import call_needs, load_spec, validate
+
+
+def tokens(src):
+    return [(t.kind, t.text, t.line, t.col) for t in _lex(src, "t.abc")]
+
+
+def lex_error(src):
+    with pytest.raises(ParseError) as ei:
+        _lex(src, "t.abc")
+    d = ei.value.diagnostic
+    return d.code, d.message, d.span.line, d.span.col
+
+
+class TestLexer:
+    """Expected tokens are written from the grammar in the README."""
+
+    def test_numbers(self):
+        assert tokens("1.5e-3 1e5 2.x 1e") == [
+            ("float", "1.5e-3", 1, 1), ("float", "1e5", 1, 8),
+            ("int", "2", 1, 12), ("punct", ".", 1, 13), ("ident", "x", 1, 14),
+            ("int", "1", 1, 16), ("ident", "e", 1, 17),
+            ("eof", "", 1, 18),
+        ]
+
+    def test_punctuation_takes_the_longest_match(self):
+        assert tokens(":= : -> - != ! <= < || | &&") == [
+            ("punct", p, 1, col) for p, col in [
+                (":=", 1), (":", 4), ("->", 6), ("-", 9), ("!=", 11), ("!", 14),
+                ("<=", 16), ("<", 19), ("||", 21), ("|", 24), ("&&", 26),
+            ]
+        ] + [("eof", "", 1, 28)]
+        assert tokens(":=:|||") == [
+            ("punct", ":=", 1, 1), ("punct", ":", 1, 3), ("punct", "||", 1, 4),
+            ("punct", "|", 1, 6), ("eof", "", 1, 7),
+        ]
+
+    def test_keyword_and_identifier(self):
+        assert tokens("proc procs in index") == [
+            ("kw", "proc", 1, 1), ("ident", "procs", 1, 6), ("kw", "in", 1, 12),
+            ("ident", "index", 1, 15), ("eof", "", 1, 20),
+        ]
+
+    def test_comment_at_eof_without_newline(self):
+        # the eof token sits where the comment starts
+        assert tokens("x # note") == [("ident", "x", 1, 1), ("eof", "", 1, 3)]
+        assert tokens("x\n# note") == [("ident", "x", 1, 1), ("eof", "", 2, 1)]
+
+    def test_string_escapes(self):
+        assert tokens(r'"\n\t\"\\" x') == [
+            ("string", '\n\t"\\', 1, 1), ("ident", "x", 1, 12), ("eof", "", 1, 13),
+        ]
+
+    def test_unterminated_string_is_reported_at_its_start(self):
+        assert lex_error('x = "abc') == ("E-LEX", "unterminated string literal", 1, 5)
+        assert lex_error('y\n  "ab\ncd"') == ("E-LEX", "unterminated string literal", 2, 3)
+
+    def test_non_ascii_digits_are_not_numbers(self):
+        assert lex_error("x = 2\u00b2") == ("E-LEX", "unexpected character '\u00b2'", 1, 6)
+        assert lex_error("x = \u0663") == ("E-LEX", "unexpected character '\u0663'", 1, 5)
+        assert tokens("\u00e9t\u00e9 x\u00b2") == [
+            ("ident", "\u00e9t\u00e9", 1, 1), ("ident", "x\u00b2", 1, 5), ("eof", "", 1, 7),
+        ]
+
+    def test_string_continued_over_a_newline_counts_the_line(self):
+        assert tokens('"a\\\nb" c') == [
+            ("string", "a\nb", 1, 1), ("ident", "c", 2, 4), ("eof", "", 2, 5),
+        ]
+        src = (
+            'proc P = ("a\\\nb")@(tt).0\n'
+            "component C { attrs { a = 1; } interface { a } run Q }\n"
+        )
+        spec, diags = load_spec(src, "s.abc")
+        assert [d.render(color=False) for d in diags] == [
+            "s.abc:3:52: error[E-UNDEF-PROC]: undefined process Q"
+        ]
 
 
 class TestParseProcess:
@@ -57,6 +132,30 @@ class TestParseProcess:
         with pytest.raises(ParseError) as ei:
             parse_process_str('("a"@(tt).0')
         assert ei.value.diagnostic.span is not None
+
+    def test_chain_links_end_at_the_chain_end(self):
+        p = parse_process_str("A | B | C")
+        assert p.span == Span("<proc>", 1, 1, 1, 10)
+        assert p.right.span == Span("<proc>", 1, 5, 1, 10)
+        p = parse_process_str('<tt> ("a")@(tt).K + 0')
+        assert p.left.span == Span("<proc>", 1, 1, 1, 18)
+        assert p.left.body.span == Span("<proc>", 1, 6, 1, 18)
+        assert p.left.body.cont.then.span == Span("<proc>", 1, 17, 1, 18)
+
+    def test_deep_chains_parse(self):
+        n = 3000
+        spec, diags = parse_spec(
+            "component C { attrs { } interface { } run " + '("a")@(tt).' * n + "0 }"
+        )
+        assert not diags
+        p, depth = spec.components[0].proc, 0
+        while isinstance(p, Output):
+            p, depth = p.cont.then, depth + 1
+        assert depth == n and isinstance(p, Inact)
+        p, depth = parse_process_str(" | ".join(["K"] * n)), 1
+        while isinstance(p, Par):
+            p, depth = p.right, depth + 1
+        assert depth == n and isinstance(p, Call)
 
     def test_determinism(self):
         src = '<a = 1> ("m", this.b)@(c != 2).[d := 3] K'

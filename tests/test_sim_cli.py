@@ -1,5 +1,6 @@
 """Simulation traces, their serialization, and the command-line surface."""
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -121,11 +122,16 @@ class TestTraceJson:
             assert json_to_value(value_to_json(v)) == v
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
 class TestCli:
     def run_cli(self, *args):
         proc = subprocess.run(
             [sys.executable, "-m", "abclang.cli", *args],
-            capture_output=True, text=True, env={"ABC_COLOR": "0", "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True,
+            env={"ABC_COLOR": "0", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         return proc
 
@@ -168,6 +174,26 @@ class TestCli:
         for args in (["run"], ["explore"], ["check", "--all"]):
             assert main([args[0], str(bad), *args[1:]]) == 2
             assert "E-UNGUARDED" in capsys.readouterr().err
+
+    def test_non_ascii_digits_exit_2(self, tmp_path, capsys):
+        for value, col in (("2\u00b2", 28), ("\u0663", 27)):
+            bad = tmp_path / "digits.abc"
+            bad.write_text(
+                f"component C {{ attrs {{ x = {value}; }} interface {{ }} run 0 }}\n",
+                encoding="utf-8",
+            )
+            assert main(["parse", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}:1:{col}: error[E-LEX]: unexpected character" in err
+
+    def test_run_deep_prefix_chain_exit_0(self, tmp_path):
+        deep = tmp_path / "deep.abc"
+        deep.write_text(
+            "component C { attrs { } interface { } run " + '("a")@(tt).' * 400 + "0 }\n"
+        )
+        proc = self.run_cli("run", str(deep))
+        assert proc.returncode == 0, proc.stderr
+        assert "400 step(s), termination: deadlock" in proc.stdout
 
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0

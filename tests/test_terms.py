@@ -11,10 +11,12 @@ from abclang.terms import (
     ComponentState,
     Env,
     Inact,
+    Output,
     Par,
     Subst,
     TruePred,
     UNDEF,
+    UpdateSeq,
     VInt,
     VSet,
     VStr,
@@ -23,8 +25,27 @@ from abclang.terms import (
     ser_value,
     state_hash,
     state_key,
+    subterms,
 )
 from abclang.parser import parse_process_str
+
+
+def test_subterms_is_a_preorder_with_calls_as_leaves():
+    p = parse_process_str("<a = 1> (x, f(y))@(tt).[b[i] := 2] K | 0")
+    assert [type(q).__name__ for q in subterms(p)] == [
+        "Par", "Aware", "Compare", "Attr", "Literal",
+        "Output", "Attr", "Apply", "Attr", "TruePred",
+        "UpdateSeq", "Update", "Attr", "Literal", "Call", "Inact",
+    ]
+    call = Call("K", Subst.of({"v": VInt(1)}))
+    assert list(subterms(call)) == [call]
+
+
+def test_subterms_of_a_deep_term():
+    p = Inact()
+    for _ in range(5000):
+        p = Output((), TruePred(), UpdateSeq((), p))
+    assert sum(isinstance(q, Output) for q in subterms(p)) == 5000
 
 
 def test_values_hashable_and_equal():
