@@ -13,10 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .semantics import Run, system_steps
 from .terms import (
     BroadcastEvent,
+    ComponentState,
     Event,
     Invariant,
     LeadsTo,
-    ProcessTerm,
     Property,
     Reachable,
     Received,
@@ -86,7 +86,7 @@ def explore(
     run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
     names = spec.component_names()
     initial = spec.initial_state()
-    texts: Dict[ProcessTerm, str] = {}  # see state_key
+    texts: Dict[int, Tuple[ComponentState, str]] = {}  # see state_key
 
     states: List[SystemState] = [initial]
     index: Dict[tuple, int] = {state_key(initial, texts): 0}

@@ -7,7 +7,7 @@ delivers each candidate broadcast to every other component and builds
 the successor states.
 
 Every step function takes the `Run` it belongs to.  They are pure,
-except that `unfold` fills the run's memo of unfolded bodies.
+except that `unfold` and `system_steps` fill the run's memo tables.
 """
 from __future__ import annotations
 
@@ -52,16 +52,29 @@ from .validate import call_needs, require_guarded
 class Run:
     """What one `explore` or `simulate` run derives from its spec: the
     definitions and externs, `needs` (`validate.call_needs` of the
-    definitions; None keeps whole closures), and `bodies`, the unfolded
-    body of each call instance, keyed by (process name, closure).  Every
-    call closure that `substitute_proc` builds keeps only the names its
-    definition reads, so call instances that differ in dead bindings are
-    one term."""
+    definitions; None keeps whole closures), and three memo tables.
+
+    `bodies` holds the unfolded body of each call instance, keyed by
+    (process name, closure).  Every call closure that `substitute_proc`
+    builds keeps only the names its definition reads, so call instances
+    that differ in dead bindings are one term.
+
+    `outs` and `ins` hold what `system_steps` got from `out_steps` and
+    `in_step`, keyed by the identity of the component judged: `outs`
+    maps `id(sender)` to (sender, candidates), and `ins` maps a
+    broadcast label (exposed environment, closed predicate, message) to
+    a table from `id(receiver)` to (receiver, result).  Each entry holds
+    the component it is keyed by, so no id is reused while the run
+    lives.  Successors are taken from these tables, so a component that
+    does not move in a step is the same object in the successor state,
+    and equal components are almost always one object."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
     needs: Optional[Dict[str, FrozenSet[str]]]
     bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
+    outs: Dict[int, Tuple[ComponentState, List[Tuple["OutCandidate", Dict]]]] = field(default_factory=dict)
+    ins: Dict[tuple, Dict[int, Tuple[ComponentState, "InResult"]]] = field(default_factory=dict)
 
     @classmethod
     def of(cls, defs, externs, roots=()) -> "Run":
@@ -247,17 +260,31 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
     is delivered atomically: every other component either receives
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
-    never receives its own message.
+    never receives its own message.  `out_steps` and `in_step` are asked
+    only about components that the run's memo has not seen (see `Run`).
     """
+    outs, ins = run.outs, run.ins
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
-        for cand in out_steps(sender, run):
+        hit = outs.get(id(sender))
+        if hit is None:
+            # each candidate carries the receiver table of its label
+            hit = outs[id(sender)] = (sender, [
+                (cand, ins.setdefault((cand.exposed_env, cand.sent_pred, cand.message), {}))
+                for cand in out_steps(sender, run)
+            ])
+        for cand, judged in hit[1]:
             receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
             discarded = set()
             for j, other in enumerate(state):
                 if j == i:
                     continue
-                r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
+                seen = judged.get(id(other))
+                if seen is None:
+                    seen = judged[id(other)] = (
+                        other, in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
+                    )
+                r = seen[1]
                 if r.is_receive:
                     receiver_choices.append((j, r.successors))
                 else:

@@ -43,7 +43,14 @@ class VInt:
 
 @dataclass(frozen=True)
 class VFloat:
+    """A double.  There is one zero: `-0.0` is stored as `0.0`, because
+    the two compare and hash equal but would print and key apart."""
+
     v: float
+
+    def __post_init__(self):
+        if self.v == 0:
+            object.__setattr__(self, "v", 0.0)
 
 
 @dataclass(frozen=True)
@@ -582,20 +589,25 @@ class ComponentState:
 SystemState = Tuple[ComponentState, ...]
 
 
-def ser_component(c: ComponentState, texts: Dict[ProcessTerm, str]) -> str:
-    text = texts.get(c.proc)
-    if text is None:
-        text = texts[c.proc] = ser_proc(canonicalize(c.proc))
-    return c.name + "{" + ser_env(c.env) + "}" + text
+def ser_component(c: ComponentState) -> str:
+    """Canonical text of a component, `name{env}proc`."""
+    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(canonicalize(c.proc))
 
 
-def state_key(s: SystemState, texts: Optional[Dict[ProcessTerm, str]] = None) -> Tuple[str, ...]:
-    """The canonical key of a state.  `texts` memoises the canonical text
-    of each process term; `explore` passes one per run, so no term is
-    kept after the run."""
+def state_key(s: SystemState, texts: Optional[Dict[int, Tuple[ComponentState, str]]] = None) -> Tuple[str, ...]:
+    """The canonical key of a state.  `texts` memoises `ser_component`
+    by component identity; each entry holds its component, so no id is
+    reused while the table lives.  `explore` passes one per run, so no
+    term is kept after the run."""
     if texts is None:
         texts = {}
-    return tuple(ser_component(c, texts) for c in s)
+    key = []
+    for c in s:
+        hit = texts.get(id(c))
+        if hit is None:
+            hit = texts[id(c)] = (c, ser_component(c))
+        key.append(hit[1])
+    return tuple(key)
 
 
 def state_hash(s: SystemState) -> str:

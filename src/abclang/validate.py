@@ -20,7 +20,6 @@ from .terms import (
     Call,
     Choice,
     EnumDomain,
-    Inact,
     Input,
     Invariant,
     LeadsTo,
@@ -35,7 +34,6 @@ from .terms import (
     Sent,
     SystemSpec,
     Update,
-    UpdateSeq,
     Var,
     subterms,
 )
@@ -48,64 +46,72 @@ def _names(*terms) -> Set[str]:
             if isinstance(q, Var) or isinstance(q, Attr) and not q.index}
 
 
-def _free_names(proc, def_free: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
-    """Free identifier references of a process term, treating a call as
-    free in whatever its definition is currently known to need.
+def _free_names(proc, def_free: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
+    """Free identifier references of a process term, less `bound`,
+    treating a call as free in whatever its definition is currently
+    known to need.
 
     Only expression positions (payloads, updates, indexes) count:
     a bare name inside a predicate falls back to an attribute of the
     judging party at runtime, so it can never be a hard unbound error.
+    Loops along prefix chains and right operands, so depth costs no stack.
     """
-    if isinstance(proc, Inact):
-        return frozenset()
-    if isinstance(proc, Call):
-        return def_free.get(proc.name, frozenset()) - proc.closure.domain()
-    if isinstance(proc, Aware):
-        return _free_names(proc.body, def_free)
-    if isinstance(proc, (Choice, Par)):
-        return _free_names(proc.left, def_free) | _free_names(proc.right, def_free)
-    if isinstance(proc, Output):
-        return _useq_free(proc.cont, def_free).union(_names(*proc.payload))
-    if isinstance(proc, Input):
-        inner = _useq_free(proc.cont, def_free)
-        return inner - frozenset(proc.binders)
-    raise TypeError(f"not a process: {proc!r}")
+    free: Set[str] = set()
+    while True:
+        if isinstance(proc, Output):
+            free |= _names(*proc.payload, *proc.cont.updates) - bound
+        elif isinstance(proc, Input):
+            bound = bound.union(proc.binders)
+            free |= _names(*proc.cont.updates) - bound
+        elif isinstance(proc, Aware):
+            proc = proc.body
+            continue
+        elif isinstance(proc, (Choice, Par)):
+            free |= _free_names(proc.left, def_free, bound)
+            proc = proc.right
+            continue
+        elif isinstance(proc, Call):
+            free |= def_free.get(proc.name, frozenset()) - proc.closure.domain() - bound
+            return frozenset(free)
+        else:
+            return frozenset(free)
+        proc = proc.cont.then
 
 
-def _useq_free(cont: UpdateSeq, def_free) -> FrozenSet[str]:
-    return _free_names(cont.then, def_free).union(_names(*cont.updates))
-
-
-def _read_names(proc, needs: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
-    """Names that a substitution applied to `proc` replaces: bare names in
-    every position, predicates included, less input binders; a call reads
-    what its definition is known to need, less its closure.  Raises
-    EvalError for a call to a process `needs` does not know.
+def _read_names(proc, needs: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
+    """Names that a substitution applied to `proc` replaces, less `bound`:
+    bare names in every position, predicates included, less input
+    binders; a call reads what its definition is known to need, less its
+    closure.  Raises EvalError for a call to a process `needs` does not
+    know.  Loops like `_free_names`.
 
     Unlike `_free_names`, guards and targets count: `substitute` replaces
     a bound name there too, so a closure value can be read only in a guard.
     """
-    if isinstance(proc, Inact):
-        return frozenset()
-    if isinstance(proc, Call):
-        need = needs.get(proc.name)
-        if need is None:
-            raise EvalError(f"undefined process {proc.name}", proc.span)
-        return need - proc.closure.domain() if proc.closure.pairs else need
-    if isinstance(proc, (Choice, Par)):
-        return _read_names(proc.left, needs) | _read_names(proc.right, needs)
-    if isinstance(proc, Aware):
-        return _read_names(proc.body, needs).union(_names(proc.guard))
-    if isinstance(proc, Output):
-        names = _names(*proc.payload, proc.target, *proc.cont.updates)
-    elif isinstance(proc, Input):
-        names = _names(proc.guard, *proc.cont.updates)
-    else:
-        raise TypeError(f"not a process: {proc!r}")
-    names |= _read_names(proc.cont.then, needs)
-    if isinstance(proc, Input):
-        names.difference_update(proc.binders)
-    return frozenset(names)
+    read: Set[str] = set()
+    while True:
+        if isinstance(proc, Output):
+            read |= _names(*proc.payload, proc.target, *proc.cont.updates) - bound
+        elif isinstance(proc, Input):
+            bound = bound.union(proc.binders)
+            read |= _names(proc.guard, *proc.cont.updates) - bound
+        elif isinstance(proc, Aware):
+            read |= _names(proc.guard) - bound
+            proc = proc.body
+            continue
+        elif isinstance(proc, (Choice, Par)):
+            read |= _read_names(proc.left, needs, bound)
+            proc = proc.right
+            continue
+        elif isinstance(proc, Call):
+            need = needs.get(proc.name)
+            if need is None:
+                raise EvalError(f"undefined process {proc.name}", proc.span)
+            read |= need - proc.closure.domain() - bound
+            return frozenset(read)
+        else:
+            return frozenset(read)
+        proc = proc.cont.then
 
 
 def _fixpoint(defs, names_of) -> Dict[str, FrozenSet[str]]:

@@ -1,4 +1,5 @@
 """Expression evaluation, closure, satisfaction, restriction, updates."""
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from abclang.evaluator import (
     substitute,
 )
 from abclang.parser import parse_expr_str, parse_pred_str
+from abclang.simulator import json_to_value
 from abclang.terms import (
     Apply,
     Attr,
@@ -38,6 +40,7 @@ from abclang.terms import (
     VStr,
     VTuple,
     Var,
+    ser_value,
 )
 
 
@@ -99,6 +102,15 @@ class TestEvaluate:
 
     def test_diff_builtin(self):
         assert evaluate(parse_expr_str("diff(3, 10)"), Env()) == VInt(7)
+
+    def test_one_zero(self):
+        # -0.0 == 0.0 with equal hashes, so no key or text may tell them apart
+        zeros = [VFloat(-0.0), json_to_value(["float", -0.0])] + [
+            evaluate(parse_expr_str(src), Env())
+            for src in ["-0.0", "neg(0.0)", "0.0 * -1.0", "diff(-0.0, 0.0)"]
+        ]
+        for z in zeros:
+            assert math.copysign(1.0, z.v) == 1.0 and ser_value(z) == "f0.0"
 
     def test_set_membership(self):
         env = env_of(blist=VSet.of([VStr("b1")]))

@@ -9,7 +9,7 @@ from conftest import fixture_path
 
 import pytest
 
-from abclang import explorer
+from abclang import explorer, semantics
 from abclang.evaluator import EvalError
 from abclang.explorer import (
     LTS,
@@ -20,6 +20,7 @@ from abclang.explorer import (
 )
 from abclang.parser import parse_spec
 from abclang.semantics import Run, system_steps
+from abclang.simulator import simulate
 from abclang.terms import (
     BroadcastEvent,
     Invariant,
@@ -32,6 +33,7 @@ from abclang.terms import (
     Sent,
     TruePred,
     Env,
+    VFloat,
     VInt,
     VStr,
     state_key,
@@ -53,6 +55,12 @@ def explore_fixture(name, **kw):
 DIVISION_BY_ZERO = """extern pick : { 0, 1 }
 proc P = (1 / pick())@(tt).0
 component C { attrs { } interface { } run ("go")@(tt).P }
+"""
+
+# A1 sends -0.0 and A2 sends 0.0; B echoes the value it received
+SIGNED_ZERO = """component A1 { attrs { } interface { } run ("v", neg(0.0))@(tt).0 }
+component A2 { attrs { } interface { } run ("v", 0.0)@(tt).0 }
+component B { attrs { } interface { } run (x = "v")(x, y).("echo", y)@(tt).0 }
 """
 
 
@@ -129,9 +137,21 @@ component C { attrs { } interface { } run R }
         assert not lts.truncated
         assert (len(lts.states), len(lts.transitions)) == (1_048, 2_979)
 
-    def test_no_term_outlives_its_run(self, corpus_spec):
+    def test_one_zero(self):
+        # neg(0.0) gives 0.0, so every message carries the same zero
+        spec = load_spec(SIGNED_ZERO, "zero.abc")[0]
+        lts = explore(spec)
+        assert (len(lts.states), len(lts.transitions)) == (7, 9)
+        assert {t.event.message[1] for t in lts.transitions} == {VFloat(0.0)}
+        assert all(str(t.event.message[1].v) == "0.0" for t in lts.transitions)
+
+    def test_no_term_outlives_its_run(self, corpus_spec, corpus_source):
         # process-wide term caches once held 575 and then 941 entries
-        # after these two runs
+        # after these two runs; the run's memo tables die with the run
+        def runs():
+            return {id(o) for o in gc.get_objects() if isinstance(o, semantics.Run)}
+
+        before = runs()
         for cap in (300, 600):
             lts = explore(corpus_spec, max_states=cap)
             initial = {id(d.proc) for d in corpus_spec.components}
@@ -145,6 +165,9 @@ component C { attrs { } interface { } run R }
                 if hasattr(f, "cache_info") and f.cache_info().currsize
             ]
             assert cached == []
+        simulate(corpus_spec, corpus_source, 0, 300)
+        gc.collect()
+        assert runs() <= before
 
     def test_out_edges_built_once(self):
         lts = explore_fixture("choice.abc")
@@ -178,8 +201,10 @@ class TestUnfoldMemo:
 
     def test_fresh_memo_per_state_gives_the_same_lts(self, monkeypatch):
         caps = {"travel-booking.abc": 5_000}
-        for name in ["ping.abc", "choice.abc", "fake3.abc", "travel-booking.abc"]:
-            spec = load(fixture_path(name))
+        specs = {name: load(fixture_path(name))
+                 for name in ["ping.abc", "choice.abc", "fake3.abc", "travel-booking.abc"]}
+        specs["zero.abc"] = load_spec(SIGNED_ZERO, "zero.abc")[0]
+        for name, spec in specs.items():
             shared = explore(spec, max_states=caps.get(name, 100_000))
             with monkeypatch.context() as m:
                 m.setattr(

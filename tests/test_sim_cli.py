@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from conftest import fixture_path
-from test_explorer import DIVISION_BY_ZERO
+from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
 
+from abclang import simulator
 from abclang.cli import main
 from abclang.parser import parse_spec
 from abclang.semantics import Run, system_steps
@@ -65,6 +66,34 @@ class TestSimulate:
         assert not diags
         t = simulate(spec, src, 0, max_steps=5)
         assert len(t.steps) == 5 and t.termination == "step-limit"
+
+    def test_memo_matches_a_memo_less_reference(self, monkeypatch):
+        # the reference runs every step with a fresh Run, so nothing is
+        # carried from one state to the next
+        specs = [load(fixture_path(name))
+                 for name in ["ping.abc", "choice.abc", "fake3.abc", "travel-booking.abc"]]
+        specs.append((load_spec(SIGNED_ZERO, "zero.abc")[0], SIGNED_ZERO))
+        for spec, src in specs:
+            names = spec.component_names()
+            shared = [trace_to_json(simulate(spec, src, seed, 500), names) for seed in range(20)]
+            with monkeypatch.context() as m:
+                m.setattr(
+                    simulator, "system_steps",
+                    lambda state, run: system_steps(state, Run(run.defs, run.externs, run.needs)),
+                )
+                fresh = [trace_to_json(simulate(spec, src, seed, 500), names) for seed in range(20)]
+            assert shared == fresh, names
+
+    def test_signed_zero_echoes_what_was_received(self):
+        spec, _ = load_spec(SIGNED_ZERO, "zero.abc")
+        for seed in range(20):
+            steps = [json.loads(line) for line in
+                     trace_to_json(simulate(spec, SIGNED_ZERO, seed), spec.component_names()).splitlines()[1:]]
+            # compared as text: -0.0 == 0.0
+            received = [json.dumps(s["message"][1]) for s in steps
+                        if any(r["component"] == "B" for r in s["receivers"])]
+            echoed = [json.dumps(s["message"][1]) for s in steps if s["sender"] == "B"]
+            assert received == echoed == ['["float", 0.0]'], seed
 
     def test_replay_validates(self):
         # every simulated step must be among the enabled successors
@@ -194,6 +223,24 @@ class TestCli:
         proc = self.run_cli("run", str(deep))
         assert proc.returncode == 0, proc.stderr
         assert "400 step(s), termination: deadlock" in proc.stdout
+
+    def test_explore_deep_prefix_chain_exit_0(self, tmp_path):
+        deep = tmp_path / "deep.abc"
+        deep.write_text(
+            "component C { attrs { } interface { } run " + '("a")@(tt).' * 400 + "0 }\n"
+        )
+        proc = self.run_cli("explore", str(deep))
+        assert proc.returncode == 0, proc.stderr
+        assert "401 state(s), 400 transition(s) (complete)" in proc.stdout
+
+    def test_parse_deep_prefix_chain_exit_0(self, tmp_path):
+        deep = tmp_path / "deep.abc"
+        deep.write_text(
+            "component C { attrs { } interface { } run " + '(tt)(v).("a", v)@(tt).' * 1500 + "0 }\n"
+        )
+        proc = self.run_cli("parse", str(deep))
+        assert proc.returncode == 0, proc.stderr
+        assert "ok (1 component(s)" in proc.stdout
 
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0
