@@ -1,8 +1,8 @@
 """Command-line interface: parse, run, explore, check.
 
 Exit codes: 0 success / property holds; 1 a property fails; 2 parse or
-validation error; 3 a resource limit left a verdict unknown; 4 runtime
-evaluation error.
+validation error, or a file that cannot be read or written; 3 a resource
+limit left a verdict unknown; 4 runtime evaluation error.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as f:
             source = f.read()
-    except OSError as e:
-        print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read {path}: {getattr(e, 'strerror', e)}", file=sys.stderr)
         return None, None
     spec, diags = load_spec(source, path)
     for d in diags:
@@ -70,8 +70,12 @@ def _cmd_explore(args) -> int:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_EVAL_ERROR
     if args.export_lts:
-        with open(args.export_lts, "w", encoding="utf-8") as f:
-            f.write(lts.export_text())
+        try:
+            with open(args.export_lts, "w", encoding="utf-8") as f:
+                f.write(lts.export_text())
+        except OSError as e:
+            print(f"error: cannot write {args.export_lts}: {e.strerror}", file=sys.stderr)
+            return EXIT_SPEC_ERROR
     status = "truncated: " + lts.truncation_reason if lts.truncated else "complete"
     print(f"{len(lts.states)} state(s), {len(lts.transitions)} transition(s) ({status})")
     return EXIT_UNKNOWN if lts.truncated else EXIT_OK

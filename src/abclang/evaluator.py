@@ -332,17 +332,20 @@ def substitute(p: Predicate, subst: Subst) -> Predicate:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def substitute_useq(u: UpdateSeq, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None) -> UpdateSeq:
-    ups = tuple(
+def _substitute_updates(ups: Tuple[Update, ...], subst: Subst) -> Tuple[Update, ...]:
+    return tuple(
         Update(
             up.name,
             tuple(substitute_expr(i, subst) for i in up.index),
             substitute_expr(up.rhs, subst),
             up.span,
         )
-        for up in u.updates
+        for up in ups
     )
-    return UpdateSeq(ups, substitute_proc(u.then, subst, needs))
+
+
+def substitute_useq(u: UpdateSeq, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None) -> UpdateSeq:
+    return UpdateSeq(_substitute_updates(u.updates, subst), substitute_proc(u.then, subst, needs))
 
 
 def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None):
@@ -350,35 +353,40 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
     captures the substitution in its closure so the definition body sees
     the bindings of its own call site when unfolded.  With `needs` (see
     `validate.call_needs`), a closure keeps only the names its definition
-    reads; without, it keeps every binding in scope."""
-    if not subst.pairs:
-        return p
-    if isinstance(p, Inact):
-        return p
-    if isinstance(p, Input):
-        inner = subst.without(p.binders)
-        return Input(substitute(p.guard, inner), p.binders, substitute_useq(p.cont, inner, needs), p.span)
-    if isinstance(p, Output):
-        return Output(
-            tuple(substitute_expr(e, subst) for e in p.payload),
-            substitute(p.target, subst),
-            substitute_useq(p.cont, subst, needs),
-            p.span,
-        )
-    if isinstance(p, Aware):
-        return Aware(substitute(p.guard, subst), substitute_proc(p.body, subst, needs), p.span)
-    if isinstance(p, Choice):
-        return Choice(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
-    if isinstance(p, Par):
-        return Par(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
-    if isinstance(p, Call):
+    reads; without, it keeps every binding in scope.  Loops along prefix
+    chains and recurses only into `|`/`+` operands, so a long prefix
+    chain costs no stack."""
+    chain = []  # (prefix, the substitution under it)
+    while subst.pairs and isinstance(p, (Input, Output, Aware)):
+        if isinstance(p, Input):
+            subst = subst.without(p.binders)
+        chain.append((p, subst))
+        p = p.body if isinstance(p, Aware) else p.cont.then
+    if not subst.pairs or isinstance(p, Inact):
+        pass
+    elif isinstance(p, Choice):
+        p = Choice(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
+    elif isinstance(p, Par):
+        p = Par(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
+    elif isinstance(p, Call):
         merged = dict(subst.pairs)
         merged.update(p.closure.pairs)  # call-site bindings already captured win
         if needs is not None:
             read = needs[p.name]
             merged = {n: v for n, v in merged.items() if n in read}
-        return Call(p.name, Subst.of(merged), p.span)
-    raise TypeError(f"not a process: {p!r}")
+        p = Call(p.name, Subst.of(merged), p.span)
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    for node, s in reversed(chain):
+        if isinstance(node, Aware):
+            p = Aware(substitute(node.guard, s), p, node.span)
+            continue
+        cont = UpdateSeq(_substitute_updates(node.cont.updates, s), p)
+        if isinstance(node, Input):
+            p = Input(substitute(node.guard, s), node.binders, cont, node.span)
+        else:
+            p = Output(tuple(substitute_expr(e, s) for e in node.payload), substitute(node.target, s), cont, node.span)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .terms import (
     ThisAttr,
     TruePred,
     UNDEF,
-    UpdateSeq,
     VBool,
     VFloat,
     VInt,
@@ -128,35 +127,37 @@ def pp_pred(p, level: int = 0) -> str:
 
 # process precedence: 0 par, 1 choice, 2 prefixed
 def pp_proc(p, level: int = 0) -> str:
-    if isinstance(p, Inact):
-        return "0"
-    if isinstance(p, Call):
-        return p.name
-    if isinstance(p, Par):
-        s = f"{pp_proc(p.left, 1)} | {pp_proc(p.right, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(p, Choice):
-        s = f"{pp_proc(p.left, 2)} + {pp_proc(p.right, 1)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(p, Aware):
-        return f"<{pp_pred(p.guard)}> {pp_proc(p.body, 2)}"
-    if isinstance(p, Output):
-        payload = ", ".join(pp_expr(e, 0) for e in p.payload)
-        return f"({payload})@({pp_pred(p.target)}).{_pp_cont(p.cont)}"
-    if isinstance(p, Input):
-        binders = ", ".join(p.binders)
-        return f"({pp_pred(p.guard)})({binders}).{_pp_cont(p.cont)}"
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _pp_cont(cont: UpdateSeq) -> str:
+    """Loops along prefix chains, so a long prefix chain costs no stack."""
     parts = []
-    if cont.updates:
-        ups = ", ".join(
-            f"{u.name}{_pp_index(u.index)} := {pp_expr(u.rhs, 0)}" for u in cont.updates
-        )
-        parts.append(f"[{ups}] ")
-    parts.append(pp_proc(cont.then, 2))
+    while isinstance(p, (Aware, Output, Input)):
+        if isinstance(p, Aware):
+            parts.append(f"<{pp_pred(p.guard)}> ")
+            p = p.body
+        else:
+            if isinstance(p, Output):
+                payload = ", ".join(pp_expr(e, 0) for e in p.payload)
+                parts.append(f"({payload})@({pp_pred(p.target)}).")
+            else:
+                parts.append(f"({pp_pred(p.guard)})({', '.join(p.binders)}).")
+            if p.cont.updates:
+                ups = ", ".join(
+                    f"{u.name}{_pp_index(u.index)} := {pp_expr(u.rhs, 0)}" for u in p.cont.updates
+                )
+                parts.append(f"[{ups}] ")
+            p = p.cont.then
+        level = 2
+    if isinstance(p, Inact):
+        parts.append("0")
+    elif isinstance(p, Call):
+        parts.append(p.name)
+    elif isinstance(p, Par):
+        s = f"{pp_proc(p.left, 1)} | {pp_proc(p.right, 0)}"
+        parts.append(f"({s})" if level > 0 else s)
+    elif isinstance(p, Choice):
+        s = f"{pp_proc(p.left, 2)} + {pp_proc(p.right, 1)}"
+        parts.append(f"({s})" if level > 1 else s)
+    else:
+        raise TypeError(f"not a process: {p!r}")
     return "".join(parts)
 
 

@@ -403,78 +403,61 @@ def ser_pred(p: Predicate) -> str:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _ser_useq(u: UpdateSeq) -> str:
-    ups = ";".join(
-        f"{up.name}[{','.join(ser_expr(i) for i in up.index)}]:={ser_expr(up.rhs)}"
-        for up in u.updates
-    )
-    return "[" + ups + "]" + ser_proc(u.then)
+def _operands(p: ProcessTerm, kind) -> list:
+    """The operands of the `kind` chain at `p`: nested `kind` chains are
+    flattened and the `0`s of a `|` chain dropped.  In a `+` chain, a
+    `|` left with one operand stands for that operand, so the operands
+    of `((A + B) | 0) + C` are A, B and C."""
+    parts, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, kind):
+            stack += (q.right, q.left)
+        elif kind is Choice and isinstance(q, Par) and len(sub := _operands(q, Par)) == 1:
+            stack.append(sub[0])
+        elif kind is Choice or not isinstance(q, Inact):
+            parts.append(q)
+    return parts
 
 
 def ser_proc(p: ProcessTerm) -> str:
-    if isinstance(p, Inact):
-        return "0"
-    if isinstance(p, Input):
-        return "in(" + ser_pred(p.guard) + ")(" + ",".join(p.binders) + ")." + _ser_useq(p.cont)
-    if isinstance(p, Output):
-        return (
-            "out("
-            + ",".join(ser_expr(e) for e in p.payload)
-            + ")@("
-            + ser_pred(p.target)
-            + ")."
-            + _ser_useq(p.cont)
-        )
-    if isinstance(p, Aware):
-        return "<" + ser_pred(p.guard) + ">" + ser_proc(p.body)
-    if isinstance(p, Choice):
-        return "+(" + ser_proc(p.left) + "," + ser_proc(p.right) + ")"
-    if isinstance(p, Par):
-        return "|(" + ser_proc(p.left) + "," + ser_proc(p.right) + ")"
-    if isinstance(p, Call):
-        cl = ",".join(f"{n}={ser_value(v)}" for n, v in p.closure.pairs)
-        return "K" + p.name + "{" + cl + "}"
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _flatten(p: ProcessTerm, kind) -> list:
-    if isinstance(p, kind):
-        return _flatten(p.left, kind) + _flatten(p.right, kind)
-    return [p]
-
-
-def canonicalize(p: ProcessTerm) -> ProcessTerm:
-    """Normal form under commutativity/associativity of `|` and `+` and
-    the unit law P | 0 = P.
-
-    Nested parallel and choice chains are flattened, `0` operands of a
-    parallel chain dropped (one is kept if all are `0`), the operands
-    sorted under the total term order, and the chain rebuilt
-    right-nested.  An inactive operand has no actions, so the result is
-    behaviour-equivalent by construction.  Idempotent.
-    """
-    if isinstance(p, (Inact, Call)):
-        return p
-    if isinstance(p, Input):
-        return Input(p.guard, p.binders, UpdateSeq(p.cont.updates, canonicalize(p.cont.then)))
-    if isinstance(p, Output):
-        return Output(p.payload, p.target, UpdateSeq(p.cont.updates, canonicalize(p.cont.then)))
-    if isinstance(p, Aware):
-        return Aware(p.guard, canonicalize(p.body))
-    if isinstance(p, (Choice, Par)):
-        kind = type(p)
-        parts = []
-        for q in _flatten(p, kind):
-            q = canonicalize(q)
-            parts.extend(_flatten(q, kind))
-        if kind is Par:
-            parts = [q for q in parts if not isinstance(q, Inact)] or [ZERO]
-        parts.sort(key=ser_proc)
-        out = parts[-1]
-        for q in reversed(parts[:-1]):
-            out = kind(q, out)
-        return out
-    raise TypeError(f"not a process: {p!r}")
+    """Canonical text of `p`, the same for terms equal under
+    commutativity and associativity of `|` and `+` and the unit law
+    P | 0 = P.  The operands of each `|`/`+` chain are written sorted
+    and right-nested; an inactive operand has no actions, so dropping it
+    keeps the behaviour.  Loops along prefix chains and recurses only
+    into chain operands, so a long prefix chain costs no stack."""
+    out = []
+    while True:
+        if isinstance(p, (Input, Output)):
+            if isinstance(p, Input):
+                head = f"in({ser_pred(p.guard)})({','.join(p.binders)})"
+            else:
+                head = f"out({','.join(map(ser_expr, p.payload))})@({ser_pred(p.target)})"
+            ups = ";".join(
+                f"{u.name}[{','.join(map(ser_expr, u.index))}]:={ser_expr(u.rhs)}" for u in p.cont.updates
+            )
+            out.append(f"{head}.[{ups}]")
+            p = p.cont.then
+        elif isinstance(p, Aware):
+            out.append("<" + ser_pred(p.guard) + ">")
+            p = p.body
+        elif isinstance(p, (Choice, Par)) and len(parts := _operands(p, type(p))) < 2:
+            p = parts[0] if parts else ZERO
+        else:
+            break
+    if isinstance(p, (Choice, Par)):  # `parts` holds its operands from the last test above
+        texts = sorted(map(ser_proc, parts))
+        tag = "+(" if isinstance(p, Choice) else "|("
+        out += [tag + t + "," for t in texts[:-1]]
+        out.append(texts[-1] + ")" * (len(texts) - 1))
+    elif isinstance(p, Inact):
+        out.append("0")
+    elif isinstance(p, Call):
+        out.append("K" + p.name + "{" + ",".join(f"{n}={ser_value(v)}" for n, v in p.closure.pairs) + "}")
+    else:
+        raise TypeError(f"not a process: {p!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +574,7 @@ SystemState = Tuple[ComponentState, ...]
 
 def ser_component(c: ComponentState) -> str:
     """Canonical text of a component, `name{env}proc`."""
-    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(canonicalize(c.proc))
+    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(c.proc)
 
 
 def state_key(s: SystemState, texts: Optional[Dict[int, Tuple[ComponentState, str]]] = None) -> Tuple[str, ...]:

@@ -157,6 +157,40 @@ def rand_proc(rng: random.Random, env: Env, subst: Subst, depth: int = 3):
     return Output(payload, rand_pred(rng, env, subst, 1), rand_useq(rng, env, subst, depth))
 
 
+def reshuffle(rng: random.Random, p):
+    """A term equal to `p` under commutativity and associativity of `|`
+    and `+` and the unit law P | 0 = P: the operands of every chain are
+    permuted and regrouped at random, and random subterms, regrouped
+    inner chain nodes included, get a `| 0`."""
+
+    def unit(q):
+        if rng.random() < 0.2:
+            return Par(q, Inact()) if rng.random() < 0.5 else Par(Inact(), q)
+        return q
+
+    if isinstance(p, (Choice, Par)):
+        kind = type(p)
+        parts, stack = [], [p]
+        while stack:
+            q = stack.pop()
+            if isinstance(q, kind):
+                stack += (q.left, q.right)
+            else:
+                parts.append(reshuffle(rng, q))
+        rng.shuffle(parts)
+        while len(parts) > 1:
+            i = rng.randrange(len(parts) - 1)
+            parts[i:i + 2] = [unit(kind(parts[i], parts[i + 1]))]
+        return parts[0]
+    if isinstance(p, Input):
+        p = Input(p.guard, p.binders, UpdateSeq(p.cont.updates, reshuffle(rng, p.cont.then)))
+    elif isinstance(p, Output):
+        p = Output(p.payload, p.target, UpdateSeq(p.cont.updates, reshuffle(rng, p.cont.then)))
+    elif isinstance(p, Aware):
+        p = Aware(p.guard, reshuffle(rng, p.body))
+    return unit(p)
+
+
 def rand_component(rng: random.Random, name: str = "C") -> ComponentState:
     env = rand_env(rng)
     subst = rand_subst(rng)

@@ -204,6 +204,15 @@ class TestRoundTrip:
         for name in ["ping.abc", "fake3.abc", "choice.abc"]:
             self.roundtrip(fixture_path(name))
 
+    def test_deep_chain_prints_and_reparses(self):
+        # 3,000 prefixes; compare texts, not ASTs: `==` on a deep
+        # frozen-dataclass term recurses
+        body = '<tt> (tt)(v).[x := v] ("a", v)@(tt).' * 1000 + "(K | 0)"
+        spec, _ = parse_spec("component C { attrs { x = 0; } interface { } run " + body + " }")
+        printed = pp_spec(spec)
+        assert "  run " + body + "\n" in printed
+        assert pp_spec(parse_spec(printed)[0]) == printed
+
     def test_empty_spec_prints_empty(self):
         spec, _ = parse_spec("")
         assert pp_spec(spec) == ""

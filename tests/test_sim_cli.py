@@ -154,6 +154,18 @@ class TestTraceJson:
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def prefix_chain(n):
+    return "component C { attrs { } interface { } run " + '("a")@(tt).' * n + "0 }\n"
+
+
+# a 1,500-prefix chain under an input binder, so each receive substitutes
+# into the whole chain
+BINDER_CHAIN = (
+    'component S { attrs { } interface { } run ("v")@(tt).0 }\n'
+    "component C { attrs { } interface { } run (tt)(y)." + '("a", y)@(ff).' * 1500 + "0 }\n"
+)
+
+
 class TestCli:
     def run_cli(self, *args):
         proc = subprocess.run(
@@ -216,22 +228,27 @@ class TestCli:
             assert f"{bad}:1:{col}: error[E-LEX]: unexpected character" in err
 
     def test_run_deep_prefix_chain_exit_0(self, tmp_path):
-        deep = tmp_path / "deep.abc"
-        deep.write_text(
-            "component C { attrs { } interface { } run " + '("a")@(tt).' * 400 + "0 }\n"
-        )
-        proc = self.run_cli("run", str(deep))
-        assert proc.returncode == 0, proc.stderr
-        assert "400 step(s), termination: deadlock" in proc.stdout
+        for spec, summary in (
+            (prefix_chain(400), "400 step(s), termination: deadlock"),
+            (BINDER_CHAIN, "1000 step(s), termination: step-limit"),
+        ):
+            deep = tmp_path / "deep.abc"
+            deep.write_text(spec)
+            proc = self.run_cli("run", str(deep))
+            assert proc.returncode == 0, proc.stderr
+            assert summary in proc.stdout
 
     def test_explore_deep_prefix_chain_exit_0(self, tmp_path):
-        deep = tmp_path / "deep.abc"
-        deep.write_text(
-            "component C { attrs { } interface { } run " + '("a")@(tt).' * 400 + "0 }\n"
-        )
-        proc = self.run_cli("explore", str(deep))
-        assert proc.returncode == 0, proc.stderr
-        assert "401 state(s), 400 transition(s) (complete)" in proc.stdout
+        for spec, summary in (
+            (prefix_chain(400), "401 state(s), 400 transition(s) (complete)"),
+            (prefix_chain(3000), "3001 state(s), 3000 transition(s) (complete)"),
+            (BINDER_CHAIN, "1502 state(s), 1501 transition(s) (complete)"),
+        ):
+            deep = tmp_path / "deep.abc"
+            deep.write_text(spec)
+            proc = self.run_cli("explore", str(deep))
+            assert proc.returncode == 0, proc.stderr
+            assert summary in proc.stdout
 
     def test_parse_deep_prefix_chain_exit_0(self, tmp_path):
         deep = tmp_path / "deep.abc"
@@ -241,6 +258,23 @@ class TestCli:
         proc = self.run_cli("parse", str(deep))
         assert proc.returncode == 0, proc.stderr
         assert "ok (1 component(s)" in proc.stdout
+
+    def test_spec_not_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.abc"
+        bad.write_bytes("component C { attrs { } interface { } run 0 } # caf\u00e9".encode("latin-1"))
+        assert main(["parse", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_export_lts_into_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.lts"
+        assert main(["explore", fixture_path("ping.abc"), "--export-lts", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_export_lts_onto_directory_exit_2(self, tmp_path, capsys):
+        assert main(["explore", fixture_path("ping.abc"), "--export-lts", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0

@@ -20,7 +20,6 @@ from abclang.terms import (
     VInt,
     VSet,
     VStr,
-    canonicalize,
     ser_proc,
     ser_value,
     state_hash,
@@ -101,40 +100,51 @@ def test_subst_extension_shadows():
 
 
 def test_canonicalize_sorts_par():
-    # C | (B | (A | 0)) normalizes to the sorted chain A | (B | C): the
-    # operands are reordered and the 0 is dropped
+    # C | (B | (A | 0)) has the canonical text of the sorted chain
+    # A | (B | C): the operands are reordered and the 0 is dropped
     a, b, c = Call("A"), Call("B"), Call("C")
-    t = Par(c, Par(b, Par(a, Inact())))
-    n = canonicalize(t)
-    assert n == canonicalize(Par(a, Par(b, Par(Inact(), c))))
-    flat = []
-    cur = n
-    while isinstance(cur, Par):
-        flat.append(cur.left)
-        cur = cur.right
-    flat.append(cur)
-    assert flat == [a, b, c]
-    assert ser_proc(flat[0]) <= ser_proc(flat[1]) <= ser_proc(flat[2])
+    assert ser_proc(Par(c, Par(b, Par(a, Inact())))) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par(a, Par(b, Par(Inact(), c)))) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par(Par(b, c), a)) == "|(KA{},|(KB{},KC{}))"
 
 
 def test_canonicalize_drops_inactive_par_operands():
     p = parse_process_str('("a")@(tt).0 + (x = "b")(x).(0 | K)')
-    assert canonicalize(Par(p, Inact())) == canonicalize(p)
+    assert ser_proc(p) == "+(in(C=(Ax[],Ls'b'))(x).[]KK{},out(Ls'a')@(tt).[]0)"
+    assert ser_proc(Par(p, Inact())) == ser_proc(p)
     assert state_key((ComponentState("C", Env(), frozenset(), Par(Inact(), p)),)) == state_key(
         (ComponentState("C", Env(), frozenset(), p),)
     )
-    assert canonicalize(Par(Inact(), Inact())) == Inact()
-    assert canonicalize(Par(Inact(), Par(Inact(), Inact()))) == Inact()
+    assert ser_proc(Par(Inact(), Inact())) == "0"
+    assert ser_proc(Par(Inact(), Par(Inact(), Inact()))) == "0"
 
 
 def test_canonicalize_identity_on_inact():
-    assert canonicalize(Inact()) == Inact()
+    assert ser_proc(Inact()) == "0"
+    assert ser_proc(Choice(Inact(), Inact())) == "+(0,0)"
 
 
 def test_canonicalize_merges_choice_orders():
     p1 = parse_process_str('("a")@(tt).0 + (x = \"b\")(x).0')
     p2 = parse_process_str('(x = \"b\")(x).0 + ("a")@(tt).0')
-    assert canonicalize(p1) == canonicalize(p2)
+    assert ser_proc(p1) == ser_proc(p2) == "+(in(C=(Ax[],Ls'b'))(x).[]0,out(Ls'a')@(tt).[]0)"
+
+
+def test_collapsed_par_splices_into_choice():
+    # (A + B) | 0 is A + B, whose operands join the outer + chain
+    a, b, c = Call("A"), Call("B"), Call("C")
+    spliced = Choice(Par(Choice(a, b), Inact()), c)
+    assert ser_proc(spliced) == ser_proc(Choice(a, Choice(b, c))) == "+(KA{},+(KB{},KC{}))"
+    assert ser_proc(Par(Choice(c, Par(Inact(), Choice(b, a))), Inact())) == "+(KA{},+(KB{},KC{}))"
+    # a | with two operands left stays one operand of the + chain
+    assert ser_proc(Choice(Par(a, Par(Inact(), b)), c)) == "+(KC{},|(KA{},KB{}))"
+
+
+def test_ser_proc_of_a_deep_term():
+    p = Inact()
+    for _ in range(5000):
+        p = Output((), TruePred(), UpdateSeq((), Par(p, Inact())))
+    assert ser_proc(p) == "out()@(tt).[]" * 5000 + "0"
 
 
 def test_state_key_ignores_component_internals_order():
