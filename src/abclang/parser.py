@@ -53,6 +53,7 @@ from .terms import (
     Property,
     Reachable,
     Received,
+    Record,
     SAnd,
     SCompare,
     SFalse,
@@ -94,8 +95,7 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str  # "error" | "warning"
     span: Optional[Span]
     message: str

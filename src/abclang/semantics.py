@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .evaluator import (
     EvalError,
@@ -24,7 +24,6 @@ from .evaluator import (
     close,
     restrict,
     satisfies,
-    substitute,
     substitute_proc,
     substitute_useq,
 )
@@ -98,52 +97,41 @@ def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
     return body
 
 
-@dataclass
-class _Occ:
-    """One syntactic action occurrence: the prefix node, the awareness
-    guards on the path to it, and a rebuild function producing the whole
-    component process with the prefix replaced by its continuation."""
+def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
+    """The `kind` (Input or Output) occurrences of `proc`, left to right.
+    Each is (prefix, guards, context): the awareness guards on the path
+    to the prefix, outermost first, and its Par context for `_rebuild`,
+    which is None or (outer context, Par node, whether the path goes
+    left).  A choice or an awareness on the path is dropped when the
+    prefix fires, so neither is in the context.  Walks with an explicit
+    stack, so a long `|` or `+` chain costs no depth.  Terminates
+    because `Run.of` rejects call cycles that are not under a prefix."""
+    found = []
+    stack = [(proc, (), None)]
+    while stack:
+        p, guards, ctx = stack.pop()
+        if isinstance(p, kind):
+            found.append((p, guards, ctx))
+        elif isinstance(p, Aware):
+            stack.append((p.body, guards + (p.guard,), ctx))
+        elif isinstance(p, Choice):
+            stack += ((p.right, guards, ctx), (p.left, guards, ctx))
+        elif isinstance(p, Par):
+            stack += ((p.right, guards, (ctx, p, False)), (p.left, guards, (ctx, p, True)))
+        elif isinstance(p, Call):
+            stack.append((unfold(p.name, p.closure, run), guards, ctx))
+        elif not isinstance(p, (Inact, Input, Output)):
+            raise TypeError(f"not a process: {p!r}")
+    return found
 
-    node: ProcessTerm  # Input or Output
-    guards: Tuple[Predicate, ...]
-    rebuild: Callable[[ProcessTerm], ProcessTerm]
 
-
-def _occurrences(proc: ProcessTerm, want_input: bool, run: Run) -> List[_Occ]:
-    """Action occurrences of `proc`.  Terminates because `Run.of`
-    rejects call cycles that are not under a prefix."""
-    if isinstance(proc, Inact):
-        return []
-    if isinstance(proc, Input):
-        if want_input:
-            return [_Occ(proc, (), lambda cont: cont)]
-        return []
-    if isinstance(proc, Output):
-        if not want_input:
-            return [_Occ(proc, (), lambda cont: cont)]
-        return []
-    if isinstance(proc, Aware):
-        out = []
-        for o in _occurrences(proc.body, want_input, run):
-            out.append(_Occ(o.node, (proc.guard,) + o.guards, o.rebuild))
-        return out
-    if isinstance(proc, Choice):
-        # the losing branch is dropped: each rebuild covers one side only
-        return _occurrences(proc.left, want_input, run) + _occurrences(proc.right, want_input, run)
-    if isinstance(proc, Par):
-        out = []
-        for o in _occurrences(proc.left, want_input, run):
-            out.append(
-                _Occ(o.node, o.guards, (lambda rb, r: lambda c: Par(rb(c), r))(o.rebuild, proc.right))
-            )
-        for o in _occurrences(proc.right, want_input, run):
-            out.append(
-                _Occ(o.node, o.guards, (lambda rb, l: lambda c: Par(l, rb(c)))(o.rebuild, proc.left))
-            )
-        return out
-    if isinstance(proc, Call):
-        return _occurrences(unfold(proc.name, proc.closure, run), want_input, run)
-    raise TypeError(f"not a process: {proc!r}")
+def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
+    """The whole component process with the occurrence at Par context
+    `ctx` replaced by `p`."""
+    while ctx is not None:
+        ctx, par, left = ctx
+        p = Par(p, par.right) if left else Par(par.left, p)
+    return p
 
 
 @dataclass
@@ -181,19 +169,17 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     come from the pre-update environment.  An evaluation error in a guard,
     payload, target or update propagates."""
     externs = run.externs
-    occs = _occurrences(c.proc, False, run)
     exposed = restrict(c.env, c.interface)
     candidates: List[OutCandidate] = []
-    for ordinal, occ in enumerate(occs):
-        node = occ.node
+    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
 
-        def fire(ch: ScriptedChooser, occ=occ, node=node, ordinal=ordinal):
-            if not _guards_hold(occ.guards, c.env, externs, ch):
+        def fire(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, ordinal=ordinal):
+            if not _guards_hold(guards, c.env, externs, ch):
                 return None
             msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
             pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
             new_env = apply_updates(c.env, node.cont.updates, externs=externs, chooser=ch)
-            succ = ComponentState(c.name, new_env, c.interface, occ.rebuild(node.cont.then))
+            succ = ComponentState(c.name, new_env, c.interface, _rebuild(ctx, node.cont.then))
             return OutCandidate(msg, pred, exposed, succ, ordinal)
 
         for cand in all_runs(fire):
@@ -222,28 +208,26 @@ def in_step(
     externs = run.externs
     if not satisfies(restrict(c.env, c.interface), sent_pred, externs):
         return DISCARD
-    occs = _occurrences(c.proc, True, run)
     successors: List[Tuple[int, ComponentState]] = []
-    for ordinal, occ in enumerate(occs):
-        node = occ.node
+    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Input, run)):
         if len(node.binders) != len(msg):
             continue
         bindings = Subst.of(dict(zip(node.binders, msg)))
 
-        def consume(ch: ScriptedChooser, occ=occ, node=node, bindings=bindings):
+        def consume(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, bindings=bindings):
             # a guard that cannot even be evaluated (absent attribute,
             # type error) cannot authorize reception: treat as discard
             try:
-                if not _guards_hold(occ.guards, c.env, externs, ch):
+                if not _guards_hold(guards, c.env, externs, ch):
                     return None
-                guard = close(substitute(node.guard, bindings), c.env, externs=externs, chooser=ch)
+                guard = close(node.guard, c.env, bindings, externs=externs, chooser=ch)
                 if not satisfies(exposed_env, guard, externs, ch):
                     return None
             except EvalError:
                 return None
             cont = substitute_useq(node.cont, bindings, run.needs)
             new_env = apply_updates(c.env, cont.updates, externs=externs, chooser=ch)
-            return ComponentState(c.name, new_env, c.interface, occ.rebuild(cont.then))
+            return ComponentState(c.name, new_env, c.interface, _rebuild(ctx, cont.then))
 
         for succ in all_runs(consume):
             if succ is not None:

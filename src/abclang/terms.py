@@ -8,16 +8,87 @@ parsed from different places compare equal.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+
+
+_NO_DEFAULT = object()
+_SPAN = object()
+
+
+def _span_field():
+    """Default of a span field: None, and left out of `==`, `hash` and
+    `repr`."""
+    return _SPAN
+
+
+class Record:
+    """Base of the immutable records.  A subclass lists its fields as
+    annotations, in order, with defaults as class attributes.  For each
+    subclass one `exec` writes `__init__` (the fields as positional or
+    keyword parameters, then `__post_init__` if the class has one),
+    `__eq__` (same class and equal compared fields), `__hash__` (the
+    hash of the tuple of compared fields) and `__repr__`: the methods
+    `@dataclass(frozen=True)` writes, without the work it does per class
+    that made it most of the import time of this module.  Assigning or
+    deleting an attribute raises AttributeError."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = list(cls.__dict__.get("__annotations__", ()))
+        ns = {"_set": object.__setattr__}
+        params, compared = ["self"], []
+        for n in names:
+            default = cls.__dict__.get(n, _NO_DEFAULT)
+            if default is _SPAN:
+                default = None
+                setattr(cls, n, None)
+            else:
+                compared.append(n)
+            if default is _NO_DEFAULT:
+                params.append(n)
+            else:
+                ns["_d_" + n] = default
+                params.append(f"{n}=_d_{n}")
+        body = [f"  _set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("  self.__post_init__()")
+        mine = "".join(f"self.{n}," for n in compared)
+        theirs = "".join(f"other.{n}," for n in compared)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in compared)
+        src = (
+            f"def __init__({', '.join(params)}):\n" + ("\n".join(body) or "  pass") + "\n"
+            "def __eq__(self, other):\n"
+            "  if other.__class__ is self.__class__:\n"
+            f"    return ({mine}) == ({theirs})\n"
+            "  return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"  return hash(({mine}))\n"
+            "def __repr__(self):\n"
+            f"  return f{cls.__qualname__ + '(' + shown + ')'!r}\n"
+        )
+        exec(src, ns)
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            if name not in cls.__dict__:
+                fn = ns[name]
+                fn.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, fn)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # source spans
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     file: str
     line: int
     col: int
@@ -28,21 +99,15 @@ class Span:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------------------
 # values
 
 
-@dataclass(frozen=True)
-class VInt:
+class VInt(Record):
     v: int
 
 
-@dataclass(frozen=True)
-class VFloat:
+class VFloat(Record):
     """A double.  There is one zero: `-0.0` is stored as `0.0`, because
     the two compare and hash equal but would print and key apart."""
 
@@ -53,23 +118,19 @@ class VFloat:
             object.__setattr__(self, "v", 0.0)
 
 
-@dataclass(frozen=True)
-class VBool:
+class VBool(Record):
     v: bool
 
 
-@dataclass(frozen=True)
-class VStr:
+class VStr(Record):
     v: str
 
 
-@dataclass(frozen=True)
-class VTuple:
+class VTuple(Record):
     items: Tuple["Value", ...]
 
 
-@dataclass(frozen=True)
-class VSet:
+class VSet(Record):
     """Finite set of values; construction deduplicates structurally."""
 
     items: frozenset
@@ -79,8 +140,7 @@ class VSet:
         return VSet(frozenset(values))
 
 
-@dataclass(frozen=True)
-class VUndef:
+class VUndef(Record):
     pass
 
 
@@ -115,14 +175,12 @@ def ser_value(v: Value) -> str:
 # expressions
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     value: Value
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """Explicit bound-variable reference.
 
     The parser emits `Attr` for bare identifiers (attributes and bound
@@ -134,22 +192,19 @@ class Var:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Attr:
+class Attr(Record):
     name: str
     index: Tuple["Expr", ...] = ()
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class ThisAttr:
+class ThisAttr(Record):
     name: str
     index: Tuple["Expr", ...] = ()
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(Record):
     fn: str
     args: Tuple["Expr", ...]
     span: Optional[Span] = _span_field()
@@ -162,57 +217,49 @@ Expr = Union[Literal, Var, Attr, ThisAttr, Apply]
 # predicates
 
 
-@dataclass(frozen=True)
-class TruePred:
+class TruePred(Record):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class FalsePred:
+class FalsePred(Record):
     span: Optional[Span] = _span_field()
 
 
 COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record):
     op: str
     lhs: Expr
     rhs: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Record):
     elem: Expr
     set: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class AtomApply:
+class AtomApply(Record):
     name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     lhs: "Predicate"
     rhs: "Predicate"
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     lhs: "Predicate"
     rhs: "Predicate"
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     inner: "Predicate"
     span: Optional[Span] = _span_field()
 
@@ -224,8 +271,7 @@ Predicate = Union[TruePred, FalsePred, Compare, Member, AtomApply, And, Or, Not]
 # substitutions
 
 
-@dataclass(frozen=True)
-class Subst:
+class Subst(Record):
     """Immutable map from variable name to Value, stored sorted."""
 
     pairs: Tuple[Tuple[str, Value], ...] = ()
@@ -254,8 +300,7 @@ EMPTY_SUBST = Subst()
 # processes
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Record):
     """One attribute assignment  name[index...] := rhs."""
 
     name: str
@@ -264,56 +309,48 @@ class Update:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class UpdateSeq:
+class UpdateSeq(Record):
     updates: Tuple[Update, ...]
     then: "ProcessTerm"
 
 
-@dataclass(frozen=True)
-class Inact:
+class Inact(Record):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(Record):
     guard: Predicate
     binders: Tuple[str, ...]
     cont: UpdateSeq
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(Record):
     payload: Tuple[Expr, ...]
     target: Predicate
     cont: UpdateSeq
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Aware:
+class Aware(Record):
     guard: Predicate
     body: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Record):
     left: "ProcessTerm"
     right: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(Record):
     left: "ProcessTerm"
     right: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     """Reference to a named process definition.
 
     `closure` carries the bindings that were in scope where the call
@@ -467,8 +504,7 @@ def ser_proc(p: ProcessTerm) -> str:
 AttrKey = Tuple[str, Tuple[Value, ...]]
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Record):
     """Partial map from (attribute name, index tuple) to Value.
 
     An absent key is distinguishable from a stored UNDEF.  Entries are
@@ -520,8 +556,7 @@ def ser_env(env: Env) -> str:
 # externs
 
 
-@dataclass(frozen=True)
-class EnumDomain:
+class EnumDomain(Record):
     """Nondeterministic external choice over a finite, non-empty domain."""
 
     values: Tuple[Value, ...]
@@ -532,8 +567,7 @@ class EnumDomain:
         return EnumDomain(tuple(uniq[k] for k in sorted(uniq)))
 
 
-@dataclass(frozen=True)
-class TableFn:
+class TableFn(Record):
     """Deterministic function given by explicit argument/result rows."""
 
     rows: Tuple[Tuple[Tuple[Value, ...], Value], ...]
@@ -558,8 +592,7 @@ ExternDecl = Union[EnumDomain, TableFn]
 # components / systems
 
 
-@dataclass(frozen=True)
-class ComponentState:
+class ComponentState(Record):
     """Γ :_I P.  Received values live in the process term, substituted
     into the continuation of the input that bound them."""
 
@@ -598,8 +631,7 @@ def state_hash(s: SystemState) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class BroadcastEvent:
+class BroadcastEvent(Record):
     """One system transition: a broadcast with its delivery outcome."""
 
     sender: int
@@ -619,14 +651,12 @@ class BroadcastEvent:
 # properties
 
 
-@dataclass(frozen=True)
-class Sent:
+class Sent(Record):
     component: str  # component name or "*"
     tag: str
 
 
-@dataclass(frozen=True)
-class Received:
+class Received(Record):
     component: str
     tag: str
 
@@ -634,18 +664,15 @@ class Received:
 Event = Union[Sent, Received]
 
 
-@dataclass(frozen=True)
-class STrue:
+class STrue(Record):
     pass
 
 
-@dataclass(frozen=True)
-class SFalse:
+class SFalse(Record):
     pass
 
 
-@dataclass(frozen=True)
-class SCompare:
+class SCompare(Record):
     component: str  # name or "*"
     attr: str
     index: Tuple[Value, ...]
@@ -653,38 +680,32 @@ class SCompare:
     value: Value
 
 
-@dataclass(frozen=True)
-class SAnd:
+class SAnd(Record):
     lhs: "StateExpr"
     rhs: "StateExpr"
 
 
-@dataclass(frozen=True)
-class SOr:
+class SOr(Record):
     lhs: "StateExpr"
     rhs: "StateExpr"
 
 
-@dataclass(frozen=True)
-class SNot:
+class SNot(Record):
     inner: "StateExpr"
 
 
 StateExpr = Union[STrue, SFalse, SCompare, SAnd, SOr, SNot]
 
 
-@dataclass(frozen=True)
-class Reachable:
+class Reachable(Record):
     target: Union[Event, StateExpr]
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Record):
     expr: StateExpr
 
 
-@dataclass(frozen=True)
-class LeadsTo:
+class LeadsTo(Record):
     trigger: Event
     goals: Tuple[Event, ...]  # disjunctive
 
@@ -696,8 +717,7 @@ Property = Union[Reachable, Invariant, LeadsTo]
 # parsed specifications
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
+class ComponentDecl(Record):
     name: str
     attrs: Tuple[Tuple[AttrKey, Value], ...]
     interface: Tuple[str, ...]
@@ -705,8 +725,7 @@ class ComponentDecl:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Record):
     components: Tuple[ComponentDecl, ...]
     proc_defs: Tuple[Tuple[str, ProcessTerm], ...]
     externs: Tuple[Tuple[str, ExternDecl], ...]

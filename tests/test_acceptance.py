@@ -4,7 +4,6 @@ Each test prints a single PASS line on success (run with `pytest -s`
 to see them); a failure reads as the criterion number plus the pytest
 diagnostics.
 """
-import dataclasses
 import random
 import subprocess
 import sys
@@ -221,9 +220,9 @@ def mini_corpus(corpus_spec):
         (n, TableFn.of({(VStr("rome"),): VInt(2)}) if n == "get_hotels" else e)
         for n, e in corpus_spec.externs
     )
-    return dataclasses.replace(
-        corpus_spec,
+    return SystemSpec(
         components=tuple(c for c in corpus_spec.components if c.name in keep),
+        proc_defs=corpus_spec.proc_defs,
         externs=externs,
         properties=(),
     )

@@ -282,6 +282,28 @@ class TestAlgebraicProperties:
                 continue
             assert lhs == rhs
 
+    def test_close_with_bindings_equals_close_of_substituted(self):
+        # in_step closes a receive guard with the message bindings rather
+        # than closing the guard with the bindings substituted in
+        outcomes = set()
+        for seed in range(500):
+            rng = random.Random(seed)
+            env, subst = rand_env(rng), rand_subst(rng)
+            p = rand_pred(rng, env, subst)
+            # another environment or bindings may leave names unresolved
+            if rng.random() < 0.5:
+                env = rand_env(rng)
+            bindings = rand_subst(rng) if rng.random() < 0.5 else subst
+            results = []
+            for closing in (lambda: close(substitute(p, bindings), env), lambda: close(p, env, bindings)):
+                try:
+                    results.append(closing())
+                except EvalError:
+                    results.append(EvalError)
+            assert results[0] == results[1], (seed, p)
+            outcomes.add(results[0] is EvalError)
+        assert outcomes == {True, False}
+
     def test_satisfies_total_on_random_closed_predicates(self):
         rng = random.Random(103)
         for _ in range(200):

@@ -205,8 +205,8 @@ class TestRoundTrip:
             self.roundtrip(fixture_path(name))
 
     def test_deep_chain_prints_and_reparses(self):
-        # 3,000 prefixes; compare texts, not ASTs: `==` on a deep
-        # frozen-dataclass term recurses
+        # 3,000 prefixes; compare texts, not ASTs: `==` on a deep term
+        # recurses
         body = '<tt> (tt)(v).[x := v] ("a", v)@(tt).' * 1000 + "(K | 0)"
         spec, _ = parse_spec("component C { attrs { x = 0; } interface { } run " + body + " }")
         printed = pp_spec(spec)

@@ -162,6 +162,22 @@ class TestOutSteps:
         # the input sibling survives the output step
         assert "q" in repr(succ)
 
+    def test_occurrences_are_numbered_left_to_right(self):
+        # through +, |, awareness and a call; the fired branch's choice
+        # and awareness are dropped and its | siblings kept
+        run = Run.of({"K": parse_process_str('("d")@(tt).0 + (x = "m")(x).0 + ("e")@(tt).0')}, {})
+        left = parse_process_str('("a")@(tt).0 + <tt> ("b")@(tt).0')
+        c = ComponentState("A", Env(), frozenset(), Par(left, Par(parse_process_str('("c")@(tt).0'), Call("K"))))
+        cands = out_steps(c, run)
+        assert [(cand.message[0].v, cand.branch) for cand in cands] == [
+            ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4),
+        ]
+        assert cands[0].successor.proc == Par(Inact(), c.proc.right)
+        assert cands[2].successor.proc == Par(left, Par(Inact(), Call("K")))
+        assert cands[3].successor.proc == Par(left, Par(c.proc.right.left, Inact()))
+        got = in_step(c, Env(), TruePred(), (VStr("m"),), run)
+        assert [(i, s.proc) for i, s in got.successors] == [(0, Par(left, Par(c.proc.right.left, Inact())))]
+
 
 def hotel_bh(blist, cont="0"):
     env = {

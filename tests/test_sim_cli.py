@@ -166,6 +166,12 @@ BINDER_CHAIN = (
 )
 
 
+def operand_chain(op, n):
+    """One component whose process is a chain of `n` outputs joined by `op`."""
+    ops = f" {op} ".join(['("a")@(tt).0'] * n)
+    return "component C { attrs { } interface { } run " + ops + " }\n"
+
+
 class TestCli:
     def run_cli(self, *args):
         proc = subprocess.run(
@@ -249,6 +255,26 @@ class TestCli:
             proc = self.run_cli("explore", str(deep))
             assert proc.returncode == 0, proc.stderr
             assert summary in proc.stdout
+
+    def test_run_wide_chains_exit_0(self, tmp_path):
+        # each step of the | chain builds 1,500 successors of 1,500
+        # operands, so one step shows that the walk costs no stack
+        for spec, args, summary in (
+            (operand_chain("|", 1500), ["--max-steps", "1"], "1 step(s), termination: step-limit"),
+            (operand_chain("+", 1500), [], "1 step(s), termination: deadlock"),
+        ):
+            wide = tmp_path / "wide.abc"
+            wide.write_text(spec)
+            proc = self.run_cli("run", str(wide), *args)
+            assert proc.returncode == 0, proc.stderr
+            assert summary in proc.stdout
+
+    def test_explore_wide_choice_exit_0(self, tmp_path):
+        wide = tmp_path / "wide.abc"
+        wide.write_text(operand_chain("+", 1500))
+        proc = self.run_cli("explore", str(wide))
+        assert proc.returncode == 0, proc.stderr
+        assert "2 state(s), 1500 transition(s) (complete)" in proc.stdout
 
     def test_parse_deep_prefix_chain_exit_0(self, tmp_path):
         deep = tmp_path / "deep.abc"

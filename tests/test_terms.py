@@ -1,22 +1,35 @@
 """Structural term model: values, environments, canonical forms, hashing."""
+import dataclasses
+import inspect
 import random
+import weakref
+
+import pytest
 
 from _gen import rand_env, rand_proc, rand_subst, rand_value
 
+from abclang import terms
 from abclang.evaluator import substitute_proc
 from abclang.terms import (
+    EMPTY_SUBST,
+    And,
     Attr,
     Call,
     Choice,
     ComponentState,
     Env,
     Inact,
+    Literal,
+    Or,
     Output,
     Par,
+    Record,
+    Span,
     Subst,
     TruePred,
     UNDEF,
     UpdateSeq,
+    VFloat,
     VInt,
     VSet,
     VStr,
@@ -26,7 +39,7 @@ from abclang.terms import (
     state_key,
     subterms,
 )
-from abclang.parser import parse_process_str
+from abclang.parser import Diagnostic, parse_process_str
 
 
 def test_subterms_is_a_preorder_with_calls_as_leaves():
@@ -174,3 +187,72 @@ def test_spans_do_not_affect_equality():
     p2 = parse_process_str('  ("a")@(tt).0')
     assert p1 == p2
     assert Attr("a", ()) == Attr("a", ())
+
+
+RECORDS = [
+    c for c in vars(terms).values()
+    if isinstance(c, type) and issubclass(c, Record) and c is not Record
+] + [Diagnostic]
+
+
+def some_record(cls):
+    """An instance of `cls` whose fields hold distinct values; a span
+    field holds a span."""
+    names = list(inspect.signature(cls).parameters)
+    return cls(*(Span("f", i, 1, i, 2) if n == "span" else VInt(i) for i, n in enumerate(names))), names
+
+
+def test_spans_are_left_out_of_eq_hash_and_repr():
+    here, there = Span("a", 1, 1, 1, 2), Span("b", 7, 3, 7, 9)
+    x, y = Literal(VInt(1), here), Literal(VInt(1), there)
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == repr(y) == "Literal(value=VInt(v=1))"
+    assert x.span is here and Literal(VInt(1)).span is None
+
+
+def test_record_hash_is_the_hash_of_its_compared_fields():
+    assert len(RECORDS) == 50
+    for cls in RECORDS:
+        r, names = some_record(cls)
+        # a Diagnostic's span is an ordinary field; a term's span is not compared
+        compared = [n for n in names if n != "span" or cls is Diagnostic]
+        assert hash(r) == hash(tuple(getattr(r, n) for n in compared)), cls
+        assert r == some_record(cls)[0], cls
+
+
+def test_records_of_different_classes_differ():
+    a, b = TruePred(), Attr("x")
+    assert And(a, b) != Or(a, b)
+    assert not And(a, b) == Or(a, b)
+
+
+def test_records_are_immutable():
+    r = Attr("x")
+    with pytest.raises(AttributeError):
+        r.name = "y"
+    with pytest.raises(AttributeError):
+        del r.name
+    assert r.name == "x"
+
+
+def test_keyword_construction_and_defaults():
+    assert Attr("x") == Attr(name="x") == Attr("x", ())
+    assert Attr("x").index == () and Attr("x").span is None
+    assert Call("P").closure is EMPTY_SUBST
+    assert Call(name="P", closure=Subst.of({"v": VInt(1)})).closure.get("v") == VInt(1)
+    with pytest.raises(TypeError):
+        Attr()
+
+
+def test_float_records_have_one_zero():
+    assert repr(VFloat(-0.0).v) == "0.0"
+    assert repr(VFloat(-0.0)) == "VFloat(v=0.0)"
+
+
+def test_records_can_be_weakly_referenced():
+    r = Attr("x")
+    assert weakref.ref(r)() is r
+
+
+def test_no_term_class_is_a_dataclass():
+    assert not [c for c in vars(terms).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
