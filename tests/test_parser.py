@@ -213,6 +213,24 @@ class TestRoundTrip:
         assert "  run " + body + "\n" in printed
         assert pp_spec(parse_spec(printed)[0]) == printed
 
+    def test_property_formulas_print_exactly_and_reparse(self):
+        # the printed formula is the source text wherever the source
+        # already has the printer's layout
+        component = "component A { attrs { } interface { } run 0 }\n"
+        for formula, printed in [
+            ("invariant !(A.x = 1 || *.y[2] >= 0) && (tt || ff)", None),
+            ('reachable ff || !(tt) && *.s["k", 2] != "v"', None),
+            ("invariant (A.x = 1 && A.y < -2) && A.z <= 0.5", None),
+            ("reachable ((A.x = 1)) || !(!(ff))", "reachable A.x = 1 || !(!(ff))"),
+            ('invariant ((!(tt) || ff) || A.u = undef) || *.t = (1, "a")', None),
+        ]:
+            spec, diags = parse_spec(component + f"property p = {formula}\n")
+            assert spec is not None, [d.render(color=False) for d in diags]
+            text = pp_spec(spec)
+            assert text.endswith(f"property p = {printed or formula}\n"), text
+            again, _ = parse_spec(text)
+            assert again == spec and pp_spec(again) == text
+
     def test_empty_spec_prints_empty(self):
         spec, _ = parse_spec("")
         assert pp_spec(spec) == ""
@@ -269,6 +287,19 @@ class TestValidation:
     def test_unknown_property_component(self):
         src = 'property p = reachable sent(Ghost, "m")\n'
         assert "E-UNDEF-COMP" in self.codes(src)
+
+    def test_unknown_components_are_reported_in_formula_order(self):
+        src = (
+            "component A { attrs { } interface { } run 0 }\n"
+            "property p = invariant !(X.a = 1 || *.a[2] >= 0 && A.a = 1) && (tt || !(Y.b = 2 || Z.c = 3))\n"
+            'property q = sent(A, "m") leadsto (received(V, "m") || sent(*, "n") || received(W, "m"))\n'
+            'property r = sent(U, "m") leadsto sent(T, "m")\n'
+        )
+        assert [d.message for d in self.check(src)] == [
+            f"property {p} references unknown component {c}"
+            for p, c in [("p", "X"), ("p", "Y"), ("p", "Z"), ("q", "V"), ("q", "W"), ("r", "U"), ("r", "T")]
+        ]
+        assert {d.code for d in self.check(src)} == {"E-UNDEF-COMP"}
 
     def test_bound_variable_is_not_unbound(self):
         src = 'component C { attrs { } interface { } run (tt)(c).(("m", c)@(tt).0) }'
