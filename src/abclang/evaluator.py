@@ -38,9 +38,7 @@ from .terms import (
     TableFn,
     ThisAttr,
     TruePred,
-    UNDEF,
     Update,
-    UpdateSeq,
     VBool,
     VFloat,
     VInt,
@@ -49,7 +47,6 @@ from .terms import (
     VTuple,
     VUndef,
     Value,
-    Var,
     ser_value,
     subterms,
 )
@@ -236,19 +233,15 @@ def evaluate(
     externs: Optional[Dict] = None,
     chooser: Optional[ScriptedChooser] = None,
 ) -> Value:
-    """Local evaluation: both `a` and `this.a` read the own environment.
+    """Local evaluation: both `a` and `this.a` read the own environment,
+    and a bare, unindexed `a` bound in `subst` reads its value.
 
-    A missing attribute or unbound variable is a hard error here; the
-    lenient absent-attribute rule applies only inside `satisfies`.
+    A missing attribute is a hard error here; the lenient
+    absent-attribute rule applies only inside `satisfies`.
     """
     externs = externs or {}
     if isinstance(e, Literal):
         return e.value
-    if isinstance(e, Var):
-        v = subst.get(e.name)
-        if v is None:
-            raise EvalError(f"unbound variable {e.name}", e.span)
-        return v
     if isinstance(e, (Attr, ThisAttr)):
         if isinstance(e, Attr) and not e.index:
             v = subst.get(e.name)
@@ -286,9 +279,6 @@ def evaluate(
 def substitute_expr(e: Expr, subst: Subst) -> Expr:
     if isinstance(e, Literal):
         return e
-    if isinstance(e, Var):
-        v = subst.get(e.name)
-        return Literal(v, e.span) if v is not None else e
     if isinstance(e, Attr):
         if not e.index:
             v = subst.get(e.name)
@@ -306,12 +296,12 @@ def substitute_expr(e: Expr, subst: Subst) -> Expr:
 
 
 def substitute(p: Predicate, subst: Subst) -> Predicate:
-    """Capture-free replacement of variables by value literals.
+    """Capture-free replacement of bound names by value literals.
 
-    Unbound variables stay symbolic.  Bare unindexed attribute nodes
-    whose name is bound are treated as variable occurrences: bound
-    variables and attributes share the identifier namespace in source
-    text, and validation rejects shadowing.
+    A bare, unindexed attribute node whose name is bound is a variable
+    occurrence: bound variables and attributes share the identifier
+    namespace in source text, and validation rejects shadowing.  Other
+    names stay symbolic.
     """
     if not subst.pairs:
         return p
@@ -344,30 +334,22 @@ def _substitute_updates(ups: Tuple[Update, ...], subst: Subst) -> Tuple[Update, 
     )
 
 
-def substitute_useq(u: UpdateSeq, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None) -> UpdateSeq:
-    return UpdateSeq(_substitute_updates(u.updates, subst), substitute_proc(u.then, subst, needs))
-
-
 def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None):
     """Substitution over process terms.  Input binders shadow; a call
     captures the substitution in its closure so the definition body sees
     the bindings of its own call site when unfolded.  With `needs` (see
     `validate.call_needs`), a closure keeps only the names its definition
     reads; without, it keeps every binding in scope.  Loops along prefix
-    chains and recurses only into `|`/`+` operands, so a long prefix
-    chain costs no stack."""
-    chain = []  # (prefix, the substitution under it)
-    while subst.pairs and isinstance(p, (Input, Output, Aware)):
+    chains and the right operands of `|`/`+` chains, and recurses only
+    into left operands, so a long chain of either kind costs no stack."""
+    chain = []  # (prefix or `|`/`+` node, the substitution under it)
+    while subst.pairs and isinstance(p, (Input, Output, Aware, Choice, Par)):
         if isinstance(p, Input):
             subst = subst.without(p.binders)
         chain.append((p, subst))
-        p = p.body if isinstance(p, Aware) else p.cont.then
+        p = p.then if isinstance(p, (Input, Output)) else p.body if isinstance(p, Aware) else p.right
     if not subst.pairs or isinstance(p, Inact):
         pass
-    elif isinstance(p, Choice):
-        p = Choice(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
-    elif isinstance(p, Par):
-        p = Par(substitute_proc(p.left, subst, needs), substitute_proc(p.right, subst, needs), p.span)
     elif isinstance(p, Call):
         merged = dict(subst.pairs)
         merged.update(p.closure.pairs)  # call-site bindings already captured win
@@ -378,14 +360,15 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
     else:
         raise TypeError(f"not a process: {p!r}")
     for node, s in reversed(chain):
-        if isinstance(node, Aware):
+        if isinstance(node, (Choice, Par)):
+            p = type(node)(substitute_proc(node.left, s, needs), p, node.span)
+        elif isinstance(node, Aware):
             p = Aware(substitute(node.guard, s), p, node.span)
-            continue
-        cont = UpdateSeq(_substitute_updates(node.cont.updates, s), p)
-        if isinstance(node, Input):
-            p = Input(substitute(node.guard, s), node.binders, cont, node.span)
+        elif isinstance(node, Input):
+            p = Input(substitute(node.guard, s), node.binders, _substitute_updates(node.updates, s), p, node.span)
         else:
-            p = Output(tuple(substitute_expr(e, s) for e in node.payload), substitute(node.target, s), cont, node.span)
+            payload = tuple(substitute_expr(e, s) for e in node.payload)
+            p = Output(payload, substitute(node.target, s), _substitute_updates(node.updates, s), p, node.span)
     return p
 
 
@@ -394,17 +377,12 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
 
 
 def close_expr(e: Expr, env: Env, subst: Subst, externs=None, chooser=None, draw=False) -> Expr:
-    """Freezes `this.a` and bound variables to literals; keeps bare
+    """Freezes `this.a` and bound names to literals; keeps other bare
     attribute references symbolic (they name the judging party's state).
     With `draw`, calls of enumerated externs are drawn now, through the
     chooser, instead of being left for the judging party."""
     if isinstance(e, Literal):
         return e
-    if isinstance(e, Var):
-        v = subst.get(e.name)
-        if v is None:
-            raise EvalError(f"unbound variable {e.name} in predicate closure", e.span)
-        return Literal(v, e.span)
     if isinstance(e, ThisAttr):
         idx = tuple(evaluate(i, env, subst, externs, chooser) for i in e.index)
         v = env.lookup(e.name, idx)
@@ -466,8 +444,8 @@ def close(p: Predicate, env: Env, subst: Subst = EMPTY_SUBST, externs=None, choo
 
 
 def is_closed(p: Predicate) -> bool:
-    """True when the predicate contains no this-reference and no variable."""
-    return not any(isinstance(q, (Var, ThisAttr)) for q in subterms(p))
+    """True when the predicate contains no this-reference."""
+    return not any(isinstance(q, ThisAttr) for q in subterms(p))
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +506,13 @@ def apply_updates(
     updates: Tuple[Update, ...],
     externs=None,
     chooser=None,
+    subst: Subst = EMPTY_SUBST,
 ) -> Env:
     """Applies assignments left to right; each right-hand side and index
-    sees the effect of the previous assignments.  New keys may be
-    created."""
+    sees the effect of the previous assignments, and the names `subst`
+    binds.  New keys may be created."""
     for up in updates:
-        idx = tuple(evaluate(i, env, EMPTY_SUBST, externs, chooser) for i in up.index)
-        val = evaluate(up.rhs, env, EMPTY_SUBST, externs, chooser)
+        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in up.index)
+        val = evaluate(up.rhs, env, subst, externs, chooser)
         env = env.updated(up.name, idx, val)
     return env

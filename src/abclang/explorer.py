@@ -8,28 +8,27 @@ so the resulting LTS is the same on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .semantics import Run, system_steps
 from .terms import (
+    And,
     BroadcastEvent,
     ComponentState,
     Event,
+    FalsePred,
     Invariant,
     LeadsTo,
+    Not,
+    Or,
     Property,
     Reachable,
     Received,
-    SAnd,
-    SCompare,
-    SFalse,
-    SNot,
-    SOr,
-    STrue,
     Sent,
     StateExpr,
     SystemSpec,
     SystemState,
+    TruePred,
     state_hash,
     state_key,
 )
@@ -143,15 +142,15 @@ def event_matches(ev: Event, t: Transition, names: Sequence[str]) -> bool:
 
 
 def state_satisfies(expr: StateExpr, state: SystemState, names: Sequence[str]) -> bool:
-    if isinstance(expr, STrue):
+    if isinstance(expr, TruePred):
         return True
-    if isinstance(expr, SFalse):
+    if isinstance(expr, FalsePred):
         return False
-    if isinstance(expr, SAnd):
+    if isinstance(expr, And):
         return state_satisfies(expr.lhs, state, names) and state_satisfies(expr.rhs, state, names)
-    if isinstance(expr, SOr):
+    if isinstance(expr, Or):
         return state_satisfies(expr.lhs, state, names) or state_satisfies(expr.rhs, state, names)
-    if isinstance(expr, SNot):
+    if isinstance(expr, Not):
         return not state_satisfies(expr.inner, state, names)
     # SCompare: "*" means some component satisfies the comparison
     for i, comp in enumerate(state):

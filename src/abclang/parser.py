@@ -54,12 +54,7 @@ from .terms import (
     Reachable,
     Received,
     Record,
-    SAnd,
     SCompare,
-    SFalse,
-    SNot,
-    SOr,
-    STrue,
     Sent,
     Span,
     StateExpr,
@@ -69,7 +64,6 @@ from .terms import (
     TruePred,
     UNDEF,
     Update,
-    UpdateSeq,
     VBool,
     VFloat,
     VInt,
@@ -87,6 +81,13 @@ KEYWORDS = frozenset(
         "this", "tt", "ff", "true", "false", "undef", "in",
     ]
 )
+
+# The deepest nesting a spec may have.  The parser counts brackets,
+# braces and parentheses that nest one construct in another of its kind,
+# and prefix `-` and `!`; `validate` counts the nodes on each path down an
+# expression, predicate or formula tree.  Either ends deeper nesting in
+# E-DEPTH, so no recursive walk of a parsed spec runs out of stack.
+MAX_DEPTH = 100
 
 PUNCT = [
     ":=", "->", "!=", "<=", ">=", "&&", "||",
@@ -174,6 +175,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -202,8 +204,8 @@ class _Parser:
         want = text if text is not None else kind
         raise self.error(f"expected {want!r}, found {t.text!r}" if t.text else f"expected {want!r}, found end of input")
 
-    def span_here(self) -> Span:
-        t = self.peek()
+    def span_here(self, ahead: int = 0) -> Span:
+        t = self.peek(ahead)
         return Span(self.filename, t.line, t.col, t.line, t.col + max(len(t.text), 1))
 
     def span_from(self, start: Span) -> Span:
@@ -212,6 +214,20 @@ class _Parser:
 
     def error(self, message: str, code: str = "E-PARSE") -> ParseError:
         return ParseError(Diagnostic("error", self.span_here(), message, code))
+
+    def nested(self, rule, *args):
+        """`rule(*args)` one nesting level deeper, called just after the
+        token that opens the level: E-DEPTH at that token if the level is
+        deeper than MAX_DEPTH.  Every recursive rule goes down through here."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(Diagnostic(
+                "error", self.span_here(-1), f"nested more than {MAX_DEPTH} levels deep", "E-DEPTH"
+            ))
+        self.depth += 1
+        try:
+            return rule(*args)
+        finally:
+            self.depth -= 1
 
     def sep_by(self, item, close: Optional[str] = None, sep: str = ",") -> list:
         """`item (sep item)*`; nothing at all when the next token is `close`."""
@@ -229,7 +245,7 @@ class _Parser:
         """An optional `[item, ...]` index."""
         if not self.accept("punct", "["):
             return ()
-        idx = tuple(self.sep_by(item))
+        idx = tuple(self.nested(self.sep_by, item))
         self.expect("punct", "]")
         return idx
 
@@ -245,7 +261,7 @@ class _Parser:
             return VFloat(float(t.text))
         if t.kind == "punct" and t.text == "-":
             self.next()
-            inner = self.parse_value()
+            inner = self.nested(self.parse_value)
             if isinstance(inner, VInt):
                 return VInt(-inner.v)
             if isinstance(inner, VFloat):
@@ -262,14 +278,14 @@ class _Parser:
             return UNDEF
         if t.kind == "punct" and t.text == "{":
             self.next()
-            items = self.sep_by(self.parse_value, "}")
+            items = self.nested(self.sep_by, self.parse_value, "}")
             self.expect("punct", "}")
             return VSet.of(items)
         if t.kind == "punct" and t.text == "(":
             self.next()
-            first = self.parse_value()
+            first = self.nested(self.parse_value)
             self.expect("punct", ",")
-            items = (first, *self.sep_by(self.parse_value))
+            items = (first, *self.nested(self.sep_by, self.parse_value))
             self.expect("punct", ")")
             return VTuple(items)
         raise self.error(f"expected a value, found {t.text!r}")
@@ -301,7 +317,7 @@ class _Parser:
         if self.at("punct", "-"):
             start = self.span_here()
             self.next()
-            inner = self._expr_unary()
+            inner = self.nested(self._expr_unary)
             if isinstance(inner, Literal) and isinstance(inner.value, (VInt, VFloat)):
                 neg = VInt(-inner.value.v) if isinstance(inner.value, VInt) else VFloat(-inner.value.v)
                 return Literal(neg, self.span_from(start))
@@ -325,17 +341,17 @@ class _Parser:
             name = self.next().text
             if self.at("punct", "("):
                 self.next()
-                args = tuple(self.sep_by(self.parse_expr, ")"))
+                args = tuple(self.nested(self.sep_by, self.parse_expr, ")"))
                 self.expect("punct", ")")
                 return Apply(name, args, self.span_from(start))
             index = self.index(self.parse_expr)
             return Attr(name, index, self.span_from(start))
         if t.kind == "punct" and t.text == "(":
             self.next()
-            first = self.parse_expr()
+            first = self.nested(self.parse_expr)
             if self.accept("punct", ","):
                 # tuple literal / construction
-                items = (first, *self.sep_by(self.parse_expr))
+                items = (first, *self.nested(self.sep_by, self.parse_expr))
                 self.expect("punct", ")")
                 if all(isinstance(e, Literal) for e in items):
                     return Literal(VTuple(tuple(e.value for e in items)), self.span_from(start))
@@ -347,37 +363,39 @@ class _Parser:
     # -- predicates ----------------------------------------------------------
 
     def parse_pred(self) -> Predicate:
-        return self._pred_or()
+        return self._pred_or(self._pred_atom)
 
-    def _pred_or(self) -> Predicate:
+    # A state expression has the connectives of a predicate over other
+    # atoms: `_pred_or`, `_pred_and` and `_pred_unary` take the atom rule.
+
+    def _pred_or(self, atom) -> Predicate:
         start = self.span_here()
-        p = self._pred_and()
+        p = self._pred_and(atom)
         while self.accept("punct", "||"):
-            rhs = self._pred_and()
+            rhs = self._pred_and(atom)
             p = Or(p, rhs, self.span_from(start))
         return p
 
-    def _pred_and(self) -> Predicate:
+    def _pred_and(self, atom) -> Predicate:
         start = self.span_here()
-        p = self._pred_unary()
+        p = self._pred_unary(atom)
         while self.accept("punct", "&&"):
-            rhs = self._pred_unary()
+            rhs = self._pred_unary(atom)
             p = And(p, rhs, self.span_from(start))
         return p
 
-    def _pred_unary(self) -> Predicate:
+    def _pred_unary(self, atom) -> Predicate:
         start = self.span_here()
         if self.accept("punct", "!"):
-            inner = self._pred_unary()
+            inner = self.nested(self._pred_unary, atom)
             return Not(inner, self.span_from(start))
-        return self._pred_atom()
-
-    def _pred_atom(self) -> Predicate:
-        start = self.span_here()
         if self.accept("kw", "tt"):
             return TruePred(self.span_from(start))
         if self.accept("kw", "ff"):
             return FalsePred(self.span_from(start))
+        return atom()
+
+    def _pred_atom(self) -> Predicate:
         if self.at("punct", "("):
             # Either a parenthesised predicate or a parenthesised
             # expression opening a comparison: try the predicate reading
@@ -386,7 +404,7 @@ class _Parser:
             pred_result = pred_end = None
             try:
                 self.next()
-                p = self._pred_or()
+                p = self.nested(self._pred_or, self._pred_atom)
                 self.expect("punct", ")")
                 nxt = self.peek()
                 if not (
@@ -437,7 +455,9 @@ class _Parser:
     def _chain(self, op: str, node, operand) -> ProcessTerm:
         """`operand (op operand)*`, nested to the right.  Every link ends
         at the chain's last token, so all spans are taken at the end."""
-        parts = self.sep_by(lambda: (self.span_here(), operand()), sep=op)
+        parts = [(self.span_here(), operand())]
+        while self.accept("punct", op):
+            parts.append((self.span_here(), operand()))
         term = parts.pop()[1]
         for start, left in reversed(parts):
             term = node(left, term, self.span_from(start))
@@ -448,18 +468,18 @@ class _Parser:
         call or a parenthesised process.  '.' binds tightest: a
         continuation is again such a chain; parenthesise to continue with
         a parallel or a choice."""
-        links = []  # (start, node, fields before the body, updates or None)
+        links = []  # (start, node, fields before the body)
         while True:
             start = self.span_here()
             after = self._after_matching_paren() if self.at("punct", "(") else None
             if self.accept("punct", "<"):
                 guard = self.parse_pred()
                 self.expect("punct", ">")
-                links.append((start, Aware, (guard,), None))
+                links.append((start, Aware, (guard,)))
             elif after == "@":
-                links.append((start, Output, *self._output_head()))
+                links.append((start, Output, self._output_head()))
             elif after == "(":
-                links.append((start, Input, *self._input_head()))
+                links.append((start, Input, self._input_head()))
             else:
                 break
         t = self.peek()
@@ -469,13 +489,12 @@ class _Parser:
         elif t.kind == "ident":
             term = Call(self.next().text, span=self.span_from(start))
         elif self.accept("punct", "("):
-            term = self.parse_process()
+            term = self.nested(self.parse_process)
             self.expect("punct", ")")
         else:
             raise self.error(f"expected a process, found {t.text!r}")
-        for start, node, fields, updates in reversed(links):
-            body = term if updates is None else UpdateSeq(updates, term)
-            term = node(*fields, body, self.span_from(start))
+        for start, node, fields in reversed(links):
+            term = node(*fields, term, self.span_from(start))
         return term
 
     def _after_matching_paren(self) -> str:
@@ -507,7 +526,7 @@ class _Parser:
         target = self.parse_pred()
         self.expect("punct", ")")
         self.expect("punct", ".")
-        return (payload, target), self._updates()
+        return payload, target, self._updates()
 
     def _input_head(self):
         self.expect("punct", "(")
@@ -517,7 +536,7 @@ class _Parser:
         binders = tuple(self.sep_by(self.ident, ")"))
         self.expect("punct", ")")
         self.expect("punct", ".")
-        return (guard, binders), self._updates()
+        return guard, binders, self._updates()
 
     def _updates(self) -> Tuple[Update, ...]:
         updates: List[Update] = []
@@ -554,32 +573,13 @@ class _Parser:
             self.expect("punct", ")")
         return goals
 
-    def _parse_state_expr(self) -> StateExpr:
-        return self._sexpr_or()
-
-    def _sexpr_or(self) -> StateExpr:
-        e = self._sexpr_and()
-        while self.accept("punct", "||"):
-            e = SOr(e, self._sexpr_and())
-        return e
-
-    def _sexpr_and(self) -> StateExpr:
-        e = self._sexpr_unary()
-        while self.accept("punct", "&&"):
-            e = SAnd(e, self._sexpr_unary())
-        return e
-
-    def _sexpr_unary(self) -> StateExpr:
-        if self.accept("punct", "!"):
-            return SNot(self._sexpr_unary())
-        if self.accept("kw", "tt"):
-            return STrue()
-        if self.accept("kw", "ff"):
-            return SFalse()
+    def _state_atom(self) -> StateExpr:
+        """A parenthesised state expression or `C.a[i] op v`."""
         if self.accept("punct", "("):
-            e = self._sexpr_or()
+            e = self.nested(self._pred_or, self._state_atom)
             self.expect("punct", ")")
             return e
+        start = self.span_here()
         comp = "*" if self.accept("punct", "*") else self.ident()
         self.expect("punct", ".")
         attr = self.ident()
@@ -589,16 +589,16 @@ class _Parser:
             raise self.error("expected a comparison operator")
         op = self.next().text
         value = self.parse_value()
-        return SCompare(comp, attr, index, op, value)
+        return SCompare(comp, attr, index, op, value, self.span_from(start))
 
     def _parse_property(self) -> Property:
         if self.accept("kw", "reachable"):
             t = self.peek()
             if t.kind == "kw" and t.text in ("sent", "received"):
                 return Reachable(self._parse_event())
-            return Reachable(self._parse_state_expr())
+            return Reachable(self._pred_or(self._state_atom))
         if self.accept("kw", "invariant"):
-            return Invariant(self._parse_state_expr())
+            return Invariant(self._pred_or(self._state_atom))
         trigger = self._parse_event()
         self.expect("kw", "leadsto")
         goals = self._parse_goal_events()

@@ -17,7 +17,6 @@ from .terms import (
     Call,
     Choice,
     Compare,
-    ComponentDecl,
     EnumDomain,
     FalsePred,
     Inact,
@@ -32,18 +31,12 @@ from .terms import (
     Par,
     Reachable,
     Received,
-    SAnd,
     SCompare,
-    SFalse,
-    SNot,
-    SOr,
-    STrue,
     Sent,
     SystemSpec,
     TableFn,
     ThisAttr,
     TruePred,
-    UNDEF,
     VBool,
     VFloat,
     VInt,
@@ -92,8 +85,7 @@ def pp_expr(e, level: int = 0) -> str:
         if e.fn == "neg" and len(e.args) == 1:
             return "-" + pp_expr(e.args[0], 2)
         return e.fn + "(" + ", ".join(pp_expr(a, 0) for a in e.args) + ")"
-    # Var nodes only arise in programmatic ASTs; print bare.
-    return e.name
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def _pp_index(index) -> str:
@@ -102,7 +94,12 @@ def _pp_index(index) -> str:
     return "[" + ", ".join(pp_expr(i, 0) for i in index) + "]"
 
 
-# predicate precedence: 0 or, 1 and, 2 atom
+def _pp_values(index) -> str:
+    """A value index, as in attribute declarations and state expressions."""
+    return "[" + ", ".join(map(pp_value, index)) + "]" if index else ""
+
+
+# predicate and state expression precedence: 0 or, 1 and, 2 atom
 def pp_pred(p, level: int = 0) -> str:
     if isinstance(p, TruePred):
         return "tt"
@@ -122,43 +119,47 @@ def pp_pred(p, level: int = 0) -> str:
         return f"{pp_expr(p.elem, 1)} in {pp_expr(p.set, 1)}"
     if isinstance(p, AtomApply):
         return p.name + "(" + ", ".join(pp_expr(a, 0) for a in p.args) + ")"
+    if isinstance(p, SCompare):
+        return f"{p.component}.{p.attr}{_pp_values(p.index)} {p.op} {pp_value(p.value)}"
     raise TypeError(f"not a predicate: {p!r}")
 
 
 # process precedence: 0 par, 1 choice, 2 prefixed
 def pp_proc(p, level: int = 0) -> str:
-    """Loops along prefix chains, so a long prefix chain costs no stack."""
-    parts = []
-    while isinstance(p, (Aware, Output, Input)):
+    """Loops along prefix chains and the right operands of `|`/`+`
+    chains, so a long chain of either kind costs no stack."""
+    parts, closing = [], 0
+    while True:
         if isinstance(p, Aware):
             parts.append(f"<{pp_pred(p.guard)}> ")
-            p = p.body
-        else:
+            p, level = p.body, 2
+        elif isinstance(p, (Output, Input)):
             if isinstance(p, Output):
                 payload = ", ".join(pp_expr(e, 0) for e in p.payload)
                 parts.append(f"({payload})@({pp_pred(p.target)}).")
             else:
                 parts.append(f"({pp_pred(p.guard)})({', '.join(p.binders)}).")
-            if p.cont.updates:
-                ups = ", ".join(
-                    f"{u.name}{_pp_index(u.index)} := {pp_expr(u.rhs, 0)}" for u in p.cont.updates
-                )
+            if p.updates:
+                ups = ", ".join(f"{u.name}{_pp_index(u.index)} := {pp_expr(u.rhs, 0)}" for u in p.updates)
                 parts.append(f"[{ups}] ")
-            p = p.cont.then
-        level = 2
+            p, level = p.then, 2
+        elif isinstance(p, (Par, Choice)):
+            # the left operand binds tighter; the right one continues the chain
+            op, own = (" | ", 0) if isinstance(p, Par) else (" + ", 1)
+            if level > own:
+                parts.append("(")
+                closing += 1
+            parts.append(pp_proc(p.left, own + 1) + op)
+            p, level = p.right, own
+        else:
+            break
     if isinstance(p, Inact):
         parts.append("0")
     elif isinstance(p, Call):
         parts.append(p.name)
-    elif isinstance(p, Par):
-        s = f"{pp_proc(p.left, 1)} | {pp_proc(p.right, 0)}"
-        parts.append(f"({s})" if level > 0 else s)
-    elif isinstance(p, Choice):
-        s = f"{pp_proc(p.left, 2)} + {pp_proc(p.right, 1)}"
-        parts.append(f"({s})" if level > 1 else s)
     else:
         raise TypeError(f"not a process: {p!r}")
-    return "".join(parts)
+    return "".join(parts) + ")" * closing
 
 
 def pp_event(e) -> str:
@@ -166,33 +167,13 @@ def pp_event(e) -> str:
     return f'{kw}({e.component}, {json.dumps(e.tag)})'
 
 
-# state expression precedence: 0 or, 1 and, 2 atom
-def pp_state_expr(e, level: int = 0) -> str:
-    if isinstance(e, STrue):
-        return "tt"
-    if isinstance(e, SFalse):
-        return "ff"
-    if isinstance(e, SOr):
-        s = f"{pp_state_expr(e.lhs, 1)} || {pp_state_expr(e.rhs, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(e, SAnd):
-        s = f"{pp_state_expr(e.lhs, 2)} && {pp_state_expr(e.rhs, 1)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(e, SNot):
-        return "!(" + pp_state_expr(e.inner, 0) + ")"
-    if isinstance(e, SCompare):
-        idx = "[" + ", ".join(pp_value(v) for v in e.index) + "]" if e.index else ""
-        return f"{e.component}.{e.attr}{idx} {e.op} {pp_value(e.value)}"
-    raise TypeError(f"not a state expression: {e!r}")
-
-
 def pp_property(p) -> str:
     if isinstance(p, Reachable):
         if isinstance(p.target, (Sent, Received)):
             return "reachable " + pp_event(p.target)
-        return "reachable " + pp_state_expr(p.target)
+        return "reachable " + pp_pred(p.target)
     if isinstance(p, Invariant):
-        return "invariant " + pp_state_expr(p.expr)
+        return "invariant " + pp_pred(p.expr)
     if isinstance(p, LeadsTo):
         goals = " || ".join(pp_event(g) for g in p.goals)
         if len(p.goals) > 1:
@@ -224,8 +205,7 @@ def pp_spec(spec: SystemSpec) -> str:
         lines.append(f"component {comp.name} {{")
         lines.append("  attrs {")
         for (aname, index), value in comp.attrs:
-            idx = "[" + ", ".join(pp_value(v) for v in index) + "]" if index else ""
-            lines.append(f"    {aname}{idx} = {pp_value(value)};")
+            lines.append(f"    {aname}{_pp_values(index)} = {pp_value(value)};")
         lines.append("  }")
         lines.append("  interface { " + ", ".join(comp.interface) + " }")
         lines.append(f"  run {pp_proc(comp.proc)}")

@@ -25,7 +25,6 @@ from .evaluator import (
     restrict,
     satisfies,
     substitute_proc,
-    substitute_useq,
 )
 from .terms import (
     Aware,
@@ -178,8 +177,8 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
                 return None
             msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
             pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
-            new_env = apply_updates(c.env, node.cont.updates, externs=externs, chooser=ch)
-            succ = ComponentState(c.name, new_env, c.interface, _rebuild(ctx, node.cont.then))
+            new_env = apply_updates(c.env, node.updates, externs=externs, chooser=ch)
+            succ = ComponentState(c.name, new_env, c.interface, _rebuild(ctx, node.then))
             return OutCandidate(msg, pred, exposed, succ, ordinal)
 
         for cand in all_runs(fire):
@@ -225,9 +224,9 @@ def in_step(
                     return None
             except EvalError:
                 return None
-            cont = substitute_useq(node.cont, bindings, run.needs)
-            new_env = apply_updates(c.env, cont.updates, externs=externs, chooser=ch)
-            return ComponentState(c.name, new_env, c.interface, _rebuild(ctx, cont.then))
+            new_env = apply_updates(c.env, node.updates, externs, ch, bindings)
+            then = substitute_proc(node.then, bindings, run.needs)
+            return ComponentState(c.name, new_env, c.interface, _rebuild(ctx, then))
 
         for succ in all_runs(consume):
             if succ is not None:

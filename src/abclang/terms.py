@@ -180,19 +180,10 @@ class Literal(Record):
     span: Optional[Span] = _span_field()
 
 
-class Var(Record):
-    """Explicit bound-variable reference.
-
-    The parser emits `Attr` for bare identifiers (attributes and bound
-    variables share one namespace in source text); `Var` exists for
-    programmatic construction and for substitution results.
-    """
-
-    name: str
-    span: Optional[Span] = _span_field()
-
-
 class Attr(Record):
+    """An attribute reference; unindexed, it may also name a bound
+    variable (the two share one namespace in source text)."""
+
     name: str
     index: Tuple["Expr", ...] = ()
     span: Optional[Span] = _span_field()
@@ -210,7 +201,7 @@ class Apply(Record):
     span: Optional[Span] = _span_field()
 
 
-Expr = Union[Literal, Var, Attr, ThisAttr, Apply]
+Expr = Union[Literal, Attr, ThisAttr, Apply]
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +300,27 @@ class Update(Record):
     span: Optional[Span] = _span_field()
 
 
-class UpdateSeq(Record):
-    updates: Tuple[Update, ...]
-    then: "ProcessTerm"
-
-
 class Inact(Record):
     span: Optional[Span] = _span_field()
 
 
 class Input(Record):
+    """(guard)(binders).[updates] then"""
+
     guard: Predicate
     binders: Tuple[str, ...]
-    cont: UpdateSeq
+    updates: Tuple[Update, ...]
+    then: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
 
 class Output(Record):
+    """(payload)@(target).[updates] then"""
+
     payload: Tuple[Expr, ...]
     target: Predicate
-    cont: UpdateSeq
+    updates: Tuple[Update, ...]
+    then: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
 
@@ -380,9 +372,8 @@ _CHILDREN = {
     Or: lambda p: (p.lhs, p.rhs),
     Not: lambda p: (p.inner,),
     Update: lambda u: (*u.index, u.rhs),
-    UpdateSeq: lambda u: (*u.updates, u.then),
-    Input: lambda p: (p.guard, p.cont),
-    Output: lambda p: (*p.payload, p.target, p.cont),
+    Input: lambda p: (p.guard, *p.updates, p.then),
+    Output: lambda p: (*p.payload, p.target, *p.updates, p.then),
     Aware: lambda p: (p.guard, p.body),
     Choice: lambda p: (p.left, p.right),
     Par: lambda p: (p.left, p.right),
@@ -390,9 +381,10 @@ _CHILDREN = {
 
 
 def subterms(node):
-    """Every expression, predicate, update and process term inside `node`,
-    `node` first, in preorder (left to right).  A call is a leaf: its
-    closure holds values, not terms.  Iterative, so depth costs no stack."""
+    """Every expression, predicate, update, process term and property
+    part inside `node`, `node` first, in preorder (left to right).  A
+    call is a leaf: its closure holds values, not terms.  Iterative, so
+    depth costs no stack."""
     stack = [node]
     while stack:
         node = stack.pop()
@@ -409,8 +401,6 @@ def subterms(node):
 def ser_expr(e: Expr) -> str:
     if isinstance(e, Literal):
         return "L" + ser_value(e.value)
-    if isinstance(e, Var):
-        return "V" + e.name
     if isinstance(e, Attr):
         return "A" + e.name + "[" + ",".join(ser_expr(i) for i in e.index) + "]"
     if isinstance(e, ThisAttr):
@@ -472,10 +462,10 @@ def ser_proc(p: ProcessTerm) -> str:
             else:
                 head = f"out({','.join(map(ser_expr, p.payload))})@({ser_pred(p.target)})"
             ups = ";".join(
-                f"{u.name}[{','.join(map(ser_expr, u.index))}]:={ser_expr(u.rhs)}" for u in p.cont.updates
+                f"{u.name}[{','.join(map(ser_expr, u.index))}]:={ser_expr(u.rhs)}" for u in p.updates
             )
             out.append(f"{head}.[{ups}]")
-            p = p.cont.then
+            p = p.then
         elif isinstance(p, Aware):
             out.append("<" + ser_pred(p.guard) + ">")
             p = p.body
@@ -664,37 +654,19 @@ class Received(Record):
 Event = Union[Sent, Received]
 
 
-class STrue(Record):
-    pass
-
-
-class SFalse(Record):
-    pass
-
-
 class SCompare(Record):
+    """The atom `component.attr[index] op value` of a state expression."""
+
     component: str  # name or "*"
     attr: str
     index: Tuple[Value, ...]
     op: str
     value: Value
+    span: Optional[Span] = _span_field()
 
 
-class SAnd(Record):
-    lhs: "StateExpr"
-    rhs: "StateExpr"
-
-
-class SOr(Record):
-    lhs: "StateExpr"
-    rhs: "StateExpr"
-
-
-class SNot(Record):
-    inner: "StateExpr"
-
-
-StateExpr = Union[STrue, SFalse, SCompare, SAnd, SOr, SNot]
+# A state expression is a predicate over SCompare atoms.
+StateExpr = Union[TruePred, FalsePred, SCompare, And, Or, Not]
 
 
 class Reachable(Record):
@@ -711,6 +683,31 @@ class LeadsTo(Record):
 
 
 Property = Union[Reachable, Invariant, LeadsTo]
+
+
+_CHILDREN.update({
+    Reachable: lambda p: (p.target,),
+    Invariant: lambda p: (p.expr,),
+    LeadsTo: lambda p: (p.trigger, *p.goals),
+})
+
+# the terms that are no level of an expression, predicate or formula tree
+_FLAT = (Inact, Input, Output, Aware, Choice, Par, Call, Update, Reachable, Invariant, LeadsTo)
+
+
+def nesting(node):
+    """(term, depth) for each term that `subterms(node)` yields, in its
+    order.  Process terms, updates and properties are at depth 0; any
+    other term is one level below its parent, so the root of an
+    expression, predicate or formula tree is at depth 1."""
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth = 0 if isinstance(node, _FLAT) else depth + 1
+        yield node, depth
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend((c, depth) for c in reversed(children(node)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .evaluator import BUILTIN_NAMES, EvalError
-from .parser import Diagnostic
+from .parser import MAX_DEPTH, Diagnostic
 from .terms import (
     Apply,
     Attr,
@@ -21,20 +21,14 @@ from .terms import (
     Choice,
     EnumDomain,
     Input,
-    Invariant,
-    LeadsTo,
     Output,
     Par,
-    Reachable,
     Received,
-    SAnd,
     SCompare,
-    SNot,
-    SOr,
     Sent,
     SystemSpec,
     Update,
-    Var,
+    nesting,
     subterms,
 )
 
@@ -43,7 +37,7 @@ def _names(*terms) -> Set[str]:
     """Bare, unindexed identifier references in `terms` (variable or
     attribute; they cannot be told apart syntactically)."""
     return {q.name for t in terms for q in subterms(t)
-            if isinstance(q, Var) or isinstance(q, Attr) and not q.index}
+            if isinstance(q, Attr) and not q.index}
 
 
 def _free_names(proc, def_free: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
@@ -59,10 +53,10 @@ def _free_names(proc, def_free: Dict[str, FrozenSet[str]], bound=frozenset()) ->
     free: Set[str] = set()
     while True:
         if isinstance(proc, Output):
-            free |= _names(*proc.payload, *proc.cont.updates) - bound
+            free |= _names(*proc.payload, *proc.updates) - bound
         elif isinstance(proc, Input):
             bound = bound.union(proc.binders)
-            free |= _names(*proc.cont.updates) - bound
+            free |= _names(*proc.updates) - bound
         elif isinstance(proc, Aware):
             proc = proc.body
             continue
@@ -75,7 +69,7 @@ def _free_names(proc, def_free: Dict[str, FrozenSet[str]], bound=frozenset()) ->
             return frozenset(free)
         else:
             return frozenset(free)
-        proc = proc.cont.then
+        proc = proc.then
 
 
 def _read_names(proc, needs: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
@@ -91,10 +85,10 @@ def _read_names(proc, needs: Dict[str, FrozenSet[str]], bound=frozenset()) -> Fr
     read: Set[str] = set()
     while True:
         if isinstance(proc, Output):
-            read |= _names(*proc.payload, proc.target, *proc.cont.updates) - bound
+            read |= _names(*proc.payload, proc.target, *proc.updates) - bound
         elif isinstance(proc, Input):
             bound = bound.union(proc.binders)
-            read |= _names(proc.guard, *proc.cont.updates) - bound
+            read |= _names(proc.guard, *proc.updates) - bound
         elif isinstance(proc, Aware):
             read |= _names(proc.guard) - bound
             proc = proc.body
@@ -111,7 +105,7 @@ def _read_names(proc, needs: Dict[str, FrozenSet[str]], bound=frozenset()) -> Fr
             return frozenset(read)
         else:
             return frozenset(read)
-        proc = proc.cont.then
+        proc = proc.then
 
 
 def _fixpoint(defs, names_of) -> Dict[str, FrozenSet[str]]:
@@ -158,17 +152,20 @@ def _reachable(names, def_calls: Dict[str, Set[str]]) -> Set[str]:
     return seen
 
 
-def _unguarded_calls(proc, out: List[Call]) -> List[Call]:
-    """Calls not under an input or output prefix; choice, parallel
-    composition and awareness are transparent."""
-    if isinstance(proc, Call):
-        out.append(proc)
-    elif isinstance(proc, (Choice, Par)):
-        _unguarded_calls(proc.left, out)
-        _unguarded_calls(proc.right, out)
-    elif isinstance(proc, Aware):
-        _unguarded_calls(proc.body, out)
-    return out
+def _unguarded_calls(proc) -> List[Call]:
+    """Calls not under an input or output prefix, left to right; choice,
+    parallel composition and awareness are transparent.  Walks with an
+    explicit stack, so a long `|` or `+` chain costs no depth."""
+    calls, stack = [], [proc]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Call):
+            calls.append(p)
+        elif isinstance(p, (Choice, Par)):
+            stack += (p.right, p.left)
+        elif isinstance(p, Aware):
+            stack.append(p.body)
+    return calls
 
 
 def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
@@ -176,7 +173,7 @@ def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
     (names along the cycle, first call), each cycle reported once from
     its first definition.  Unfolding such a cycle never reaches an
     action, so the step relation would not terminate."""
-    edges = {name: [c for c in _unguarded_calls(body, []) if c.name in defs]
+    edges = {name: [c for c in _unguarded_calls(body) if c.name in defs]
              for name, body in defs.items()}
     reported: Set[str] = set()
     cycles = []
@@ -215,6 +212,17 @@ def require_guarded(defs) -> None:
     it because a spec need not have been validated."""
     for path, call in _unguarded_cycles(defs):
         raise EvalError(_unguarded_message(path), call.span)
+
+
+def _too_deep(root, diags: List[Diagnostic]) -> None:
+    """E-DEPTH at the first term of `root` (a process or a property) that
+    lies more than MAX_DEPTH levels down an expression, predicate or
+    formula tree: the evaluator, the printer and the canonical text
+    recurse once or twice per level."""
+    for q, depth in nesting(root):
+        if depth > MAX_DEPTH:
+            diags.append(Diagnostic("error", q.span, f"nested more than {MAX_DEPTH} levels deep", "E-DEPTH"))
+            return
 
 
 # Each takes the subterms of a process, listed once by `validate`.
@@ -257,6 +265,8 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
 
     # call targets and extern/builtin references
     roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]
+    for root in roots:
+        _too_deep(root, diags)
     walked = [list(subterms(root)) for root in roots]
     for terms in walked:
         for call in terms:
@@ -327,49 +337,21 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                 )
             )
 
-    # property references
-    def check_event(ev, prop_name):
-        if ev.component != "*" and ev.component not in comp_names:
-            diags.append(
-                Diagnostic(
-                    "error", None,
-                    f"property {prop_name} references unknown component {ev.component}",
-                    "E-UNDEF-COMP",
-                )
-            )
-
-    def check_sexpr(e, prop_name):
-        if isinstance(e, SCompare):
-            if e.component != "*" and e.component not in comp_names:
-                diags.append(
-                    Diagnostic(
-                        "error", None,
-                        f"property {prop_name} references unknown component {e.component}",
-                        "E-UNDEF-COMP",
-                    )
-                )
-        elif isinstance(e, (SAnd, SOr)):
-            check_sexpr(e.lhs, prop_name)
-            check_sexpr(e.rhs, prop_name)
-        elif isinstance(e, SNot):
-            check_sexpr(e.inner, prop_name)
-
     seen_props = set()
     for name, prop in spec.properties:
         if name in seen_props:
             diags.append(Diagnostic("error", None, f"duplicate property {name}", "E-DUP-PROP"))
         seen_props.add(name)
-        if isinstance(prop, Reachable):
-            if isinstance(prop.target, (Sent, Received)):
-                check_event(prop.target, name)
-            else:
-                check_sexpr(prop.target, name)
-        elif isinstance(prop, Invariant):
-            check_sexpr(prop.expr, name)
-        elif isinstance(prop, LeadsTo):
-            check_event(prop.trigger, name)
-            for g in prop.goals:
-                check_event(g, name)
+        for q in subterms(prop):
+            if isinstance(q, (Sent, Received, SCompare)) and q.component not in comp_names and q.component != "*":
+                diags.append(
+                    Diagnostic(
+                        "error", None,
+                        f"property {name} references unknown component {q.component}",
+                        "E-UNDEF-COMP",
+                    )
+                )
+        _too_deep(prop, diags)
     return diags
 
 

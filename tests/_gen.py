@@ -29,7 +29,6 @@ from abclang.terms import (
     Input,
     Output,
     Update,
-    UpdateSeq,
     Subst,
     ThisAttr,
     TruePred,
@@ -40,7 +39,6 @@ from abclang.terms import (
     VStr,
     VTuple,
     UNDEF,
-    Var,
 )
 
 ATTR_NAMES = ["id", "typ", "loc", "price", "room", "cnt", "flag"]
@@ -102,7 +100,7 @@ def rand_expr(rng: random.Random, env: Env, subst: Subst, depth: int = 2):
     if k == "this":
         return ThisAttr(rng.choice(attrs)[0], ())
     if k == "var":
-        return Var(rng.choice(subst.pairs)[0])
+        return Attr(rng.choice(subst.pairs)[0], ())
     op = "+" if k == "plus" else "*"
     return Apply(op, (rand_expr(rng, env, subst, depth - 1), rand_expr(rng, env, subst, depth - 1)))
 
@@ -127,12 +125,13 @@ def rand_pred(rng: random.Random, env: Env, subst: Subst, depth: int = 2):
     return node(rand_pred(rng, env, subst, depth - 1), rand_pred(rng, env, subst, depth - 1))
 
 
-def rand_useq(rng: random.Random, env: Env, subst: Subst, depth: int):
+def rand_updates_then(rng: random.Random, env: Env, subst: Subst, depth: int):
+    """The updates and the continuation of a prefix."""
     ups = tuple(
         Update(rng.choice(ATTR_NAMES), (), rand_expr(rng, env, subst, 1))
         for _ in range(rng.randrange(2))
     )
-    return UpdateSeq(ups, rand_proc(rng, env, subst, depth - 1))
+    return ups, rand_proc(rng, env, subst, depth - 1)
 
 
 def rand_proc(rng: random.Random, env: Env, subst: Subst, depth: int = 3):
@@ -152,9 +151,9 @@ def rand_proc(rng: random.Random, env: Env, subst: Subst, depth: int = 3):
     if k == 5:
         n = rng.randrange(1, 4)
         binders = tuple(rng.sample(VAR_NAMES, n))
-        return Input(rand_pred(rng, env, subst, 1), binders, rand_useq(rng, env, subst, depth))
+        return Input(rand_pred(rng, env, subst, 1), binders, *rand_updates_then(rng, env, subst, depth))
     payload = tuple(rand_expr(rng, env, subst, 1) for _ in range(rng.randrange(3)))
-    return Output(payload, rand_pred(rng, env, subst, 1), rand_useq(rng, env, subst, depth))
+    return Output(payload, rand_pred(rng, env, subst, 1), *rand_updates_then(rng, env, subst, depth))
 
 
 def reshuffle(rng: random.Random, p):
@@ -183,9 +182,9 @@ def reshuffle(rng: random.Random, p):
             parts[i:i + 2] = [unit(kind(parts[i], parts[i + 1]))]
         return parts[0]
     if isinstance(p, Input):
-        p = Input(p.guard, p.binders, UpdateSeq(p.cont.updates, reshuffle(rng, p.cont.then)))
+        p = Input(p.guard, p.binders, p.updates, reshuffle(rng, p.then))
     elif isinstance(p, Output):
-        p = Output(p.payload, p.target, UpdateSeq(p.cont.updates, reshuffle(rng, p.cont.then)))
+        p = Output(p.payload, p.target, p.updates, reshuffle(rng, p.then))
     elif isinstance(p, Aware):
         p = Aware(p.guard, reshuffle(rng, p.body))
     return unit(p)

@@ -39,7 +39,6 @@ from abclang.terms import (
     Reachable,
     Received,
     SCompare,
-    STrue,
     Sent,
     Subst,
     SystemSpec,

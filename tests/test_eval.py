@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _gen import rand_env, rand_pred, rand_subst
+from _gen import rand_env, rand_expr, rand_pred, rand_subst
 
 from abclang.evaluator import (
     EvalError,
@@ -17,6 +17,7 @@ from abclang.evaluator import (
     restrict,
     satisfies,
     substitute,
+    substitute_expr,
 )
 from abclang.parser import parse_expr_str, parse_pred_str
 from abclang.simulator import json_to_value
@@ -39,7 +40,6 @@ from abclang.terms import (
     VSet,
     VStr,
     VTuple,
-    Var,
     ser_value,
 )
 
@@ -54,7 +54,7 @@ class TestEvaluate:
 
     def test_commission_arithmetic(self):
         # p * 0.10 over p bound to 200 must yield the float 20.0
-        e = Apply("*", (Var("p"), Literal(VFloat(0.10))))
+        e = Apply("*", (Attr("p", ()), Literal(VFloat(0.10))))
         v = evaluate(e, Env(), Subst.of({"p": VInt(200)}))
         assert v == VFloat(20.0)
 
@@ -73,10 +73,6 @@ class TestEvaluate:
         e = Apply("get_hotels", (Literal(VStr("paris")),))
         with pytest.raises(EvalError):
             evaluate(e, Env(), externs={"get_hotels": tbl})
-
-    def test_unbound_variable_errors(self):
-        with pytest.raises(EvalError):
-            evaluate(Var("q"), Env())
 
     def test_absent_attribute_errors(self):
         with pytest.raises(EvalError):
@@ -151,12 +147,6 @@ class TestClose:
     def test_absent_this_attribute_errors(self):
         with pytest.raises(EvalError):
             close(parse_pred_str("this.gone = 1"), Env())
-
-    def test_unbound_var_errors(self):
-        # a Var node (as produced by binder bookkeeping, not by the
-        # surface syntax) with no binding cannot be closed
-        with pytest.raises(EvalError):
-            close(Compare("=", Var("x"), Literal(VInt(1))), Env(), Subst())
 
     def test_resolves_vars_from_subst(self):
         p = parse_pred_str("id = x")
@@ -301,6 +291,28 @@ class TestAlgebraicProperties:
                 except EvalError:
                     results.append(EvalError)
             assert results[0] == results[1], (seed, p)
+            outcomes.add(results[0] is EvalError)
+        assert outcomes == {True, False}
+
+    def test_evaluate_with_bindings_equals_evaluate_of_substituted(self):
+        # in_step evaluates a receive's updates with the message bindings
+        # rather than evaluating the updates with the bindings substituted in
+        outcomes = set()
+        for seed in range(500):
+            rng = random.Random(seed)
+            env, subst = rand_env(rng), rand_subst(rng)
+            e = rand_expr(rng, env, subst)
+            # another environment or bindings may leave names unresolved
+            if rng.random() < 0.5:
+                env = rand_env(rng)
+            bindings = rand_subst(rng) if rng.random() < 0.5 else subst
+            results = []
+            for evaluating in (lambda: evaluate(substitute_expr(e, bindings), env), lambda: evaluate(e, env, bindings)):
+                try:
+                    results.append(evaluating())
+                except EvalError:
+                    results.append(EvalError)
+            assert results[0] == results[1], (seed, e)
             outcomes.add(results[0] is EvalError)
         assert outcomes == {True, False}
 

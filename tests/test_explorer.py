@@ -27,9 +27,9 @@ from abclang.terms import (
     LeadsTo,
     Reachable,
     Received,
+    FalsePred,
+    Not,
     SCompare,
-    SFalse,
-    STrue,
     Sent,
     TruePred,
     Env,
@@ -253,16 +253,14 @@ property got2 = reachable received(B2, "m")
 
     def test_invariant_true_false(self):
         lts = explore_fixture("ping.abc")
-        assert check_property("t", Invariant(STrue()), lts).holds
-        v = check_property("f", Invariant(SFalse()), lts)
+        assert check_property("t", Invariant(TruePred()), lts).holds
+        v = check_property("f", Invariant(FalsePred()), lts)
         assert v.status == "fails" and v.witness == []  # initial state violates
 
     def test_invariant_counterexample_path(self):
-        from abclang.terms import SNot
-
         lts = explore_fixture("choice.abc")
         expr = SCompare("B", "r", (), "=", VInt(2))
-        v = check_property("nv", Invariant(SNot(expr)), lts)
+        v = check_property("nv", Invariant(Not(expr)), lts)
         assert v.status == "fails" and len(v.witness) == 1
 
     def test_leads_to_holds_on_ping(self):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fixture_path
 
-from abclang.parser import ParseError, _lex, parse_spec, parse_process_str, parse_pred_str
+from abclang.parser import MAX_DEPTH, ParseError, _lex, parse_spec, parse_process_str, parse_pred_str
 from abclang.pretty import pp_proc, pp_spec
 from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice, Span
 from abclang.validate import call_needs, load_spec, validate
@@ -98,11 +98,11 @@ class TestParseProcess:
         assert isinstance(p, Aware)
         out1 = p.body
         assert isinstance(out1, Output) and out1.payload == ()
-        assert len(out1.cont.updates) == 1
-        out2 = out1.cont.then
+        assert len(out1.updates) == 1
+        out2 = out1.then
         assert isinstance(out2, Output) and len(out2.payload) == 2
-        assert out2.cont.updates[0].name == "send"
-        assert out2.cont.then == Call("F")
+        assert out2.updates[0].name == "send"
+        assert out2.then == Call("F")
 
     def test_precedence_dot_plus_par(self):
         # "." binds tightest, then "+", then "|"
@@ -122,7 +122,7 @@ class TestParseProcess:
 
     def test_multiple_update_blocks(self):
         p = parse_process_str('(tt)(x).[a := 1][b := 2] 0')
-        assert [u.name for u in p.cont.updates] == ["a", "b"]
+        assert [u.name for u in p.updates] == ["a", "b"]
 
     def test_member_predicate(self):
         p = parse_pred_str('x = "acms" && b in this.blist')
@@ -140,7 +140,7 @@ class TestParseProcess:
         p = parse_process_str('<tt> ("a")@(tt).K + 0')
         assert p.left.span == Span("<proc>", 1, 1, 1, 18)
         assert p.left.body.span == Span("<proc>", 1, 6, 1, 18)
-        assert p.left.body.cont.then.span == Span("<proc>", 1, 17, 1, 18)
+        assert p.left.body.then.span == Span("<proc>", 1, 17, 1, 18)
 
     def test_deep_chains_parse(self):
         n = 3000
@@ -150,7 +150,7 @@ class TestParseProcess:
         assert not diags
         p, depth = spec.components[0].proc, 0
         while isinstance(p, Output):
-            p, depth = p.cont.then, depth + 1
+            p, depth = p.then, depth + 1
         assert depth == n and isinstance(p, Inact)
         p, depth = parse_process_str(" | ".join(["K"] * n)), 1
         while isinstance(p, Par):
@@ -185,6 +185,48 @@ class TestParseSpec:
         assert spec is not None and not diags
         kinds = {name: type(e).__name__ for name, e in spec.externs}
         assert kinds == {"d": "EnumDomain", "t": "TableFn"}
+
+
+# Where a nest can stand: (text before, text after).
+PLACES = {
+    "value": ("component C { attrs { v = ", "; } interface { } run 0 }"),
+    "expr": ("component C { attrs { } interface { } run (", ")@(tt).0 }"),
+    "pred": ("component C { attrs { } interface { } run ()@(", ").0 }"),
+    "state": ("property p = invariant ", ""),
+    "proc": ("component C { attrs { } interface { } run ", " }"),
+}
+
+# Every way the grammar nests a construct in one of its kind: (place,
+# the construct n levels deep, the token that opens a level).
+NESTS = {
+    "negative value": ("value", lambda n: "-" * n + "1", "-"),
+    "set": ("value", lambda n: "{" * n + "}" * n, "{"),
+    "tuple": ("value", lambda n: "(1, " * n + "1" + ")" * n, "("),
+    "negation": ("expr", lambda n: "-" * n + "x", "-"),
+    "parenthesised expression": ("expr", lambda n: "(" * n + "x" + ")" * n, "("),
+    "index": ("expr", lambda n: "x[" * n + "1" + "]" * n, "["),
+    "call": ("expr", lambda n: "f(" * n + ")" * n, "("),
+    "not": ("pred", lambda n: "!" * n + "tt", "!"),
+    "parenthesised predicate": ("pred", lambda n: "(" * n + "tt" + ")" * n, "("),
+    "state not": ("state", lambda n: "!" * n + "tt", "!"),
+    "parenthesised state expression": ("state", lambda n: "(" * n + "tt" + ")" * n, "("),
+    "parenthesised process": ("proc", lambda n: "(" * n + "0" + ")" * n, "("),
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("name", sorted(NESTS))
+    def test_nesting_beyond_the_bound_is_e_depth_at_its_opener(self, name):
+        place, nest, opener = NESTS[name]
+        before, after = PLACES[place]
+        spec, diags = parse_spec(before + nest(MAX_DEPTH) + after)
+        assert spec is not None, [d.render(color=False) for d in diags]
+        spec, diags = parse_spec(before + nest(MAX_DEPTH + 1) + after)
+        assert spec is None and [d.code for d in diags] == ["E-DEPTH"]
+        # the opener of the level one too deep
+        col = len(before) + 1 + [i for i, c in enumerate(nest(MAX_DEPTH + 1)) if c == opener][MAX_DEPTH]
+        assert (diags[0].span.line, diags[0].span.col) == (1, col)
+        assert diags[0].message == f"nested more than {MAX_DEPTH} levels deep"
 
 
 class TestRoundTrip:
@@ -300,6 +342,17 @@ class TestValidation:
             for p, c in [("p", "X"), ("p", "Y"), ("p", "Z"), ("q", "V"), ("q", "W"), ("r", "U"), ("r", "T")]
         ]
         assert {d.code for d in self.check(src)} == {"E-UNDEF-COMP"}
+
+    def test_trees_deeper_than_the_bound(self):
+        # the first node in preorder one level too deep: the innermost +
+        # of a sum, and the innermost && of a formula, both left-nested
+        head = "component C { attrs { x = 1; } interface { } run ("
+        src = head + " + ".join(["x"] * (MAX_DEPTH + 1)) + ")@(tt).0 }\n"
+        src += "property p = invariant " + " && ".join(["C.x = 1"] * (MAX_DEPTH + 1)) + "\n"
+        assert [(d.code, d.span.line, d.span.col) for d in self.check(src)] == [
+            ("E-DEPTH", 1, len(head) + 1), ("E-DEPTH", 2, len("property p = invariant ") + 1),
+        ]
+        assert not self.check(src.replace(" + x)", ")").replace(" && C.x = 1\n", "\n"))
 
     def test_bound_variable_is_not_unbound(self):
         src = 'component C { attrs { } interface { } run (tt)(c).(("m", c)@(tt).0) }'

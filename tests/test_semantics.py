@@ -20,7 +20,6 @@ from abclang.terms import (
     Par,
     Subst,
     TruePred,
-    UpdateSeq,
     VBool,
     VInt,
     VSet,
@@ -78,7 +77,7 @@ class TestUnfold:
         out = unfold("K", Subst(), Run.of({"K": body}, {}))
         assert isinstance(out, Input)
         # the continuation is still a call, not an infinite expansion
-        assert out.cont.then == body.cont.then
+        assert out.then == body.then
 
 
     def test_memo_instantiates_each_call_instance_once(self):
@@ -101,12 +100,12 @@ class TestUnfold:
         assert call_needs(defs) == {"K": {"c", "g"}, "L": {"c", "g"}}
         scope = Subst.of({"c": VInt(1), "g": VInt(2), "x": VInt(3), "y": VInt(4)})
         kept = Subst.of({"c": VInt(1), "g": VInt(2)})
-        assert unfold("L", scope, Run.of(defs, {})).cont.then.closure == kept
+        assert unfold("L", scope, Run.of(defs, {})).then.closure == kept
         assert substitute_proc(parse_process_str("L | (tt)(c).K"), scope, call_needs(defs)) == Par(
-            Call("L", kept), Input(TruePred(), ("c",), UpdateSeq((), Call("K", Subst.of({"g": VInt(2)}))))
+            Call("L", kept), Input(TruePred(), ("c",), (), Call("K", Subst.of({"g": VInt(2)})))
         )
         # without needs, a closure keeps every binding in scope
-        assert unfold("L", scope, Run(defs, {}, None)).cont.then.closure == scope
+        assert unfold("L", scope, Run(defs, {}, None)).then.closure == scope
 
 
 class TestOutSteps:

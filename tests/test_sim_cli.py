@@ -11,7 +11,8 @@ from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
 
 from abclang import simulator
 from abclang.cli import main
-from abclang.parser import parse_spec
+from abclang.parser import MAX_DEPTH, parse_spec
+from abclang.pretty import pp_spec
 from abclang.semantics import Run, system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
 from abclang.terms import VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key
@@ -172,6 +173,45 @@ def operand_chain(op, n):
     return "component C { attrs { } interface { } run " + ops + " }\n"
 
 
+def definition_chain(op, n):
+    """A definition whose body is a chain of `n` outputs joined by `op`,
+    and one component that calls it."""
+    ops = f" {op} ".join(['("a")@(tt).0'] * n)
+    return "proc P = " + ops + "\ncomponent C { attrs { } interface { } run P }\n"
+
+
+def binder_chain(op, n):
+    """A chain of `n` outputs joined by `op` under an input binder, so the
+    receive substitutes into every operand."""
+    ops = f" {op} ".join(['("a", y)@(tt).0'] * n)
+    return (
+        'component S { attrs { } interface { } run ("v")@(tt).0 }\n'
+        "component C { attrs { } interface { } run (tt)(y).(" + ops + ") }\n"
+    )
+
+
+def nested_spec(**depths):
+    """A spec with six constructs nested MAX_DEPTH levels deep, or as deep
+    as `depths` says: a process in `proc` parentheses, a payload in `expr`
+    parentheses, a payload summing `terms` names, and a target, a guard
+    and an invariant each a `&&` chain of that tree depth.  The parser
+    counts the parentheses; validate counts the nodes down each tree."""
+    d = dict.fromkeys(("proc", "expr", "terms", "target", "guard", "invariant"), MAX_DEPTH)
+    d.update(depths)
+    return (
+        "component P { attrs { } interface { } run "
+        + "(" * d["proc"] + '("p")@(ff).0' + ")" * d["proc"] + " }\n"
+        + 'component S { attrs { x = 1; } interface { x } run ("go", '
+        + "(" * d["expr"] + "x" + ")" * d["expr"] + ", " + " + ".join(["x"] * d["terms"])
+        # k compares joined by && make a tree k + 1 nodes deep
+        + ")@(" + " && ".join(["x = 1"] * (d["target"] - 1)) + ").0 }\n"
+        + "component R { attrs { x = 1; got = 0; } interface { x } run ("
+        + " && ".join(["x = 1"] * (d["guard"] - 1)) + ")(m, a, b).[got := b] 0 }\n"
+        + f"property delivered = reachable R.got = {d['terms']}\n"
+        + "property steady = invariant " + " && ".join(["S.x = 1"] * d["invariant"]) + "\n"
+    )
+
+
 class TestCli:
     def run_cli(self, *args):
         proc = subprocess.run(
@@ -284,6 +324,51 @@ class TestCli:
         proc = self.run_cli("parse", str(deep))
         assert proc.returncode == 0, proc.stderr
         assert "ok (1 component(s)" in proc.stdout
+
+    def test_long_chains_in_a_definition_exit_0(self, tmp_path):
+        for spec, args, summary in (
+            (definition_chain("+", 1500), ["explore"], "2 state(s), 1500 transition(s) (complete)"),
+            (definition_chain("|", 1500), ["run", "--max-steps", "1"], "1 step(s), termination: step-limit"),
+            (binder_chain("+", 1500), ["explore"], "3 state(s), 1501 transition(s) (complete)"),
+            (binder_chain("|", 1500), ["run", "--max-steps", "2"], "2 step(s), termination: step-limit"),
+        ):
+            wide = tmp_path / "wide.abc"
+            wide.write_text(spec)
+            for cmd in (["parse"], args):
+                proc = self.run_cli(cmd[0], str(wide), *cmd[1:])
+                assert proc.returncode == 0, proc.stderr
+            assert summary in proc.stdout
+
+    def test_long_chains_in_a_definition_print_and_reparse(self):
+        # compare texts, not ASTs: `==` on a long chain recurses
+        for op in "+|":
+            spec, _ = parse_spec(definition_chain(op, 1500))
+            printed = pp_spec(spec)
+            assert printed.startswith("proc P = " + f" {op} ".join(['("a")@(tt).0'] * 1500) + "\n")
+            assert pp_spec(parse_spec(printed)[0]) == printed
+
+    def test_nesting_at_the_bound_exit_0(self, tmp_path, capsys):
+        deep = tmp_path / "deep.abc"
+        deep.write_text(nested_spec())
+        assert main(["check", str(deep), "--all"]) == 0
+        assert "delivered: HOLDS" in capsys.readouterr().out
+        for fmt in ("json", "text"):
+            assert main(["run", str(deep), "--format", fmt]) == 0
+            assert "deadlock" in capsys.readouterr().out
+        spec, _ = parse_spec(nested_spec())
+        printed = pp_spec(spec)
+        again, diags = parse_spec(printed)
+        assert again == spec and pp_spec(again) == printed, diags
+
+    @pytest.mark.parametrize("construct", ["proc", "expr", "terms", "target", "guard", "invariant"])
+    def test_nesting_beyond_the_bound_exit_2(self, tmp_path, capsys, construct):
+        deep = tmp_path / "deep.abc"
+        deep.write_text(nested_spec(**{construct: MAX_DEPTH + 1}))
+        for args in (["parse"], ["run", "--format", "json"], ["check", "--all"]):
+            assert main([args[0], str(deep), *args[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.count(f"error[E-DEPTH]: nested more than {MAX_DEPTH} levels deep") == 1, err
+            assert err.count("\n") == 1
 
     def test_spec_not_utf8_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.abc"
