@@ -82,11 +82,12 @@ KEYWORDS = frozenset(
     ]
 )
 
-# The deepest nesting a spec may have.  The parser counts brackets,
-# braces and parentheses that nest one construct in another of its kind,
-# and prefix `-` and `!`; `validate` counts the nodes on each path down an
-# expression, predicate or formula tree.  Either ends deeper nesting in
-# E-DEPTH, so no recursive walk of a parsed spec runs out of stack.
+# The deepest nesting a spec may have.  The parser counts the levels open
+# at once: parenthesised processes, expressions and predicates, indexes,
+# call arguments, tuple and set values, prefix `-` and `!`.  `validate`
+# counts the nodes on each path down an expression, predicate or formula
+# tree.  Either ends deeper nesting in E-DEPTH, so no recursive walk of a
+# loaded spec runs out of stack.
 MAX_DEPTH = 100
 
 PUNCT = [

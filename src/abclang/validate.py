@@ -265,9 +265,10 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
 
     # call targets and extern/builtin references
     roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]
-    for root in roots:
-        _too_deep(root, diags)
     walked = [list(subterms(root)) for root in roots]
+    for root, terms in zip(roots, walked):
+        if len(terms) > MAX_DEPTH:  # else no path down is that long
+            _too_deep(root, diags)
     for terms in walked:
         for call in terms:
             if isinstance(call, Call) and call.name not in defs:
@@ -337,6 +338,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                 )
             )
 
+    # property references
     seen_props = set()
     for name, prop in spec.properties:
         if name in seen_props:
