@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from .terms import (
@@ -33,10 +33,12 @@ from .terms import (
     AtomApply,
     Aware,
     Call,
+    COMPARE_OPS,
     Choice,
     Compare,
     ComponentDecl,
     EnumDomain,
+    Env,
     FalsePred,
     Inact,
     Input,
@@ -71,7 +73,6 @@ from .terms import (
     VStr,
     VTuple,
     Value,
-    ser_value,
 )
 
 KEYWORDS = frozenset(
@@ -95,6 +96,10 @@ PUNCT = [
     "{", "}", "(", ")", "[", "]", ",", ";", ".", "=", "<", ">",
     "!", "+", "-", "*", "/", "@", ":", "|",
 ]
+
+# The keys that, after a parenthesised predicate, show that it was an
+# expression opening a comparison.
+_EXPR_SUFFIX = frozenset((*COMPARE_OPS, "in", "+", "-", "*", "/"))
 
 
 class Diagnostic(Record):
@@ -120,14 +125,6 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass
-class Token:
-    kind: str  # "ident" | "kw" | "int" | "float" | "string" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 # One alternative per token class, tried in order: floats before ints,
@@ -135,7 +132,7 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 # Unicode word characters, and `_lex` rejects one that starts with a
 # numeral other than a decimal digit.
 _TOKEN = re.compile(
-    r"""(?P<skip>[ \t\r]+|\#[^\n]*)|(?P<newline>\n)
+    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
     |(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))|(?P<int>[0-9]+)
     |(?P<word>[^\W\d]\w*)|(?P<string>"(?:[^"\\\n]|\\.)*")
     |(?P<punct>""" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r""")
@@ -143,75 +140,94 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# A token is (key, text, offset).  The key of a keyword or a punctuation
+# mark is its text; any other token's key is its class: "ident", "int",
+# "float", "string" (whose text is the unescaped body) or "eof".
 
-def _lex(src: str, filename: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, line_start, end = 1, 0, 0
+
+def _newlines(src: str) -> List[int]:
+    return [m.start() for m in re.finditer("\n", src)]
+
+
+def _line_col(newlines: List[int], offset: int) -> Tuple[int, int]:
+    """1-based line and column of `offset`, counted in characters."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] + 1 if line else 0) + 1
+
+
+def _lex(src: str, filename: str) -> List[Tuple[str, str, int]]:
+    tokens = []
+    end = 0
     for m in _TOKEN.finditer(src):
-        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        kind, text = m.lastgroup, m.group()
         if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
             kind, text = "bad", text[0]  # a numeral such as '²' starts no word
         # the eof token sits where a trailing comment starts
         end = m.start() if text[0] == "#" else m.end()
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "word":
-            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        if kind == "word":
+            tokens.append((text if text in KEYWORDS else "ident", text, m.start()))
         elif kind == "string":
             body = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
-            tokens.append(Token("string", body, line, col))
-            if "\n" in text:  # a backslash-newline continues the string
-                line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
+            tokens.append(("string", body, m.start()))
+        elif kind == "punct":
+            tokens.append((text, text, m.start()))
         elif kind == "bad":
+            line, col = _line_col(_newlines(src), m.start())
             message = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
             raise ParseError(Diagnostic("error", Span(filename, line, col, line, col), message, "E-LEX"))
         elif kind != "skip":
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+            tokens.append((kind, text, m.start()))
+    tokens.append(("eof", "", end))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], filename: str):
-        self.toks = tokens
+    def __init__(self, src: str, filename: str):
+        self.toks = _lex(src, filename)
+        self.src = src
+        self.newlines = _newlines(src)
         self.pos = 0
         self.filename = filename
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+    def next(self) -> str:
+        key, text, _ = self.toks[self.pos]
+        if key != "eof":
             self.pos += 1
-        return t
+        return text
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, key: str) -> bool:
+        return self.toks[self.pos][0] == key
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
+    def accept(self, key: str) -> bool:
+        if self.toks[self.pos][0] == key:
+            self.next()
+            return True
+        return False
+
+    def expect(self, key: str) -> str:
+        if self.toks[self.pos][0] == key:
             return self.next()
-        return None
+        raise self.error(f"expected {key!r}, found {self.found()}")
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if self.at(kind, text):
-            return self.next()
-        t = self.peek()
-        want = text if text is not None else kind
-        raise self.error(f"expected {want!r}, found {t.text!r}" if t.text else f"expected {want!r}, found end of input")
+    def found(self) -> str:
+        text = self.toks[self.pos][1]
+        return repr(text) if text else "end of input"
 
     def span_here(self, ahead: int = 0) -> Span:
-        t = self.peek(ahead)
-        return Span(self.filename, t.line, t.col, t.line, t.col + max(len(t.text), 1))
+        _, text, offset = self.toks[self.pos + ahead]
+        line, col = _line_col(self.newlines, offset)
+        return Span(self.filename, line, col, line, col + max(len(text), 1))
 
     def span_from(self, start: Span) -> Span:
-        prev = self.toks[max(self.pos - 1, 0)]
-        return Span(self.filename, start.line, start.col, prev.line, prev.col + len(prev.text))
+        _, text, offset = self.toks[max(self.pos - 1, 0)]
+        line, col = _line_col(self.newlines, offset)
+        return Span(self.filename, start.line, start.col, line, col + len(text))
 
     def error(self, message: str, code: str = "E-PARSE") -> ParseError:
         return ParseError(Diagnostic("error", self.span_here(), message, code))
@@ -232,35 +248,33 @@ class _Parser:
 
     def sep_by(self, item, close: Optional[str] = None, sep: str = ",") -> list:
         """`item (sep item)*`; nothing at all when the next token is `close`."""
-        if close is not None and self.at("punct", close):
+        if close is not None and self.at(close):
             return []
         items = [item()]
-        while self.accept("punct", sep):
+        while self.accept(sep):
             items.append(item())
         return items
 
     def ident(self) -> str:
-        return self.expect("ident").text
+        return self.expect("ident")
 
     def index(self, item) -> Tuple:
         """An optional `[item, ...]` index."""
-        if not self.accept("punct", "["):
+        if not self.accept("["):
             return ()
         idx = tuple(self.nested(self.sep_by, item))
-        self.expect("punct", "]")
+        self.expect("]")
         return idx
 
     # -- values -------------------------------------------------------------
 
     def parse_value(self) -> Value:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return VInt(int(t.text))
-        if t.kind == "float":
-            self.next()
-            return VFloat(float(t.text))
-        if t.kind == "punct" and t.text == "-":
+        key = self.peek()
+        if key == "int":
+            return VInt(int(self.next()))
+        if key == "float":
+            return VFloat(float(self.next()))
+        if key == "-":
             self.next()
             inner = self.nested(self.parse_value)
             if isinstance(inner, VInt):
@@ -268,28 +282,26 @@ class _Parser:
             if isinstance(inner, VFloat):
                 return VFloat(-inner.v)
             raise self.error("'-' applies only to numeric literals")
-        if t.kind == "string":
-            self.next()
-            return VStr(t.text)
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.next()
-            return VBool(t.text == "true")
-        if t.kind == "kw" and t.text == "undef":
+        if key == "string":
+            return VStr(self.next())
+        if key in ("true", "false"):
+            return VBool(self.next() == "true")
+        if key == "undef":
             self.next()
             return UNDEF
-        if t.kind == "punct" and t.text == "{":
+        if key == "{":
             self.next()
             items = self.nested(self.sep_by, self.parse_value, "}")
-            self.expect("punct", "}")
+            self.expect("}")
             return VSet.of(items)
-        if t.kind == "punct" and t.text == "(":
+        if key == "(":
             self.next()
             first = self.nested(self.parse_value)
-            self.expect("punct", ",")
+            self.expect(",")
             items = (first, *self.nested(self.sep_by, self.parse_value))
-            self.expect("punct", ")")
+            self.expect(")")
             return VTuple(items)
-        raise self.error(f"expected a value, found {t.text!r}")
+        raise self.error(f"expected a value, found {self.toks[self.pos][1]!r}")
 
     # -- expressions ---------------------------------------------------------
 
@@ -299,8 +311,8 @@ class _Parser:
     def _expr_add(self):
         start = self.span_here()
         e = self._expr_mul()
-        while self.at("punct", "+") or self.at("punct", "-"):
-            op = self.next().text
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self._expr_mul()
             e = Apply(op, (e, rhs), self.span_from(start))
         return e
@@ -308,14 +320,14 @@ class _Parser:
     def _expr_mul(self):
         start = self.span_here()
         e = self._expr_unary()
-        while self.at("punct", "*") or self.at("punct", "/"):
-            op = self.next().text
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self._expr_unary()
             e = Apply(op, (e, rhs), self.span_from(start))
         return e
 
     def _expr_unary(self):
-        if self.at("punct", "-"):
+        if self.at("-"):
             start = self.span_here()
             self.next()
             inner = self.nested(self._expr_unary)
@@ -326,40 +338,35 @@ class _Parser:
         return self._expr_atom()
 
     def _expr_atom(self):
-        t = self.peek()
+        key = self.peek()
         start = self.span_here()
-        if t.kind in ("int", "float", "string") or (
-            t.kind == "kw" and t.text in ("true", "false", "undef")
-        ) or (t.kind == "punct" and t.text == "{"):
+        if key in ("int", "float", "string", "true", "false", "undef", "{"):
             return Literal(self.parse_value(), self.span_from(start))
-        if t.kind == "kw" and t.text == "this":
-            self.next()
-            self.expect("punct", ".")
+        if self.accept("this"):
+            self.expect(".")
             name = self.ident()
             index = self.index(self.parse_expr)
             return ThisAttr(name, index, self.span_from(start))
-        if t.kind == "ident":
-            name = self.next().text
-            if self.at("punct", "("):
-                self.next()
+        if key == "ident":
+            name = self.next()
+            if self.accept("("):
                 args = tuple(self.nested(self.sep_by, self.parse_expr, ")"))
-                self.expect("punct", ")")
+                self.expect(")")
                 return Apply(name, args, self.span_from(start))
             index = self.index(self.parse_expr)
             return Attr(name, index, self.span_from(start))
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if self.accept("("):
             first = self.nested(self.parse_expr)
-            if self.accept("punct", ","):
+            if self.accept(","):
                 # tuple literal / construction
                 items = (first, *self.nested(self.sep_by, self.parse_expr))
-                self.expect("punct", ")")
+                self.expect(")")
                 if all(isinstance(e, Literal) for e in items):
                     return Literal(VTuple(tuple(e.value for e in items)), self.span_from(start))
                 return Apply("tuple", items, self.span_from(start))
-            self.expect("punct", ")")
+            self.expect(")")
             return first
-        raise self.error(f"expected an expression, found {t.text!r}")
+        raise self.error(f"expected an expression, found {self.toks[self.pos][1]!r}")
 
     # -- predicates ----------------------------------------------------------
 
@@ -372,7 +379,7 @@ class _Parser:
     def _pred_or(self, atom) -> Predicate:
         start = self.span_here()
         p = self._pred_and(atom)
-        while self.accept("punct", "||"):
+        while self.accept("||"):
             rhs = self._pred_and(atom)
             p = Or(p, rhs, self.span_from(start))
         return p
@@ -380,24 +387,24 @@ class _Parser:
     def _pred_and(self, atom) -> Predicate:
         start = self.span_here()
         p = self._pred_unary(atom)
-        while self.accept("punct", "&&"):
+        while self.accept("&&"):
             rhs = self._pred_unary(atom)
             p = And(p, rhs, self.span_from(start))
         return p
 
     def _pred_unary(self, atom) -> Predicate:
         start = self.span_here()
-        if self.accept("punct", "!"):
+        if self.accept("!"):
             inner = self.nested(self._pred_unary, atom)
             return Not(inner, self.span_from(start))
-        if self.accept("kw", "tt"):
+        if self.accept("tt"):
             return TruePred(self.span_from(start))
-        if self.accept("kw", "ff"):
+        if self.accept("ff"):
             return FalsePred(self.span_from(start))
         return atom()
 
     def _pred_atom(self) -> Predicate:
-        if self.at("punct", "("):
+        if self.at("("):
             # Either a parenthesised predicate or a parenthesised
             # expression opening a comparison: try the predicate reading
             # and fall back when the suffix proves it was an expression.
@@ -406,12 +413,8 @@ class _Parser:
             try:
                 self.next()
                 p = self.nested(self._pred_or, self._pred_atom)
-                self.expect("punct", ")")
-                nxt = self.peek()
-                if not (
-                    nxt.kind == "punct" and nxt.text in ("=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/")
-                    or (nxt.kind == "kw" and nxt.text == "in")
-                ):
+                self.expect(")")
+                if self.peek() not in _EXPR_SUFFIX:
                     return p
                 # a suffix like '>' may still belong to the surrounding
                 # construct (e.g. the close of an awareness guard), so
@@ -432,13 +435,11 @@ class _Parser:
     def _pred_comparison(self) -> Predicate:
         start = self.span_here()
         lhs = self.parse_expr()
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("=", "!=", "<", "<=", ">", ">="):
-            op = self.next().text
+        if self.peek() in COMPARE_OPS:
+            op = self.next()
             rhs = self.parse_expr()
             return Compare(op, lhs, rhs, self.span_from(start))
-        if t.kind == "kw" and t.text == "in":
-            self.next()
+        if self.accept("in"):
             rhs = self.parse_expr()
             return Member(lhs, rhs, self.span_from(start))
         if isinstance(lhs, Apply):
@@ -457,7 +458,7 @@ class _Parser:
         """`operand (op operand)*`, nested to the right.  Every link ends
         at the chain's last token, so all spans are taken at the end."""
         parts = [(self.span_here(), operand())]
-        while self.accept("punct", op):
+        while self.accept(op):
             parts.append((self.span_here(), operand()))
         term = parts.pop()[1]
         for start, left in reversed(parts):
@@ -472,10 +473,10 @@ class _Parser:
         links = []  # (start, node, fields before the body)
         while True:
             start = self.span_here()
-            after = self._after_matching_paren() if self.at("punct", "(") else None
-            if self.accept("punct", "<"):
+            after = self._after_matching_paren() if self.at("(") else None
+            if self.accept("<"):
                 guard = self.parse_pred()
-                self.expect("punct", ">")
+                self.expect(">")
                 links.append((start, Aware, (guard,)))
             elif after == "@":
                 links.append((start, Output, self._output_head()))
@@ -483,65 +484,59 @@ class _Parser:
                 links.append((start, Input, self._input_head()))
             else:
                 break
-        t = self.peek()
-        if t.kind == "int" and t.text == "0":
+        if self.toks[self.pos][:2] == ("int", "0"):
             self.next()
             term = Inact(self.span_from(start))
-        elif t.kind == "ident":
-            term = Call(self.next().text, span=self.span_from(start))
-        elif self.accept("punct", "("):
+        elif self.at("ident"):
+            term = Call(self.next(), span=self.span_from(start))
+        elif self.accept("("):
             term = self.nested(self.parse_process)
-            self.expect("punct", ")")
+            self.expect(")")
         else:
-            raise self.error(f"expected a process, found {t.text!r}")
+            raise self.error(f"expected a process, found {self.toks[self.pos][1]!r}")
         for start, node, fields in reversed(links):
             term = node(*fields, term, self.span_from(start))
         return term
 
     def _after_matching_paren(self) -> str:
-        """Text of the token following the parenthesised group starting
+        """Key of the token following the parenthesised group starting
         at the current position (used to tell outputs, inputs and
         grouping apart)."""
         depth = 0
-        i = self.pos
-        while i < len(self.toks):
-            t = self.toks[i]
-            if t.kind == "punct" and t.text in ("(", "[", "{"):
+        for i in range(self.pos, len(self.toks) - 1):  # the last token is eof
+            key = self.toks[i][0]
+            if key in ("(", "[", "{"):
                 depth += 1
-            elif t.kind == "punct" and t.text in (")", "]", "}"):
+            elif key in (")", "]", "}"):
                 depth -= 1
                 if depth == 0:
-                    nxt = self.toks[i + 1] if i + 1 < len(self.toks) else None
-                    return nxt.text if nxt else ""
-            elif t.kind == "eof":
-                break
-            i += 1
+                    return self.toks[i + 1][0]
         return ""
 
     def _output_head(self):
-        self.expect("punct", "(")
+        self.expect("(")
         payload = tuple(self.sep_by(self.parse_expr, ")"))
-        self.expect("punct", ")")
-        self.expect("punct", "@")
-        self.expect("punct", "(")
+        self.expect(")")
+        self.expect("@")
+        self.expect("(")
         target = self.parse_pred()
-        self.expect("punct", ")")
-        self.expect("punct", ".")
+        self.expect(")")
+        self.expect(".")
         return payload, target, self._updates()
 
     def _input_head(self):
-        self.expect("punct", "(")
+        self.expect("(")
         guard = self.parse_pred()
-        self.expect("punct", ")")
-        self.expect("punct", "(")
+        self.expect(")")
+        self.expect("(")
         binders = tuple(self.sep_by(self.ident, ")"))
-        self.expect("punct", ")")
-        self.expect("punct", ".")
+        self.expect(")")
+        self.expect(".")
         return guard, binders, self._updates()
 
     def _updates(self) -> Tuple[Update, ...]:
         updates: List[Update] = []
-        while self.at("punct", "["):
+        while self.at("["):
             updates.extend(self.index(self._parse_update))
         return tuple(updates)
 
@@ -549,59 +544,57 @@ class _Parser:
         start = self.span_here()
         name = self.ident()
         index = self.index(self.parse_expr)
-        self.expect("punct", ":=")
+        self.expect(":=")
         rhs = self.parse_expr()
         return Update(name, index, rhs, self.span_from(start))
 
     # -- properties ----------------------------------------------------------
 
     def _parse_event(self):
-        t = self.peek()
-        if t.kind == "kw" and t.text in ("sent", "received"):
+        kind = self.peek()
+        if kind in ("sent", "received"):
             self.next()
-            self.expect("punct", "(")
-            comp = "*" if self.accept("punct", "*") else self.ident()
-            self.expect("punct", ",")
-            tag = self.expect("string").text
-            self.expect("punct", ")")
-            return Sent(comp, tag) if t.text == "sent" else Received(comp, tag)
+            self.expect("(")
+            comp = "*" if self.accept("*") else self.ident()
+            self.expect(",")
+            tag = self.expect("string")
+            self.expect(")")
+            return Sent(comp, tag) if kind == "sent" else Received(comp, tag)
         raise self.error("expected 'sent' or 'received'")
 
     def _parse_goal_events(self) -> Tuple:
-        paren = self.accept("punct", "(")
+        paren = self.accept("(")
         goals = tuple(self.sep_by(self._parse_event, sep="||"))
         if paren:
-            self.expect("punct", ")")
+            self.expect(")")
         return goals
 
     def _state_atom(self) -> StateExpr:
         """A parenthesised state expression or `C.a[i] op v`."""
-        if self.accept("punct", "("):
+        if self.accept("("):
             e = self.nested(self._pred_or, self._state_atom)
-            self.expect("punct", ")")
+            self.expect(")")
             return e
         start = self.span_here()
-        comp = "*" if self.accept("punct", "*") else self.ident()
-        self.expect("punct", ".")
+        comp = "*" if self.accept("*") else self.ident()
+        self.expect(".")
         attr = self.ident()
         index = self.index(self.parse_value)
-        t = self.peek()
-        if not (t.kind == "punct" and t.text in ("=", "!=", "<", "<=", ">", ">=")):
+        if self.peek() not in COMPARE_OPS:
             raise self.error("expected a comparison operator")
-        op = self.next().text
+        op = self.next()
         value = self.parse_value()
         return SCompare(comp, attr, index, op, value, self.span_from(start))
 
     def _parse_property(self) -> Property:
-        if self.accept("kw", "reachable"):
-            t = self.peek()
-            if t.kind == "kw" and t.text in ("sent", "received"):
+        if self.accept("reachable"):
+            if self.peek() in ("sent", "received"):
                 return Reachable(self._parse_event())
             return Reachable(self._pred_or(self._state_atom))
-        if self.accept("kw", "invariant"):
+        if self.accept("invariant"):
             return Invariant(self._pred_or(self._state_atom))
         trigger = self._parse_event()
-        self.expect("kw", "leadsto")
+        self.expect("leadsto")
         goals = self._parse_goal_events()
         return LeadsTo(trigger, goals)
 
@@ -613,73 +606,65 @@ class _Parser:
         externs: List[Tuple[str, object]] = []
         props: List[Tuple[str, Property]] = []
         while not self.at("eof"):
-            if self.at("kw", "extern"):
+            if self.accept("extern"):
                 externs.append(self._parse_extern())
-            elif self.at("kw", "proc"):
-                self.next()
+            elif self.accept("proc"):
                 name = self.ident()
-                self.expect("punct", "=")
+                self.expect("=")
                 procs.append((name, self.parse_process()))
-            elif self.at("kw", "component"):
+            elif self.at("component"):
                 components.append(self._parse_component())
-            elif self.at("kw", "property"):
-                self.next()
+            elif self.accept("property"):
                 name = self.ident()
-                self.expect("punct", "=")
+                self.expect("=")
                 props.append((name, self._parse_property()))
             else:
-                raise self.error(
-                    f"expected a declaration, found {self.peek().text!r}"
-                )
+                raise self.error(f"expected a declaration, found {self.toks[self.pos][1]!r}")
         return SystemSpec(tuple(components), tuple(procs), tuple(externs), tuple(props))
 
     def _parse_extern(self):
-        self.expect("kw", "extern")
         name = self.ident()
-        self.expect("punct", ":")
-        if self.accept("kw", "map"):
-            self.expect("punct", "{")
+        self.expect(":")
+        if self.accept("map"):
+            self.expect("{")
             rows = dict(self.sep_by(self._table_row))
-            self.expect("punct", "}")
+            self.expect("}")
             return (name, TableFn.of(rows))
-        self.expect("punct", "{")
+        self.expect("{")
         values = self.sep_by(self.parse_value)
-        self.expect("punct", "}")
+        self.expect("}")
         return (name, EnumDomain.of(values))
 
     def _table_row(self):
-        self.expect("punct", "(")
+        self.expect("(")
         args = tuple(self.sep_by(self.parse_value))
-        self.expect("punct", ")")
-        self.expect("punct", "->")
+        self.expect(")")
+        self.expect("->")
         return args, self.parse_value()
 
     def _parse_component(self) -> ComponentDecl:
         start = self.span_here()
-        self.expect("kw", "component")
+        self.expect("component")
         name = self.ident()
-        self.expect("punct", "{")
-        self.expect("kw", "attrs")
-        self.expect("punct", "{")
+        self.expect("{")
+        self.expect("attrs")
+        self.expect("{")
         attrs = {}
-        while not self.at("punct", "}"):
+        while not self.at("}"):
             aname = self.ident()
             index = self.index(self.parse_value)
-            self.expect("punct", "=")
+            self.expect("=")
             attrs[(aname, index)] = self.parse_value()
-            self.expect("punct", ";")
-        self.expect("punct", "}")
-        self.expect("kw", "interface")
-        self.expect("punct", "{")
+            self.expect(";")
+        self.expect("}")
+        self.expect("interface")
+        self.expect("{")
         iface = self.sep_by(self.ident) if self.at("ident") else []
-        self.expect("punct", "}")
-        self.expect("kw", "run")
+        self.expect("}")
+        self.expect("run")
         proc = self.parse_process()
-        self.expect("punct", "}")
-        sorted_attrs = tuple(
-            sorted(attrs.items(), key=lambda kv: (kv[0][0], tuple(ser_value(v) for v in kv[0][1])))
-        )
-        return ComponentDecl(name, sorted_attrs, tuple(iface), proc, self.span_from(start))
+        self.expect("}")
+        return ComponentDecl(name, Env.of(attrs).entries, tuple(iface), proc, self.span_from(start))
 
 
 def parse_spec(source: str, filename: str = "<spec>"):
@@ -695,7 +680,7 @@ def parse_spec(source: str, filename: str = "<spec>"):
 
 
 def _parse_whole(rule, source: str, filename: str):
-    p = _Parser(_lex(source, filename), filename)
+    p = _Parser(source, filename)
     result = rule(p)
     p.expect("eof")
     return result

@@ -40,83 +40,51 @@ def _names(*terms) -> Set[str]:
             if isinstance(q, Attr) and not q.index}
 
 
-def _free_names(proc, def_free: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
-    """Free identifier references of a process term, less `bound`,
-    treating a call as free in whatever its definition is currently
-    known to need.
+def _read_names(proc, known: Dict[str, FrozenSet[str]], guards: bool) -> FrozenSet[str]:
+    """Bare names that `proc` reads outside the binders of its inputs: in
+    payloads, updates and indexes, and with `guards` also in awareness and
+    input guards and send predicates.  A call reads what `known` says its
+    definition needs, less its closure.  Walks with an explicit stack, so
+    depth costs no stack.
 
-    Only expression positions (payloads, updates, indexes) count:
-    a bare name inside a predicate falls back to an attribute of the
-    judging party at runtime, so it can never be a hard unbound error.
-    Loops along prefix chains and right operands, so depth costs no stack.
+    Without `guards` these are the names that must be bound: a bare name
+    inside a predicate falls back to an attribute of the judging party at
+    run time, so it can never be a hard unbound error.  With `guards` they
+    are the names that a substitution applied to `proc` replaces: it
+    replaces a bound name in a predicate too, so a closure value can be
+    read only in a guard.
     """
-    free: Set[str] = set()
-    while True:
-        if isinstance(proc, Output):
-            free |= _names(*proc.payload, *proc.updates) - bound
-        elif isinstance(proc, Input):
-            bound = bound.union(proc.binders)
-            free |= _names(*proc.updates) - bound
-        elif isinstance(proc, Aware):
-            proc = proc.body
-            continue
-        elif isinstance(proc, (Choice, Par)):
-            free |= _free_names(proc.left, def_free, bound)
-            proc = proc.right
-            continue
-        elif isinstance(proc, Call):
-            free |= def_free.get(proc.name, frozenset()) - proc.closure.domain() - bound
-            return frozenset(free)
-        else:
-            return frozenset(free)
-        proc = proc.then
-
-
-def _read_names(proc, needs: Dict[str, FrozenSet[str]], bound=frozenset()) -> FrozenSet[str]:
-    """Names that a substitution applied to `proc` replaces, less `bound`:
-    bare names in every position, predicates included, less input
-    binders; a call reads what its definition is known to need, less its
-    closure.  Raises EvalError for a call to a process `needs` does not
-    know.  Loops like `_free_names`.
-
-    Unlike `_free_names`, guards and targets count: `substitute` replaces
-    a bound name there too, so a closure value can be read only in a guard.
-    """
+    counted = (lambda *preds: preds) if guards else (lambda *preds: ())
     read: Set[str] = set()
-    while True:
+    stack = [(proc, frozenset())]
+    while stack:
+        proc, bound = stack.pop()
         if isinstance(proc, Output):
-            read |= _names(*proc.payload, proc.target, *proc.updates) - bound
+            read |= _names(*proc.payload, *proc.updates, *counted(proc.target)) - bound
+            stack.append((proc.then, bound))
         elif isinstance(proc, Input):
             bound = bound.union(proc.binders)
-            read |= _names(proc.guard, *proc.updates) - bound
+            read |= _names(*proc.updates, *counted(proc.guard)) - bound
+            stack.append((proc.then, bound))
         elif isinstance(proc, Aware):
-            read |= _names(proc.guard) - bound
-            proc = proc.body
-            continue
+            read |= _names(*counted(proc.guard)) - bound
+            stack.append((proc.body, bound))
         elif isinstance(proc, (Choice, Par)):
-            read |= _read_names(proc.left, needs, bound)
-            proc = proc.right
-            continue
+            stack += ((proc.right, bound), (proc.left, bound))
         elif isinstance(proc, Call):
-            need = needs.get(proc.name)
-            if need is None:
-                raise EvalError(f"undefined process {proc.name}", proc.span)
-            read |= need - proc.closure.domain() - bound
-            return frozenset(read)
-        else:
-            return frozenset(read)
-        proc = proc.then
+            read |= known.get(proc.name, frozenset()) - proc.closure.domain() - bound
+    return frozenset(read)
 
 
-def _fixpoint(defs, names_of) -> Dict[str, FrozenSet[str]]:
-    """Least solution of `known[name] = names_of(defs[name], known)` over
-    the definitions, iterated up from empty sets."""
+def _fixpoint(defs, guards: bool) -> Dict[str, FrozenSet[str]]:
+    """Least solution of `known[name] = _read_names(defs[name], known,
+    guards)` over the definitions, iterated up from empty sets."""
     known: Dict[str, FrozenSet[str]] = {name: frozenset() for name in defs}
     changed = True
     while changed:
         changed = False
         for name, body in defs.items():
-            names = names_of(body, known)
+            names = _read_names(body, known, guards)
             if names != known[name]:
                 known[name] = names
                 changed = True
@@ -133,10 +101,11 @@ def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
     a process `defs` does not define; `semantics.Run.of` passes the
     components' processes, because a spec need not have been validated.
     """
-    needs = _fixpoint(defs, _read_names)
-    for root in roots:
-        _read_names(root, needs)
-    return needs
+    for root in (*defs.values(), *roots):
+        for q in subterms(root):
+            if isinstance(q, Call) and q.name not in defs:
+                raise EvalError(f"undefined process {q.name}", q.span)
+    return _fixpoint(defs, True)
 
 
 def _reachable(names, def_calls: Dict[str, Set[str]]) -> Set[str]:
@@ -294,7 +263,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                     Diagnostic("error", inp.span, "input binders must be pairwise distinct", "E-DUP-BINDER")
                 )
 
-    def_free = _fixpoint(defs, _free_names)
+    def_free = _fixpoint(defs, False)
     # the last definition of a name is the one in `defs`
     def_terms = dict(zip([name for name, _ in spec.proc_defs], walked))
     def_calls = {name: _called(terms) for name, terms in def_terms.items()}
@@ -326,7 +295,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                     "E-SHADOW",
                 )
             )
-        unbound = sorted(_free_names(comp.proc, def_free) - known)
+        unbound = sorted(_read_names(comp.proc, def_free, False) - known)
         if unbound:
             diags.append(
                 Diagnostic(

@@ -3,14 +3,23 @@ import pytest
 
 from conftest import fixture_path
 
-from abclang.parser import MAX_DEPTH, ParseError, _lex, parse_spec, parse_process_str, parse_pred_str
+from abclang.parser import (
+    KEYWORDS, MAX_DEPTH, ParseError, _lex, _line_col, _newlines, parse_spec, parse_process_str, parse_pred_str,
+)
 from abclang.pretty import pp_proc, pp_spec
 from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice, Span
 from abclang.validate import call_needs, load_spec, validate
 
 
 def tokens(src):
-    return [(t.kind, t.text, t.line, t.col) for t in _lex(src, "t.abc")]
+    """The tokens of `src` as (class, text, line, col); a keyword is of
+    class "kw" and a punctuation mark of class "punct"."""
+    newlines = _newlines(src)
+    return [
+        (key if key in ("ident", "int", "float", "string", "eof") else "kw" if key in KEYWORDS else "punct",
+         text, *_line_col(newlines, offset))
+        for key, text, offset in _lex(src, "t.abc")
+    ]
 
 
 def lex_error(src):
