@@ -216,8 +216,13 @@ class _Parser:
         raise self.error(f"expected {key!r}, found {self.found()}")
 
     def found(self) -> str:
-        text = self.toks[self.pos][1]
-        return repr(text) if text else "end of input"
+        """The next token as a diagnostic shows it: as written in the source."""
+        key, text, offset = self.toks[self.pos]
+        if key == "eof":
+            return "end of input"
+        if key == "string":
+            text = _TOKEN.match(self.src, offset).group()
+        return repr(text)
 
     def span_here(self, ahead: int = 0) -> Span:
         _, text, offset = self.toks[self.pos + ahead]
@@ -301,7 +306,7 @@ class _Parser:
             items = (first, *self.nested(self.sep_by, self.parse_value))
             self.expect(")")
             return VTuple(items)
-        raise self.error(f"expected a value, found {self.toks[self.pos][1]!r}")
+        raise self.error(f"expected a value, found {self.found()}")
 
     # -- expressions ---------------------------------------------------------
 
@@ -366,7 +371,7 @@ class _Parser:
                 return Apply("tuple", items, self.span_from(start))
             self.expect(")")
             return first
-        raise self.error(f"expected an expression, found {self.toks[self.pos][1]!r}")
+        raise self.error(f"expected an expression, found {self.found()}")
 
     # -- predicates ----------------------------------------------------------
 
@@ -493,7 +498,7 @@ class _Parser:
             term = self.nested(self.parse_process)
             self.expect(")")
         else:
-            raise self.error(f"expected a process, found {self.toks[self.pos][1]!r}")
+            raise self.error(f"expected a process, found {self.found()}")
         for start, node, fields in reversed(links):
             term = node(*fields, term, self.span_from(start))
         return term
@@ -619,7 +624,7 @@ class _Parser:
                 self.expect("=")
                 props.append((name, self._parse_property()))
             else:
-                raise self.error(f"expected a declaration, found {self.toks[self.pos][1]!r}")
+                raise self.error(f"expected a declaration, found {self.found()}")
         return SystemSpec(tuple(components), tuple(procs), tuple(externs), tuple(props))
 
     def _parse_extern(self):

@@ -188,6 +188,20 @@ class TestParseSpec:
         text = diags[0].render(color=False)
         assert text.startswith("bad.abc:1:")
 
+    @pytest.mark.parametrize("src, message", [
+        # an empty string is a token, not the end of input
+        ('component "" { }', "1:11: error[E-PARSE]: expected 'ident', found '\"\"'"),
+        # a string shows as written, quotes and escapes included
+        ('proc "a\\n" = 0', "1:6: error[E-PARSE]: expected 'ident', found '\"a\\\\n\"'"),
+        ("component C { attrs { x = 1", "1:28: error[E-PARSE]: expected ';', found end of input"),
+        ("proc P = ", "1:10: error[E-PARSE]: expected a process, found end of input"),
+        ('"x"', "1:1: error[E-PARSE]: expected a declaration, found '\"x\"'"),
+    ])
+    def test_found_token_is_shown_as_written(self, src, message):
+        spec, diags = parse_spec(src, "f.abc")
+        assert spec is None
+        assert [d.render(color=False) for d in diags] == ["f.abc:" + message]
+
     def test_extern_forms(self):
         src = 'extern d : { 1, 2 }\nextern t : map { ("a") -> 1, ("b") -> 2 }\n'
         spec, diags = parse_spec(src)
