@@ -106,10 +106,10 @@ def pp_pred(p, level: int = 0) -> str:
     if isinstance(p, FalsePred):
         return "ff"
     if isinstance(p, Or):
-        s = f"{pp_pred(p.lhs, 1)} || {pp_pred(p.rhs, 0)}"
+        s = f"{pp_pred(p.lhs, 0)} || {pp_pred(p.rhs, 1)}"
         return f"({s})" if level > 0 else s
     if isinstance(p, And):
-        s = f"{pp_pred(p.lhs, 2)} && {pp_pred(p.rhs, 1)}"
+        s = f"{pp_pred(p.lhs, 1)} && {pp_pred(p.rhs, 2)}"
         return f"({s})" if level > 1 else s
     if isinstance(p, Not):
         return "!(" + pp_pred(p.inner, 0) + ")"

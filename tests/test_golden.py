@@ -54,7 +54,7 @@ GOLDEN = {
         'trace_to_text': '9f83136c616c0dcde7caa61883be05766974efae5ef6dcb3f123436be94aed8c',
     },
     'fake3.abc': {
-        'pp_spec': '5fe0fa2bb196bd3a60e1fad5ab52672a35e19ad4847f11536c1d4769e736d47d',
+        'pp_spec': '1a78982bf62395a104e13e3f769439d1d1e9d4d4219a0aa174d3349c20e6c5b1',
         'export_text': '81755e7a85ee89c3ebc9b5830a41ac0d917624b5269d7f84e90b9f1264de110e',
         'verdicts': '792dc2b50fe3f389a55a5ee62ba6d6321136bd077035616eb42a55c5f906e21d',
         'trace_to_json': '612e181196fc04ef9b71ec5465e57fffd7d80fdf2d5f7f5e017addafb74bad9a',
@@ -68,7 +68,7 @@ GOLDEN = {
         'trace_to_text': '0f0d5127d3d59acd8b076e40f1bf76a9d38dbc48773b5cf42612fa46c38f34b1',
     },
     'travel-booking.abc': {
-        'pp_spec': 'd183c01bf3447e7da3478fac04025007386a062babf4b117f5433b10269a5d32',
+        'pp_spec': 'dc7fc9effd6dbac33f501683ae4d8a6773c381893260e8ae9c296561549670b1',
         'export_text': '14324fdbcca7aaff7da2708eb3fa9fb7ede27ce649fe0a9507482dfce4559f95',
         'verdicts': 'f64c77b25b90cb7f13527cb1132cd5adb3823e9928518154ab9d005097ce4b44',
         'trace_to_json': 'd0ae2ea1d6f1c1b61cd014d89698616b88c6e0344dad008e797c4a26c3e06f9f',

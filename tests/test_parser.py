@@ -285,9 +285,13 @@ class TestRoundTrip:
         for formula, printed in [
             ("invariant !(A.x = 1 || *.y[2] >= 0) && (tt || ff)", None),
             ('reachable ff || !(tt) && *.s["k", 2] != "v"', None),
-            ("invariant (A.x = 1 && A.y < -2) && A.z <= 0.5", None),
+            ("invariant (A.x = 1 && A.y < -2) && A.z <= 0.5", "invariant A.x = 1 && A.y < -2 && A.z <= 0.5"),
             ("reachable ((A.x = 1)) || !(!(ff))", "reachable A.x = 1 || !(!(ff))"),
-            ('invariant ((!(tt) || ff) || A.u = undef) || *.t = (1, "a")', None),
+            ('invariant ((!(tt) || ff) || A.u = undef) || *.t = (1, "a")',
+             'invariant !(tt) || ff || A.u = undef || *.t = (1, "a")'),
+            # a right operand of the same connective keeps its parentheses
+            ("invariant A.x = 1 && (A.y > 2 && A.z = true)", None),
+            ("reachable A.x = 1 || (A.y = 2 || tt) || !(ff)", None),
         ]:
             spec, diags = parse_spec(component + f"property p = {formula}\n")
             assert spec is not None, [d.render(color=False) for d in diags]
@@ -295,6 +299,17 @@ class TestRoundTrip:
             assert text.endswith(f"property p = {printed or formula}\n"), text
             again, _ = parse_spec(text)
             assert again == spec and pp_spec(again) == text
+
+    def test_long_left_chain_prints_within_the_depth_bound(self):
+        # 95 comparisons joined by `&&` nest 94 levels to the left; printed
+        # with a parenthesis per level, they were too deep to load again
+        proc = '("a")@(' + " && ".join(f"x = {i}" for i in range(95)) + ").0"
+        for _ in range(10):
+            proc = f"({proc} | 0)"
+        spec, diags = load_spec("component C { attrs { x = 0; } interface { x } run " + proc + " }\n")
+        assert spec is not None and not diags
+        again, diags = load_spec(pp_spec(spec))
+        assert not diags and again == spec
 
     def test_empty_spec_prints_empty(self):
         spec, _ = parse_spec("")
