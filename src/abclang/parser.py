@@ -140,10 +140,6 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# A token is (key, text, offset).  The key of a keyword or a punctuation
-# mark is its text; any other token's key is its class: "ident", "int",
-# "float", "string" (whose text is the unescaped body) or "eof".
-
 
 def _newlines(src: str) -> List[int]:
     return [m.start() for m in re.finditer("\n", src)]
@@ -156,6 +152,10 @@ def _line_col(newlines: List[int], offset: int) -> Tuple[int, int]:
 
 
 def _lex(src: str, filename: str) -> List[Tuple[str, str, int]]:
+    """The tokens of `src`, each as (key, text, offset).  The key of a
+    keyword or a punctuation mark is its text; any other token's key is
+    its class: "ident", "int", "float", "string" (whose text is the
+    unescaped body) or "eof"."""
     tokens = []
     end = 0
     for m in _TOKEN.finditer(src):
@@ -205,13 +205,13 @@ class _Parser:
         return self.toks[self.pos][0] == key
 
     def accept(self, key: str) -> bool:
-        if self.toks[self.pos][0] == key:
+        if self.at(key):
             self.next()
             return True
         return False
 
     def expect(self, key: str) -> str:
-        if self.toks[self.pos][0] == key:
+        if self.at(key):
             return self.next()
         raise self.error(f"expected {key!r}, found {self.found()}")
 
