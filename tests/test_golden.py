@@ -5,7 +5,10 @@ exported LTS, the verdicts of all declared properties, and the JSON and
 text traces of seeds 0-4, for each of the four fixtures; and the
 rendered diagnostics of a few broken specs.  A change that means to
 keep outputs the same must leave every digest as it is.  To see which
-output moved, print `_outputs(name)` before and after the change.
+output moved, print `_outputs(name)` before and after the change, or
+run this file as a script (`PYTHONPATH=src python tests/test_golden.py`):
+it prints every current digest and marks those that differ from the
+pinned ones.
 """
 import hashlib
 
@@ -115,8 +118,24 @@ DIAGNOSTICS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BROKEN))
-def test_diagnostics_are_unchanged(name):
+def _diagnostics(name):
     spec, diags = load_spec(BROKEN[name], f"{name}.abc")
     assert spec is None
-    assert _digest("\n".join(d.render(color=False) for d in diags)) == DIAGNOSTICS[name]
+    return "\n".join(d.render(color=False) for d in diags)
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_diagnostics_are_unchanged(name):
+    assert _digest(_diagnostics(name)) == DIAGNOSTICS[name]
+
+
+def _show(label, digest, pinned):
+    print(f"{label} {digest}" + ("" if digest == pinned else "  # moved"))
+
+
+if __name__ == "__main__":
+    for name in sorted(GOLDEN):
+        for key, text in _outputs(name).items():
+            _show(f"{name} {key}", _digest(text), GOLDEN[name][key])
+    for name in sorted(BROKEN):
+        _show(f"{name} diagnostics", _digest(_diagnostics(name)), DIAGNOSTICS[name])

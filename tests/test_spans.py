@@ -5,8 +5,15 @@ below is the SHA-256 of `(class name, line, col, end_line, end_col)` for
 every parsed term that carries a span, in preorder, followed by the
 span of every diagnostic that `load_spec` reports.  So a change to how
 tokens are positioned, or to where a term's span ends, moves a digest.
+
+Run as a script (`PYTHONPATH=src python tests/test_spans.py`), this file
+prints every input's current digest and marks those that differ from the
+pinned ones; given an input's name, it prints that input's rows, one
+`class line col end_line end_col` a line, so a moved digest can be
+checked row by row.
 """
 import hashlib
+import sys
 
 import pytest
 
@@ -84,3 +91,12 @@ SPANS = {
 @pytest.mark.parametrize("name", FIXTURES + sorted(BROKEN) + sorted(POSITIONS))
 def test_spans_are_unchanged(name):
     assert hashlib.sha256(_spans(name).encode("utf-8")).hexdigest() == SPANS[name]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print(_spans(sys.argv[1]))
+    else:
+        for name in FIXTURES + sorted(BROKEN) + sorted(POSITIONS):
+            digest = hashlib.sha256(_spans(name).encode("utf-8")).hexdigest()
+            print(f"{name} {digest}" + ("" if digest == SPANS[name] else "  # moved"))
