@@ -1,4 +1,4 @@
-"""Expression evaluation, predicate closure and satisfaction, substitution.
+"""Expression evaluation, predicate closure (substitution included) and satisfaction.
 
 All functions here are pure.  Nondeterministic externs (enumerated
 domains) draw through a `ScriptedChooser`, which follows a scripted
@@ -17,8 +17,8 @@ from .terms import (
     AtomApply,
     Aware,
     Call,
+    COMPARE_OPS,
     Choice,
-    Compare,
     EMPTY_SUBST,
     EnumDomain,
     Env,
@@ -27,7 +27,6 @@ from .terms import (
     Inact,
     Input,
     Literal,
-    Member,
     Not,
     Or,
     Output,
@@ -48,7 +47,6 @@ from .terms import (
     VUndef,
     Value,
     ser_value,
-    subterms,
 )
 
 
@@ -273,52 +271,65 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# closure and substitution
 
 
-def substitute_expr(e: Expr, subst: Subst) -> Expr:
+def close_expr(e: Expr, env: Optional[Env], subst: Subst, externs=None, chooser=None, draw=False) -> Expr:
+    """Freezes bound names to literals, and `this.a` too when `env`, the
+    speaker's environment, is given; keeps other bare attribute
+    references symbolic (they name the judging party's state).  With
+    `draw`, calls of enumerated externs are drawn now, through the
+    chooser, instead of being left for the judging party."""
     if isinstance(e, Literal):
         return e
-    if isinstance(e, Attr):
-        if not e.index:
-            v = subst.get(e.name)
-            if v is not None:
-                return Literal(v, e.span)
-            return e
-        return Attr(e.name, tuple(substitute_expr(i, subst) for i in e.index), e.span)
-    if isinstance(e, ThisAttr):
-        if not e.index:
-            return e
-        return ThisAttr(e.name, tuple(substitute_expr(i, subst) for i in e.index), e.span)
+    if isinstance(e, ThisAttr) and env is not None:
+        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in e.index)
+        v = env.lookup(e.name, idx)
+        if v is None:
+            raise EvalError(f"attribute {e.name} is not set (predicate closure)", e.span)
+        return Literal(v, e.span)
+    if isinstance(e, (Attr, ThisAttr)):
+        if e.index:
+            return type(e)(e.name, tuple(close_expr(i, env, subst, externs, chooser, draw) for i in e.index), e.span)
+        v = subst.get(e.name) if isinstance(e, Attr) else None
+        return e if v is None else Literal(v, e.span)
     if isinstance(e, Apply):
-        return Apply(e.fn, tuple(substitute_expr(a, subst) for a in e.args), e.span)
+        if draw and isinstance((externs or {}).get(e.fn), EnumDomain):
+            return Literal(evaluate(e, env, subst, externs, chooser), e.span)
+        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in e.args), e.span)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def substitute(p: Predicate, subst: Subst) -> Predicate:
-    """Capture-free replacement of bound names by value literals.
-
-    A bare, unindexed attribute node whose name is bound is a variable
-    occurrence: bound variables and attributes share the identifier
-    namespace in source text, and validation rejects shadowing.  Other
-    names stay symbolic.
-    """
-    if not subst.pairs:
+def close(p: Predicate, env: Optional[Env], subst: Subst = EMPTY_SUBST, externs=None, chooser=None, draw=False) -> Predicate:
+    """Closes a predicate in the speaker's environment (see `close_expr`).
+    A sender closes its target predicate with `draw`, so receivers judge
+    the values it drew; guards leave their draws to `satisfies`.  With
+    `env` None, the speaker is not known yet: this is substitution, a
+    capture-free replacement of bound names by value literals, and it
+    returns `p` itself when `subst` is empty.  A bare, unindexed
+    attribute whose name is bound is a variable occurrence: bound
+    variables and attributes share the identifier namespace in source
+    text, and validation rejects shadowing."""
+    if env is None and not subst.pairs:
         return p
+    if isinstance(p, AtomApply):
+        args = p.args
+        if len(args) == 2:  # a comparison or `in`: two calls cost less than a loop
+            args = (close_expr(args[0], env, subst, externs, chooser, draw),
+                    close_expr(args[1], env, subst, externs, chooser, draw))
+        else:
+            args = tuple([close_expr(a, env, subst, externs, chooser, draw) for a in args])
+        return AtomApply(p.name, args, p.span)
+    if isinstance(p, (And, Or)):
+        return type(p)(
+            close(p.lhs, env, subst, externs, chooser, draw),
+            close(p.rhs, env, subst, externs, chooser, draw),
+            p.span,
+        )
+    if isinstance(p, Not):
+        return Not(close(p.inner, env, subst, externs, chooser, draw), p.span)
     if isinstance(p, (TruePred, FalsePred)):
         return p
-    if isinstance(p, Compare):
-        return Compare(p.op, substitute_expr(p.lhs, subst), substitute_expr(p.rhs, subst), p.span)
-    if isinstance(p, Member):
-        return Member(substitute_expr(p.elem, subst), substitute_expr(p.set, subst), p.span)
-    if isinstance(p, AtomApply):
-        return AtomApply(p.name, tuple(substitute_expr(a, subst) for a in p.args), p.span)
-    if isinstance(p, And):
-        return And(substitute(p.lhs, subst), substitute(p.rhs, subst), p.span)
-    if isinstance(p, Or):
-        return Or(substitute(p.lhs, subst), substitute(p.rhs, subst), p.span)
-    if isinstance(p, Not):
-        return Not(substitute(p.inner, subst), p.span)
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -326,8 +337,8 @@ def _substitute_updates(ups: Tuple[Update, ...], subst: Subst) -> Tuple[Update, 
     return tuple(
         Update(
             up.name,
-            tuple(substitute_expr(i, subst) for i in up.index),
-            substitute_expr(up.rhs, subst),
+            tuple(close_expr(i, None, subst) for i in up.index),
+            close_expr(up.rhs, None, subst),
             up.span,
         )
         for up in ups
@@ -335,13 +346,15 @@ def _substitute_updates(ups: Tuple[Update, ...], subst: Subst) -> Tuple[Update, 
 
 
 def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] = None):
-    """Substitution over process terms.  Input binders shadow; a call
-    captures the substitution in its closure so the definition body sees
-    the bindings of its own call site when unfolded.  With `needs` (see
-    `validate.call_needs`), a closure keeps only the names its definition
-    reads; without, it keeps every binding in scope.  Loops along prefix
-    chains and the right operands of `|`/`+` chains, and recurses only
-    into left operands, so a long chain of either kind costs no stack."""
+    """Substitution over process terms: guards, targets, payloads and
+    updates are closed with no speaker environment (see `close`).  Input
+    binders shadow; a call captures the substitution in its closure so
+    the definition body sees the bindings of its own call site when
+    unfolded.  With `needs` (see `validate.call_needs`), a closure keeps
+    only the names its definition reads; without, it keeps every binding
+    in scope.  Loops along prefix chains and the right operands of `|`/`+`
+    chains, and recurses only into left operands, so a long chain of
+    either kind costs no stack."""
     chain = []  # (prefix or `|`/`+` node, the substitution under it)
     while subst.pairs and isinstance(p, (Input, Output, Aware, Choice, Par)):
         if isinstance(p, Input):
@@ -363,89 +376,13 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
         if isinstance(node, (Choice, Par)):
             p = type(node)(substitute_proc(node.left, s, needs), p, node.span)
         elif isinstance(node, Aware):
-            p = Aware(substitute(node.guard, s), p, node.span)
+            p = Aware(close(node.guard, None, s), p, node.span)
         elif isinstance(node, Input):
-            p = Input(substitute(node.guard, s), node.binders, _substitute_updates(node.updates, s), p, node.span)
+            p = Input(close(node.guard, None, s), node.binders, _substitute_updates(node.updates, s), p, node.span)
         else:
-            payload = tuple(substitute_expr(e, s) for e in node.payload)
-            p = Output(payload, substitute(node.target, s), _substitute_updates(node.updates, s), p, node.span)
+            payload = tuple(close_expr(e, None, s) for e in node.payload)
+            p = Output(payload, close(node.target, None, s), _substitute_updates(node.updates, s), p, node.span)
     return p
-
-
-# ---------------------------------------------------------------------------
-# predicate closure
-
-
-def close_expr(e: Expr, env: Env, subst: Subst, externs=None, chooser=None, draw=False) -> Expr:
-    """Freezes `this.a` and bound names to literals; keeps other bare
-    attribute references symbolic (they name the judging party's state).
-    With `draw`, calls of enumerated externs are drawn now, through the
-    chooser, instead of being left for the judging party."""
-    if isinstance(e, Literal):
-        return e
-    if isinstance(e, ThisAttr):
-        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in e.index)
-        v = env.lookup(e.name, idx)
-        if v is None:
-            raise EvalError(f"attribute {e.name} is not set (predicate closure)", e.span)
-        return Literal(v, e.span)
-    if isinstance(e, Attr):
-        if not e.index:
-            v = subst.get(e.name)
-            if v is not None:
-                return Literal(v, e.span)
-            return e
-        return Attr(e.name, tuple(close_expr(i, env, subst, externs, chooser, draw) for i in e.index), e.span)
-    if isinstance(e, Apply):
-        if draw and isinstance((externs or {}).get(e.fn), EnumDomain):
-            return Literal(evaluate(e, env, subst, externs, chooser), e.span)
-        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in e.args), e.span)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def close(p: Predicate, env: Env, subst: Subst = EMPTY_SUBST, externs=None, chooser=None, draw=False) -> Predicate:
-    """Closes a predicate in the speaker's environment (see `close_expr`).
-    A sender closes its target predicate with `draw`, so receivers judge
-    the values it drew; guards leave their draws to `satisfies`."""
-    if isinstance(p, (TruePred, FalsePred)):
-        return p
-    if isinstance(p, Compare):
-        return Compare(
-            p.op,
-            close_expr(p.lhs, env, subst, externs, chooser, draw),
-            close_expr(p.rhs, env, subst, externs, chooser, draw),
-            p.span,
-        )
-    if isinstance(p, Member):
-        return Member(
-            close_expr(p.elem, env, subst, externs, chooser, draw),
-            close_expr(p.set, env, subst, externs, chooser, draw),
-            p.span,
-        )
-    if isinstance(p, AtomApply):
-        return AtomApply(
-            p.name, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in p.args), p.span
-        )
-    if isinstance(p, And):
-        return And(
-            close(p.lhs, env, subst, externs, chooser, draw),
-            close(p.rhs, env, subst, externs, chooser, draw),
-            p.span,
-        )
-    if isinstance(p, Or):
-        return Or(
-            close(p.lhs, env, subst, externs, chooser, draw),
-            close(p.rhs, env, subst, externs, chooser, draw),
-            p.span,
-        )
-    if isinstance(p, Not):
-        return Not(close(p.inner, env, subst, externs, chooser, draw), p.span)
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def is_closed(p: Predicate) -> bool:
-    """True when the predicate contains no this-reference."""
-    return not any(isinstance(q, ThisAttr) for q in subterms(p))
 
 
 # ---------------------------------------------------------------------------
@@ -461,44 +398,36 @@ def satisfies(env: Env, p: Predicate, externs=None, chooser=None) -> bool:
     keeps satisfaction total (a component lacking an attribute silently
     falls outside the addressed group).
     """
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, FalsePred):
-        return False
+    if isinstance(p, AtomApply):  # the most common node, so tested first
+        name, args = p.name, p.args
+        try:
+            if name in COMPARE_OPS:
+                a = evaluate(args[0], env, EMPTY_SUBST, externs, chooser)
+                return compare_values(name, a, evaluate(args[1], env, EMPTY_SUBST, externs, chooser), p.span)
+            if name == "in":
+                a = evaluate(args[0], env, EMPTY_SUBST, externs, chooser)
+                return _member(a, evaluate(args[1], env, EMPTY_SUBST, externs, chooser), p.span)
+            values = [evaluate(a, env, EMPTY_SUBST, externs, chooser) for a in args]
+            ext = (externs or {}).get(name)
+            r = ext.lookup(tuple(values)) if isinstance(ext, TableFn) else apply_builtin(name, values, p.span)
+            return isinstance(r, VBool) and r.v
+        except EvalError:
+            return False
     if isinstance(p, And):
         return satisfies(env, p.lhs, externs, chooser) and satisfies(env, p.rhs, externs, chooser)
     if isinstance(p, Or):
         return satisfies(env, p.lhs, externs, chooser) or satisfies(env, p.rhs, externs, chooser)
     if isinstance(p, Not):
         return not satisfies(env, p.inner, externs, chooser)
-    try:
-        if isinstance(p, Compare):
-            a = evaluate(p.lhs, env, EMPTY_SUBST, externs, chooser)
-            b = evaluate(p.rhs, env, EMPTY_SUBST, externs, chooser)
-            return compare_values(p.op, a, b, p.span)
-        if isinstance(p, Member):
-            a = evaluate(p.elem, env, EMPTY_SUBST, externs, chooser)
-            b = evaluate(p.set, env, EMPTY_SUBST, externs, chooser)
-            return _member(a, b, p.span)
-        if isinstance(p, AtomApply):
-            args = [evaluate(a, env, EMPTY_SUBST, externs, chooser) for a in p.args]
-            ext = (externs or {}).get(p.name)
-            if isinstance(ext, TableFn):
-                r = ext.lookup(tuple(args))
-                return isinstance(r, VBool) and r.v
-            r = apply_builtin(p.name, args, p.span)
-            return isinstance(r, VBool) and r.v
-    except EvalError:
+    if isinstance(p, TruePred):
+        return True
+    if isinstance(p, FalsePred):
         return False
     raise TypeError(f"not a predicate: {p!r}")
 
 
 # ---------------------------------------------------------------------------
-# environment restriction and updates
-
-
-def restrict(env: Env, interface) -> Env:
-    return env.restricted(interface)
+# updates
 
 
 def apply_updates(

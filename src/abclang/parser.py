@@ -35,7 +35,6 @@ from .terms import (
     Call,
     COMPARE_OPS,
     Choice,
-    Compare,
     ComponentDecl,
     EnumDomain,
     Env,
@@ -45,7 +44,6 @@ from .terms import (
     Invariant,
     LeadsTo,
     Literal,
-    Member,
     Not,
     Or,
     Output,
@@ -440,13 +438,10 @@ class _Parser:
     def _pred_comparison(self) -> Predicate:
         start = self.span_here()
         lhs = self.parse_expr()
-        if self.peek() in COMPARE_OPS:
+        if self.peek() in COMPARE_OPS or self.at("in"):
             op = self.next()
             rhs = self.parse_expr()
-            return Compare(op, lhs, rhs, self.span_from(start))
-        if self.accept("in"):
-            rhs = self.parse_expr()
-            return Member(lhs, rhs, self.span_from(start))
+            return AtomApply(op, (lhs, rhs), self.span_from(start))
         if isinstance(lhs, Apply):
             return AtomApply(lhs.fn, lhs.args, self.span_from(start))
         raise self.error("expected a comparison operator or 'in'")

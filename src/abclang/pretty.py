@@ -15,8 +15,8 @@ from .terms import (
     AtomApply,
     Aware,
     Call,
+    COMPARE_OPS,
     Choice,
-    Compare,
     EnumDomain,
     FalsePred,
     Inact,
@@ -24,7 +24,6 @@ from .terms import (
     Invariant,
     LeadsTo,
     Literal,
-    Member,
     Not,
     Or,
     Output,
@@ -113,11 +112,9 @@ def pp_pred(p, level: int = 0) -> str:
         return f"({s})" if level > 1 else s
     if isinstance(p, Not):
         return "!(" + pp_pred(p.inner, 0) + ")"
-    if isinstance(p, Compare):
-        return f"{pp_expr(p.lhs, 1)} {p.op} {pp_expr(p.rhs, 1)}"
-    if isinstance(p, Member):
-        return f"{pp_expr(p.elem, 1)} in {pp_expr(p.set, 1)}"
     if isinstance(p, AtomApply):
+        if p.name in COMPARE_OPS or p.name == "in":
+            return f"{pp_expr(p.args[0], 1)} {p.name} {pp_expr(p.args[1], 1)}"
         return p.name + "(" + ", ".join(pp_expr(a, 0) for a in p.args) + ")"
     if isinstance(p, SCompare):
         return f"{p.component}.{p.attr}{_pp_values(p.index)} {p.op} {pp_value(p.value)}"

@@ -22,7 +22,6 @@ from .evaluator import (
     evaluate,
     apply_updates,
     close,
-    restrict,
     satisfies,
     substitute_proc,
 )
@@ -168,7 +167,7 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     come from the pre-update environment.  An evaluation error in a guard,
     payload, target or update propagates."""
     externs = run.externs
-    exposed = restrict(c.env, c.interface)
+    exposed = c.env.restricted(c.interface)
     candidates: List[OutCandidate] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
 
@@ -205,7 +204,7 @@ def in_step(
     and message is an ordinary discard.
     """
     externs = run.externs
-    if not satisfies(restrict(c.env, c.interface), sent_pred, externs):
+    if not satisfies(c.env.restricted(c.interface), sent_pred, externs):
         return DISCARD
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Input, run)):

@@ -216,23 +216,15 @@ class FalsePred(Record):
     span: Optional[Span] = _span_field()
 
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-
-class Compare(Record):
-    op: str
-    lhs: Expr
-    rhs: Expr
-    span: Optional[Span] = _span_field()
-
-
-class Member(Record):
-    elem: Expr
-    set: Expr
-    span: Optional[Span] = _span_field()
+COMPARE_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 class AtomApply(Record):
+    """An atomic predicate `name(args)`.  The parser makes `l op r` the
+    atom named `op` (one of COMPARE_OPS) over (l, r), and `e in s` the
+    atom named `in` over (e, s); no other atom has such a name, because
+    an operator or `in` is no identifier."""
+
     name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
@@ -255,7 +247,7 @@ class Not(Record):
     span: Optional[Span] = _span_field()
 
 
-Predicate = Union[TruePred, FalsePred, Compare, Member, AtomApply, And, Or, Not]
+Predicate = Union[TruePred, FalsePred, AtomApply, And, Or, Not]
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +357,6 @@ _CHILDREN = {
     Attr: lambda e: e.index,
     ThisAttr: lambda e: e.index,
     Apply: lambda e: e.args,
-    Compare: lambda p: (p.lhs, p.rhs),
-    Member: lambda p: (p.elem, p.set),
     AtomApply: lambda p: p.args,
     And: lambda p: (p.lhs, p.rhs),
     Or: lambda p: (p.lhs, p.rhs),
@@ -415,12 +405,9 @@ def ser_pred(p: Predicate) -> str:
         return "tt"
     if isinstance(p, FalsePred):
         return "ff"
-    if isinstance(p, Compare):
-        return "C" + p.op + "(" + ser_expr(p.lhs) + "," + ser_expr(p.rhs) + ")"
-    if isinstance(p, Member):
-        return "M(" + ser_expr(p.elem) + "," + ser_expr(p.set) + ")"
     if isinstance(p, AtomApply):
-        return "P" + p.name + "(" + ",".join(ser_expr(a) for a in p.args) + ")"
+        head = "M" if p.name == "in" else "C" + p.name if p.name in COMPARE_OPS else "P" + p.name
+        return head + "(" + ",".join(ser_expr(a) for a in p.args) + ")"
     if isinstance(p, And):
         return "&(" + ser_pred(p.lhs) + "," + ser_pred(p.rhs) + ")"
     if isinstance(p, Or):

@@ -13,13 +13,12 @@ from abclang.terms import (
     And,
     Apply,
     Attr,
-    Compare,
+    AtomApply,
     ComponentState,
     Env,
     FalsePred,
     Inact,
     Literal,
-    Member,
     Not,
     Or,
     Par,
@@ -112,13 +111,10 @@ def rand_pred(rng: random.Random, env: Env, subst: Subst, depth: int = 2):
     if k == 1:
         return FalsePred()
     if k in (2, 3):
-        return Compare(
-            rng.choice(CMP_OPS),
-            rand_expr(rng, env, subst, 1),
-            rand_expr(rng, env, subst, 1),
-        )
+        op = rng.choice(CMP_OPS)
+        return AtomApply(op, (rand_expr(rng, env, subst, 1), rand_expr(rng, env, subst, 1)))
     if k == 4:
-        return Member(rand_expr(rng, env, subst, 1), rand_expr(rng, env, subst, 1))
+        return AtomApply("in", (rand_expr(rng, env, subst, 1), rand_expr(rng, env, subst, 1)))
     if k == 5:
         return Not(rand_pred(rng, env, subst, depth - 1))
     node = And if k == 6 else Or

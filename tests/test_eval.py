@@ -12,19 +12,16 @@ from abclang.evaluator import (
     all_runs,
     apply_updates,
     close,
+    close_expr,
     evaluate,
-    is_closed,
-    restrict,
     satisfies,
-    substitute,
-    substitute_expr,
 )
 from abclang.parser import parse_expr_str, parse_pred_str
 from abclang.simulator import json_to_value
 from abclang.terms import (
     Apply,
     Attr,
-    Compare,
+    AtomApply,
     EnumDomain,
     Env,
     FalsePred,
@@ -41,6 +38,7 @@ from abclang.terms import (
     VStr,
     VTuple,
     ser_value,
+    subterms,
 )
 
 
@@ -132,10 +130,10 @@ class TestEvaluate:
 
 class TestClose:
     def test_freezes_this_attr(self):
-        p = Compare("=", Attr("id", ()), ThisAttr("favh", ()))
+        p = AtomApply("=", (Attr("id", ()), ThisAttr("favh", ())))
         c = close(p, env_of(favh=VStr("h1")))
-        assert c == Compare("=", Attr("id", ()), Literal(VStr("h1")))
-        assert is_closed(c)
+        assert c == AtomApply("=", (Attr("id", ()), Literal(VStr("h1"))))
+        assert not any(isinstance(q, ThisAttr) for q in subterms(c))
 
     def test_leaves_bare_attr_symbolic(self):
         p = parse_pred_str('type = "Broker"')
@@ -151,7 +149,7 @@ class TestClose:
     def test_resolves_vars_from_subst(self):
         p = parse_pred_str("id = x")
         c = close(p, Env(), Subst.of({"x": VInt(9)}))
-        assert c == Compare("=", Attr("id", ()), Literal(VInt(9)))
+        assert c == AtomApply("=", (Attr("id", ()), Literal(VInt(9))))
 
 
 class TestSatisfies:
@@ -184,37 +182,39 @@ class TestSatisfies:
 
 
 class TestSubstitute:
+    """Substitution is closing with no speaker environment."""
+
     def test_spec_example(self):
         p = parse_pred_str('x = "offer" && op <= p')
         s = Subst.of({"x": VStr("offer"), "op": VInt(90), "p": VInt(100)})
         expected = parse_pred_str('"offer" = "offer" && 90 <= 100')
-        assert substitute(p, s) == expected
+        assert close(p, None, s) == expected
 
     def test_empty_substitution_is_identity(self):
         p = parse_pred_str("a < b && this.c = 1")
-        assert substitute(p, Subst()) is p
+        assert close(p, None, Subst()) is p
 
     def test_unbound_stay_symbolic(self):
         p = parse_pred_str("a = x")
-        assert substitute(p, Subst.of({"y": VInt(1)})) == p
+        assert close(p, None, Subst.of({"y": VInt(1)})) == p
 
 
 class TestRestrict:
     def test_keeps_named_entries(self):
         env = env_of(id=VStr("h1"), roomPrice=VInt(80), secret=VInt(1))
-        r = restrict(env, {"id", "roomPrice"})
+        r = env.restricted({"id", "roomPrice"})
         assert r == env_of(id=VStr("h1"), roomPrice=VInt(80))
 
     def test_empty_interface(self):
-        assert restrict(env_of(a=VInt(1)), set()) == Env()
+        assert env_of(a=VInt(1)).restricted(set()) == Env()
 
     def test_full_interface_is_identity(self):
         env = env_of(a=VInt(1), b=VInt(2))
-        assert restrict(env, {"a", "b"}) == env
+        assert env.restricted({"a", "b"}) == env
 
     def test_keeps_all_indices_of_a_name(self):
         env = Env.of({("room", (VInt(1),)): VInt(4), ("room", (VInt(2),)): VInt(5), ("x", ()): VInt(0)})
-        r = restrict(env, {"room"})
+        r = env.restricted({"room"})
         assert r.lookup("room", (VInt(1),)) == VInt(4)
         assert r.lookup("room", (VInt(2),)) == VInt(5)
         assert not r.has("x")
@@ -258,7 +258,7 @@ class TestAlgebraicProperties:
             except EvalError:
                 continue
             assert close(c, env, subst) == c
-            assert is_closed(c)
+            assert not any(isinstance(q, ThisAttr) for q in subterms(c))
 
     def test_close_substitute_commute(self):
         rng = random.Random(102)
@@ -266,7 +266,7 @@ class TestAlgebraicProperties:
             env, subst = rand_env(rng), rand_subst(rng)
             p = rand_pred(rng, env, subst)
             try:
-                lhs = close(substitute(p, subst), env, Subst())
+                lhs = close(close(p, None, subst), env, Subst())
                 rhs = close(p, env, subst)
             except EvalError:
                 continue
@@ -285,7 +285,7 @@ class TestAlgebraicProperties:
                 env = rand_env(rng)
             bindings = rand_subst(rng) if rng.random() < 0.5 else subst
             results = []
-            for closing in (lambda: close(substitute(p, bindings), env), lambda: close(p, env, bindings)):
+            for closing in (lambda: close(close(p, None, bindings), env), lambda: close(p, env, bindings)):
                 try:
                     results.append(closing())
                 except EvalError:
@@ -307,7 +307,7 @@ class TestAlgebraicProperties:
                 env = rand_env(rng)
             bindings = rand_subst(rng) if rng.random() < 0.5 else subst
             results = []
-            for evaluating in (lambda: evaluate(substitute_expr(e, bindings), env), lambda: evaluate(e, env, bindings)):
+            for evaluating in (lambda: evaluate(close_expr(e, None, bindings), env), lambda: evaluate(e, env, bindings)):
                 try:
                     results.append(evaluating())
                 except EvalError:

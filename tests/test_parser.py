@@ -7,7 +7,7 @@ from abclang.parser import (
     KEYWORDS, MAX_DEPTH, ParseError, _lex, _line_col, _newlines, parse_spec, parse_process_str, parse_pred_str,
 )
 from abclang.pretty import pp_proc, pp_spec
-from abclang.terms import Aware, Call, Inact, Input, Output, Par, Choice, Span
+from abclang.terms import AtomApply, Attr, Aware, Call, Inact, Input, Output, Par, Choice, Span, ThisAttr
 from abclang.validate import call_needs, load_spec, validate
 
 
@@ -135,7 +135,7 @@ class TestParseProcess:
 
     def test_member_predicate(self):
         p = parse_pred_str('x = "acms" && b in this.blist')
-        assert "Member" in type(p.rhs).__name__
+        assert p.rhs == AtomApply("in", (Attr("b"), ThisAttr("blist")))
 
     def test_parse_error_has_span(self):
         with pytest.raises(ParseError) as ei:

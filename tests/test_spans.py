@@ -70,10 +70,10 @@ def _spans(name):
 
 
 SPANS = {
-    'choice.abc': '312b10005bb397fe8e2a74179b963683ad8ac3b5cebe5944910c00fb5208c401',
-    'fake3.abc': 'c504b03a904c5673ddda04a24a120b720b4c81f6766cdcd6a913eb7014ebf4ed',
-    'ping.abc': 'dc5795ba226d8f2afec759d126aae92047226fa00677c2e63f23140eb007f447',
-    'travel-booking.abc': '92282c4718573492660682a2868e8b818f429eeb1d2bdedd2c43c86f4dac7e64',
+    'choice.abc': 'e1e96a9884bc67708b18fe48c77159e3cc87c9e6e053cc6dc9858d993a5931c1',
+    'fake3.abc': 'ea92472b6adb4c4f054b480c3b770a42e215018d257e0424e6afc3cabb388b06',
+    'ping.abc': '82898cd869b6748047e3457faa256c5a1232888b0f54ea2e67a45f749a47fc59',
+    'travel-booking.abc': '739ffa25b5df950e624408c44e85e969c79ae5828d7b06fe5036876703c9f9a6',
     'lex': '8f6b36fd11d46c0059ac28d198366bb676d6902662d40b00c4e740d58fba7336',
     'parse': 'fc84d9c10487d2e5ee367dab0e2357addecca9746581d2a160d1f533e12f4ff8',
     'properties': 'e22d965bbfec723fbb9b8b5c32dd2f9453d1869d568637ce5cf55f002119c354',
@@ -84,7 +84,7 @@ SPANS = {
     'comment-at-eof-newline': '63202ce8b8efe05901d1996534c5fe00370b63b092646f90fa2daf692a3e1568',
     'lex-line-3': 'c10f7339c03ed2d3d708908a567b49caea02bd3b19c1e1cae36ee3ac0d8a4e07',
     'parse-line-4': '35946ca852fa2a66f83968a02ec7652d7282b96ec40b8d569929c93d1f28759d',
-    'string-newline': '84d0e54a2c163eb0c6c1a02b2d077a41d30555ddc2297fb4c94f727a28a5b9c9',
+    'string-newline': '2055acc69f5f6e74b305406c4b1b61f9079d183020fe1af6eb1cb87989c58ae8',
 }
 
 
