@@ -213,24 +213,27 @@ class _Parser:
             return self.next()
         raise self.error(f"expected {key!r}, found {self.found()}")
 
+    def written(self, i: int) -> str:
+        """Token `i` as written in the source: a string with its quotes
+        and escapes, and over the lines a backslash-newline continues it."""
+        key, text, offset = self.toks[i]
+        return _TOKEN.match(self.src, offset).group() if key == "string" else text
+
     def found(self) -> str:
         """The next token as a diagnostic shows it: as written in the source."""
-        key, text, offset = self.toks[self.pos]
-        if key == "eof":
-            return "end of input"
-        if key == "string":
-            text = _TOKEN.match(self.src, offset).group()
-        return repr(text)
+        return "end of input" if self.at("eof") else repr(self.written(self.pos))
 
     def span_here(self, ahead: int = 0) -> Span:
-        _, text, offset = self.toks[self.pos + ahead]
+        i = self.pos + ahead
+        offset = self.toks[i][2]
         line, col = _line_col(self.newlines, offset)
-        return Span(self.filename, line, col, line, col + max(len(text), 1))
+        end_line, end_col = _line_col(self.newlines, offset + max(len(self.written(i)), 1))
+        return Span(self.filename, line, col, end_line, end_col)
 
     def span_from(self, start: Span) -> Span:
-        _, text, offset = self.toks[max(self.pos - 1, 0)]
-        line, col = _line_col(self.newlines, offset)
-        return Span(self.filename, start.line, start.col, line, col + len(text))
+        i = max(self.pos - 1, 0)
+        end_line, end_col = _line_col(self.newlines, self.toks[i][2] + len(self.written(i)))
+        return Span(self.filename, start.line, start.col, end_line, end_col)
 
     def error(self, message: str, code: str = "E-PARSE") -> ParseError:
         return ParseError(Diagnostic("error", self.span_here(), message, code))

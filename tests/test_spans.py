@@ -20,7 +20,7 @@ import pytest
 from conftest import fixture_path
 from test_golden import BROKEN
 
-from abclang.parser import parse_spec
+from abclang.parser import parse_process_str, parse_spec
 from abclang.terms import subterms
 from abclang.validate import load_spec
 
@@ -70,13 +70,13 @@ def _spans(name):
 
 
 SPANS = {
-    'choice.abc': 'e1e96a9884bc67708b18fe48c77159e3cc87c9e6e053cc6dc9858d993a5931c1',
+    'choice.abc': 'bf53a886ce4c7d49a8278e41b04effe8b8ca24fe3f459248dc537853b314c306',
     'fake3.abc': 'ea92472b6adb4c4f054b480c3b770a42e215018d257e0424e6afc3cabb388b06',
-    'ping.abc': '82898cd869b6748047e3457faa256c5a1232888b0f54ea2e67a45f749a47fc59',
-    'travel-booking.abc': '739ffa25b5df950e624408c44e85e969c79ae5828d7b06fe5036876703c9f9a6',
+    'ping.abc': '92c50ab958bd3956f65ce2b9f02ec7aedb2a908e88600482c488a6de03524f72',
+    'travel-booking.abc': '0ecf1a2114cbf3b692a581713ed1f382031e680e804df0f786cf680992179128',
     'lex': '8f6b36fd11d46c0059ac28d198366bb676d6902662d40b00c4e740d58fba7336',
     'parse': 'fc84d9c10487d2e5ee367dab0e2357addecca9746581d2a160d1f533e12f4ff8',
-    'properties': 'e22d965bbfec723fbb9b8b5c32dd2f9453d1869d568637ce5cf55f002119c354',
+    'properties': '5a84124f5a65442905c6aefbd6274bc5aa6304045880190070ee1ddc69d192c4',
     'shadow-unbound': 'b1e14306269998457ef29befd7b31a888a6514a9af0174cd01356d10885fc031',
     'undefined': '021c738a311b6fe0de8b234b5658da831029763fecac0da5efb7739f876c3d0c',
     'unguarded': '624c995f518606dee3623cf218d2d611ba5c4510845061649226622955ebc1ee',
@@ -84,13 +84,27 @@ SPANS = {
     'comment-at-eof-newline': '63202ce8b8efe05901d1996534c5fe00370b63b092646f90fa2daf692a3e1568',
     'lex-line-3': 'c10f7339c03ed2d3d708908a567b49caea02bd3b19c1e1cae36ee3ac0d8a4e07',
     'parse-line-4': '35946ca852fa2a66f83968a02ec7652d7282b96ec40b8d569929c93d1f28759d',
-    'string-newline': '2055acc69f5f6e74b305406c4b1b61f9079d183020fe1af6eb1cb87989c58ae8',
+    'string-newline': 'db023613b379cb4ce8d5a2d0f048785c2cfd9a25fbe1a9b02ed2dca127cd965b',
 }
 
 
 @pytest.mark.parametrize("name", FIXTURES + sorted(BROKEN) + sorted(POSITIONS))
 def test_spans_are_unchanged(name):
     assert hashlib.sha256(_spans(name).encode("utf-8")).hexdigest() == SPANS[name]
+
+
+
+def _where(span):
+    return span.line, span.col, span.end_line, span.end_col
+
+
+def test_a_string_span_ends_after_its_closing_quote():
+    assert _where(parse_process_str('("acms")@(tt).0').payload[0].span) == (1, 2, 1, 8)
+
+
+def test_a_string_continued_over_a_backslash_newline_ends_on_its_last_line():
+    _, (diag,) = parse_spec('proc P = "a\\\nbcdefghij"')
+    assert diag.code == "E-PARSE" and _where(diag.span) == (1, 10, 2, 11)
 
 
 if __name__ == "__main__":
