@@ -6,8 +6,6 @@ shape of `|` and `+` chains exactly.
 """
 from __future__ import annotations
 
-import json
-
 from .terms import (
     And,
     Apply,
@@ -47,6 +45,11 @@ from .terms import (
 )
 
 
+# The lexer's escapes; any other character, a carriage return or a
+# non-ASCII letter included, is written as itself.
+_STRING_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"})
+
+
 def pp_value(v) -> str:
     if isinstance(v, VInt):
         return str(v.v)
@@ -55,7 +58,7 @@ def pp_value(v) -> str:
     if isinstance(v, VBool):
         return "true" if v.v else "false"
     if isinstance(v, VStr):
-        return json.dumps(v.v)
+        return '"' + v.v.translate(_STRING_ESCAPES) + '"'
     if isinstance(v, VUndef):
         return "undef"
     if isinstance(v, VSet):
@@ -161,7 +164,7 @@ def pp_proc(p, level: int = 0) -> str:
 
 def pp_event(e) -> str:
     kw = "sent" if isinstance(e, Sent) else "received"
-    return f'{kw}({e.component}, {json.dumps(e.tag)})'
+    return f"{kw}({e.component}, {pp_value(VStr(e.tag))})"
 
 
 def pp_property(p) -> str:

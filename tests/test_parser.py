@@ -7,7 +7,7 @@ from abclang.parser import (
     KEYWORDS, MAX_DEPTH, ParseError, _lex, _line_col, _newlines, parse_spec, parse_process_str, parse_pred_str,
 )
 from abclang.pretty import pp_proc, pp_spec
-from abclang.terms import AtomApply, Attr, Aware, Call, Inact, Input, Output, Par, Choice, Span, ThisAttr
+from abclang.terms import AtomApply, Attr, Aware, Call, Inact, Input, Output, Par, Choice, Span, ThisAttr, VStr
 from abclang.validate import call_needs, load_spec, validate
 
 
@@ -310,6 +310,21 @@ class TestRoundTrip:
         assert spec is not None and not diags
         again, diags = load_spec(pp_spec(spec))
         assert not diags and again == spec
+
+    def test_strings_print_with_the_lexer_escapes_only(self):
+        # a non-ASCII letter and a carriage return are written as
+        # themselves, a tab, a quote and a backslash by the lexer's escapes,
+        # in an attribute, a payload, a predicate and a property tag
+        lit = '"caf\u00e9\\t\r\\"\\\\"'
+        src = (f"component C {{ attrs {{ s = {lit}; }} interface {{ s }} run ({lit}, s)@(s = {lit}).0 }}\n"
+               f"property p = reachable sent(C, {lit})\n")
+        spec, diags = parse_spec(src)
+        assert spec is not None and not diags
+        assert spec.components[0].attrs == ((("s", ()), VStr('caf\u00e9\t\r"\\')),)
+        text = pp_spec(spec)
+        assert text.count(lit) == 4, text
+        again, _ = parse_spec(text)
+        assert again == spec and pp_spec(again) == text
 
     def test_empty_spec_prints_empty(self):
         spec, _ = parse_spec("")
