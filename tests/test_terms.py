@@ -13,6 +13,7 @@ from abclang.evaluator import substitute_proc
 from abclang.terms import (
     EMPTY_SUBST,
     And,
+    AtomApply,
     Attr,
     Call,
     Choice,
@@ -20,6 +21,7 @@ from abclang.terms import (
     Env,
     Inact,
     Literal,
+    Not,
     Or,
     Output,
     Par,
@@ -32,13 +34,15 @@ from abclang.terms import (
     VInt,
     VSet,
     VStr,
+    ser_pred,
     ser_proc,
     ser_value,
     state_hash,
     state_key,
     subterms,
 )
-from abclang.parser import Diagnostic, parse_process_str
+from abclang.parser import Diagnostic, parse_pred_str, parse_process_str
+from abclang.pretty import pp_pred
 
 
 def test_subterms_is_a_preorder_with_calls_as_leaves():
@@ -50,6 +54,20 @@ def test_subterms_is_a_preorder_with_calls_as_leaves():
     ]
     call = Call("K", Subst.of({"v": VInt(1)}))
     assert list(subterms(call)) == [call]
+
+
+@pytest.mark.parametrize("source, canonical", [
+    ("a <= this.b", "C<=(Aa[],Tb[])"),
+    ("x in {1, 2}", "M(Ax[],L{i1,i2})"),
+    ('near(loc, "rome")', "Pnear(Aloc[],Ls'rome')"),
+])
+def test_an_atom_prints_by_its_name(source, canonical):
+    # a comparison, an `in` atom and a predicate call are one record,
+    # AtomApply, and both printers tell them apart by the atom's name
+    p = parse_pred_str(source)
+    assert isinstance(p, AtomApply)
+    assert (ser_pred(p), pp_pred(p)) == (canonical, source)
+    assert (ser_pred(Not(p)), pp_pred(Not(p))) == (f"!({canonical})", f"!({source})")
 
 
 def test_subterms_of_a_deep_term():
