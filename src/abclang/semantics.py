@@ -83,6 +83,23 @@ class Run:
         require_guarded(defs)
         return cls(defs, externs, call_needs(defs, roots))
 
+    def keep_only(self, state: SystemState) -> None:
+        """Forgets what `outs` and `ins` hold about components that are not
+        in `state`, and drops the label tables left empty.  `simulate`
+        calls it after each step: a random run seldom comes back to a
+        component it left, so the tables would otherwise keep every
+        component the run met.  The entries of the components in `state`
+        stay, and so does every label table that holds one of them, so no
+        hit is lost: a component that a simulation leaves never comes
+        back, since every step makes new objects for the ones that move."""
+        live = {id(c) for c in state}
+        self.outs = {key: hit for key, hit in self.outs.items() if key in live}
+        for judged in self.ins.values():
+            # in place: the senders' candidates hold these tables
+            for key in [key for key in judged if key not in live]:
+                del judged[key]
+        self.ins = {label: judged for label, judged in self.ins.items() if judged}
+
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
     """Expands one level of a process definition, applying the bindings

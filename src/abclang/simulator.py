@@ -74,6 +74,7 @@ def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) ->
             event, succ = steps[rng.randrange(len(steps))]
             trace.steps.append(TraceStep(i, event, _env_updates(state, succ)))
             state = succ
+            run.keep_only(state)
         else:
             trace.termination = "step-limit"
     except EvalError as e:

@@ -9,7 +9,7 @@ import pytest
 from conftest import fixture_path
 from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
 
-from abclang import simulator
+from abclang import semantics, simulator
 from abclang.cli import main
 from abclang.parser import MAX_DEPTH, parse_spec
 from abclang.pretty import pp_spec
@@ -84,6 +84,37 @@ class TestSimulate:
                 )
                 fresh = [trace_to_json(simulate(spec, src, seed, 500), names) for seed in range(20)]
             assert shared == fresh, names
+
+    def test_memo_keeps_only_the_components_of_the_current_state(self, monkeypatch):
+        seen = []
+
+        def checked(state, run):
+            live = {id(c) for c in state}
+            assert set(run.outs) <= live
+            assert all(judged and set(judged) <= live for judged in run.ins.values())
+            seen.append(len(run.outs))
+            return system_steps(state, run)
+
+        monkeypatch.setattr(simulator, "system_steps", checked)
+        spec, src = load(fixture_path("travel-booking.abc"))
+        for seed in range(5):
+            assert len(simulate(spec, src, seed, 200).steps) > 0
+        assert max(seen) > 0
+
+    def test_memo_pruning_judges_nothing_twice(self, monkeypatch):
+        # a simulation never returns to a component it left, so forgetting
+        # those components costs no judgement
+        spec, src = load(fixture_path("travel-booking.abc"))
+        judged = []
+        real_in_step = semantics.in_step
+        monkeypatch.setattr(semantics, "in_step", lambda *args: judged.append(1) or real_in_step(*args))
+        runs = []
+        for keep_only in (Run.keep_only, lambda run, state: None):
+            monkeypatch.setattr(Run, "keep_only", keep_only)
+            judged.clear()
+            traces = [trace_to_json(simulate(spec, src, seed, 200), spec.component_names()) for seed in range(5)]
+            runs.append((traces, len(judged)))
+        assert runs[0] == runs[1] and runs[0][1] > 0
 
     def test_signed_zero_echoes_what_was_received(self):
         spec, _ = load_spec(SIGNED_ZERO, "zero.abc")
