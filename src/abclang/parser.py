@@ -214,8 +214,8 @@ class _Parser:
         raise self.error(f"expected {key!r}, found {self.found()}")
 
     def written(self, i: int) -> str:
-        """Token `i` as written in the source: a string with its quotes
-        and escapes, and over the lines a backslash-newline continues it."""
+        """Token `i` as written in the source: a string keeps its quotes
+        and escapes, and runs on over each backslash-newline in it."""
         key, text, offset = self.toks[i]
         return _TOKEN.match(self.src, offset).group() if key == "string" else text
 

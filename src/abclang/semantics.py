@@ -86,12 +86,11 @@ class Run:
     def keep_only(self, state: SystemState) -> None:
         """Forgets what `outs` and `ins` hold about components that are not
         in `state`, and drops the label tables left empty.  `simulate`
-        calls it after each step: a random run seldom comes back to a
-        component it left, so the tables would otherwise keep every
-        component the run met.  The entries of the components in `state`
-        stay, and so does every label table that holds one of them, so no
-        hit is lost: a component that a simulation leaves never comes
-        back, since every step makes new objects for the ones that move."""
+        calls it after each step, so the tables do not keep every
+        component the run met.  No hit is lost: the entries of the
+        components in `state` stay, with every label table that holds one,
+        and a simulation never comes back to a component object it left,
+        since each step makes new objects for the components that move."""
         live = {id(c) for c in state}
         self.outs = {key: hit for key, hit in self.outs.items() if key in live}
         for judged in self.ins.values():
