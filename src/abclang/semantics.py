@@ -92,12 +92,14 @@ class Run:
         and a simulation never comes back to a component object it left,
         since each step makes new objects for the components that move."""
         live = {id(c) for c in state}
-        self.outs = {key: hit for key, hit in self.outs.items() if key in live}
-        for judged in self.ins.values():
+        for key in self.outs.keys() - live:
+            del self.outs[key]
+        for label, judged in list(self.ins.items()):
             # in place: the senders' candidates hold these tables
-            for key in [key for key in judged if key not in live]:
+            for key in judged.keys() - live:
                 del judged[key]
-        self.ins = {label: judged for label, judged in self.ins.items() if judged}
+            if not judged:
+                del self.ins[label]
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
