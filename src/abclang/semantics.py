@@ -85,20 +85,24 @@ class Run:
 
     def keep_only(self, state: SystemState) -> None:
         """Forgets what `outs` and `ins` hold about components that are not
-        in `state`, and drops the label tables left empty.  `simulate`
-        calls it after each step, so the tables do not keep every
-        component the run met.  No hit is lost: the entries of the
-        components in `state` stay, with every label table that holds one,
-        and a simulation never comes back to a component object it left,
-        since each step makes new objects for the components that move."""
+        in `state`, and drops the label tables that are left empty and
+        that no live sender's candidates hold.  `simulate` calls it after
+        each step, so the tables do not keep every component the run met.
+        No hit is lost: the entries of the components in `state` stay,
+        with every label table that holds one, and a simulation never
+        comes back to a component object it left, since each step makes
+        new objects for the components that move.  Every table a live
+        sender holds stays in `ins`, so it is pruned here and is the one
+        a later sender of its label gets."""
         live = {id(c) for c in state}
         for key in self.outs.keys() - live:
             del self.outs[key]
+        held = {id(judged) for _, cands in self.outs.values() for _, judged in cands}
         for label, judged in list(self.ins.items()):
             # in place: the senders' candidates hold these tables
             for key in judged.keys() - live:
                 del judged[key]
-            if not judged:
+            if not judged and id(judged) not in held:
                 del self.ins[label]
 
 

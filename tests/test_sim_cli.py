@@ -22,6 +22,16 @@ from _gen import rand_value
 import random
 
 
+IDLE_SENDER = """\
+proc S = ("s")@(ff).S
+proc X = ("x")@(tt).X
+proc Y = (x = "x")(x).Y
+component S { attrs { } interface { } run S }
+component X { attrs { } interface { } run X }
+component Y { attrs { } interface { } run Y }
+"""
+
+
 def load(path):
     src = open(path).read()
     spec, diags = load_spec(src, path)
@@ -91,7 +101,12 @@ class TestSimulate:
         def checked(state, run):
             live = {id(c) for c in state}
             assert set(run.outs) <= live
-            assert all(judged and set(judged) <= live for judged in run.ins.values())
+            held = {id(judged) for _, cands in run.outs.values() for _, judged in cands}
+            assert all((judged or id(judged) in held) and set(judged) <= live for judged in run.ins.values())
+            # a live sender's table is the one in `ins`, so it is pruned too
+            for _, cands in run.outs.values():
+                for cand, judged in cands:
+                    assert run.ins[cand.exposed_env, cand.sent_pred, cand.message] is judged
             seen.append(len(run.outs))
             return system_steps(state, run)
 
@@ -99,22 +114,29 @@ class TestSimulate:
         spec, src = load(fixture_path("travel-booking.abc"))
         for seed in range(5):
             assert len(simulate(spec, src, seed, 200).steps) > 0
+        # when X sends and Y receives, S's own label table loses both its
+        # entries while S, idle, still holds it
+        spec, diags = load_spec(IDLE_SENDER)
+        assert spec is not None, diags
+        for seed in range(5):
+            assert len(simulate(spec, IDLE_SENDER, seed, 50).steps) == 50
         assert max(seen) > 0
 
     def test_memo_pruning_judges_nothing_twice(self, monkeypatch):
         # a simulation never returns to a component it left, so forgetting
         # those components costs no judgement
-        spec, src = load(fixture_path("travel-booking.abc"))
         judged = []
         real_in_step = semantics.in_step
         monkeypatch.setattr(semantics, "in_step", lambda *args: judged.append(1) or real_in_step(*args))
-        runs = []
-        for keep_only in (Run.keep_only, lambda run, state: None):
-            monkeypatch.setattr(Run, "keep_only", keep_only)
-            judged.clear()
-            traces = [trace_to_json(simulate(spec, src, seed, 200), spec.component_names()) for seed in range(5)]
-            runs.append((traces, len(judged)))
-        assert runs[0] == runs[1] and runs[0][1] > 0
+        pruning = Run.keep_only
+        for spec, src in [load(fixture_path("travel-booking.abc")), (load_spec(IDLE_SENDER)[0], IDLE_SENDER)]:
+            runs = []
+            for keep_only in (pruning, lambda run, state: None):
+                monkeypatch.setattr(Run, "keep_only", keep_only)
+                judged.clear()
+                traces = [trace_to_json(simulate(spec, src, seed, 200), spec.component_names()) for seed in range(5)]
+                runs.append((traces, len(judged)))
+            assert runs[0] == runs[1] and runs[0][1] > 0, spec.component_names()
 
     def test_signed_zero_echoes_what_was_received(self):
         spec, _ = load_spec(SIGNED_ZERO, "zero.abc")
