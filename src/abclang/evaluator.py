@@ -313,13 +313,7 @@ def close(p: Predicate, env: Optional[Env], subst: Subst = EMPTY_SUBST, externs=
     if env is None and not subst.pairs:
         return p
     if isinstance(p, AtomApply):
-        args = p.args
-        if len(args) == 2:  # a comparison or `in`: two calls cost less than a loop
-            args = (close_expr(args[0], env, subst, externs, chooser, draw),
-                    close_expr(args[1], env, subst, externs, chooser, draw))
-        else:
-            args = tuple([close_expr(a, env, subst, externs, chooser, draw) for a in args])
-        return AtomApply(p.name, args, p.span)
+        return AtomApply(p.name, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in p.args), p.span)
     if isinstance(p, (And, Or)):
         return type(p)(
             close(p.lhs, env, subst, externs, chooser, draw),

@@ -40,6 +40,7 @@ from .terms import (
     Env,
     FalsePred,
     Inact,
+    INFIX_ATOMS,
     Input,
     Invariant,
     LeadsTo,
@@ -97,7 +98,7 @@ PUNCT = [
 
 # The keys that, after a parenthesised predicate, show that it was an
 # expression opening a comparison.
-_EXPR_SUFFIX = frozenset((*COMPARE_OPS, "in", "+", "-", "*", "/"))
+_EXPR_SUFFIX = INFIX_ATOMS | {"+", "-", "*", "/"}
 
 
 class Diagnostic(Record):
@@ -441,7 +442,7 @@ class _Parser:
     def _pred_comparison(self) -> Predicate:
         start = self.span_here()
         lhs = self.parse_expr()
-        if self.peek() in COMPARE_OPS or self.at("in"):
+        if self.peek() in INFIX_ATOMS:
             op = self.next()
             rhs = self.parse_expr()
             return AtomApply(op, (lhs, rhs), self.span_from(start))

@@ -13,11 +13,11 @@ from .terms import (
     AtomApply,
     Aware,
     Call,
-    COMPARE_OPS,
     Choice,
     EnumDomain,
     FalsePred,
     Inact,
+    INFIX_ATOMS,
     Input,
     Invariant,
     LeadsTo,
@@ -116,7 +116,7 @@ def pp_pred(p, level: int = 0) -> str:
     if isinstance(p, Not):
         return "!(" + pp_pred(p.inner, 0) + ")"
     if isinstance(p, AtomApply):
-        if p.name in COMPARE_OPS or p.name == "in":
+        if p.name in INFIX_ATOMS:
             return f"{pp_expr(p.args[0], 1)} {p.name} {pp_expr(p.args[1], 1)}"
         return p.name + "(" + ", ".join(pp_expr(a, 0) for a in p.args) + ")"
     if isinstance(p, SCompare):

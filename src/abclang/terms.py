@@ -217,13 +217,15 @@ class FalsePred(Record):
 
 
 COMPARE_OPS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+# the names of the atoms written infix, `l op r` and `e in s`
+INFIX_ATOMS = COMPARE_OPS | {"in"}
 
 
 class AtomApply(Record):
     """An atomic predicate `name(args)`.  The parser makes `l op r` the
     atom named `op` (one of COMPARE_OPS) over (l, r), and `e in s` the
-    atom named `in` over (e, s); no other atom has such a name, because
-    an operator or `in` is no identifier."""
+    atom named `in` over (e, s); no other atom has a name in INFIX_ATOMS,
+    because an operator or `in` is no identifier."""
 
     name: str
     args: Tuple[Expr, ...]
@@ -406,7 +408,7 @@ def ser_pred(p: Predicate) -> str:
     if isinstance(p, FalsePred):
         return "ff"
     if isinstance(p, AtomApply):
-        head = "M" if p.name == "in" else "C" + p.name if p.name in COMPARE_OPS else "P" + p.name
+        head = "P" + p.name if p.name not in INFIX_ATOMS else "M" if p.name == "in" else "C" + p.name
         return head + "(" + ",".join(ser_expr(a) for a in p.args) + ")"
     if isinstance(p, And):
         return "&(" + ser_pred(p.lhs) + "," + ser_pred(p.rhs) + ")"
