@@ -24,7 +24,8 @@ EXIT_EVAL_ERROR = 4
 
 def _load(path: str):
     try:
-        with open(path, encoding="utf-8") as f:
+        # newline="": a carriage return in a string literal stays one
+        with open(path, encoding="utf-8", newline="") as f:
             source = f.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {getattr(e, 'strerror', e)}", file=sys.stderr)

@@ -124,7 +124,8 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-_ESCAPES = {"n": "\n", "t": "\t"}
+# a backslash before a line break, LF or CRLF, continues a string with "\n"
+_ESCAPES = {"n": "\n", "t": "\t", "\r\n": "\n"}
 
 # One alternative per token class, tried in order: floats before ints,
 # punctuation longest first.  Numbers are ASCII; a word is a run of
@@ -133,7 +134,7 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 _TOKEN = re.compile(
     r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
     |(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))|(?P<int>[0-9]+)
-    |(?P<word>[^\W\d]\w*)|(?P<string>"(?:[^"\\\n]|\\.)*")
+    |(?P<word>[^\W\d]\w*)|(?P<string>"(?:[^"\\\n]|\\\r\n|\\.)*")
     |(?P<punct>""" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r""")
     |(?P<bad>.)""",
     re.VERBOSE | re.DOTALL,
@@ -166,7 +167,7 @@ def _lex(src: str, filename: str) -> List[Tuple[str, str, int]]:
         if kind == "word":
             tokens.append((text if text in KEYWORDS else "ident", text, m.start()))
         elif kind == "string":
-            body = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
+            body = re.sub(r"\\(\r\n|.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
             tokens.append(("string", body, m.start()))
         elif kind == "punct":
             tokens.append((text, text, m.start()))

@@ -9,7 +9,7 @@ import pytest
 from conftest import fixture_path
 from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
 
-from abclang import semantics, simulator
+from abclang import cli, semantics, simulator
 from abclang.cli import main
 from abclang.parser import MAX_DEPTH, parse_spec
 from abclang.pretty import pp_spec
@@ -277,6 +277,25 @@ class TestCli:
 
     def test_parse_ok_exit_0(self):
         assert main(["parse", fixture_path("ping.abc")]) == 0
+
+    def test_a_printed_spec_loads_back_from_its_file(self, tmp_path):
+        # pp_spec writes a carriage return in a string as itself
+        src = 'component C { attrs { s = "a\rb"; } interface { s } run (s)@(s = "c\rd").0 }\n'
+        spec, diags = load_spec(src)
+        assert spec is not None and not diags
+        path = tmp_path / "cr.abc"
+        path.write_text(pp_spec(spec), encoding="utf-8", newline="")
+        assert main(["parse", str(path)]) == 0
+        assert cli._load(str(path))[0] == spec
+
+    def test_a_crlf_file_loads_as_its_lf_text(self, tmp_path):
+        # a backslash before a CRLF continues a string as before an LF
+        src = 'proc P = ("a\\\nb")@(tt).0\ncomponent C { attrs { } interface { } run P }\n'
+        spec, diags = load_spec(src)
+        assert spec is not None and not diags
+        path = tmp_path / "crlf.abc"
+        path.write_text(src.replace("\n", "\r\n"), encoding="utf-8", newline="")
+        assert cli._load(str(path))[0] == spec
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.abc"
