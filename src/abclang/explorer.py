@@ -14,7 +14,6 @@ from .semantics import Run, system_steps
 from .terms import (
     And,
     BroadcastEvent,
-    ComponentState,
     Event,
     FalsePred,
     Invariant,
@@ -85,10 +84,9 @@ def explore(
     run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
     names = spec.component_names()
     initial = spec.initial_state()
-    texts: Dict[int, Tuple[ComponentState, str]] = {}  # see state_key
 
     states: List[SystemState] = [initial]
-    index: Dict[tuple, int] = {state_key(initial, texts): 0}
+    index: Dict[tuple, int] = {state_key(initial): 0}
     transitions: List[Transition] = []
     lts = LTS(states, transitions, names)
 
@@ -103,7 +101,7 @@ def explore(
         capped = False
         for sid in frontier:
             for event, succ in system_steps(states[sid], run):
-                key = state_key(succ, texts)
+                key = state_key(succ)
                 dst = index.get(key)
                 if dst is None:
                     if len(states) >= max_states:

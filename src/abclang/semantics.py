@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .evaluator import (
     EvalError,
@@ -45,33 +45,45 @@ from .terms import (
 from .validate import call_needs, require_guarded
 
 
+@dataclass(slots=True)
+class Memo:
+    """What a run knows about one component object: its output
+    candidates once it has been asked as a sender (`outs`, each with the
+    number of its broadcast label), and its judgement of each label it
+    has been asked to receive (`judged`, by label number)."""
+
+    component: ComponentState
+    outs: Optional[List[Tuple["OutCandidate", int]]] = None
+    judged: Dict[int, "InResult"] = field(default_factory=dict)
+
+
 @dataclass
 class Run:
     """What one `explore` or `simulate` run derives from its spec: the
     definitions and externs, `needs` (`validate.call_needs` of the
-    definitions; None keeps whole closures), and three memo tables.
+    definitions; None keeps whole closures), and its memo.
 
     `bodies` holds the unfolded body of each call instance, keyed by
     (process name, closure).  Every call closure that `substitute_proc`
     builds keeps only the names its definition reads, so call instances
     that differ in dead bindings are one term.
 
-    `outs` and `ins` hold what `system_steps` got from `out_steps` and
-    `in_step`, keyed by the identity of the component judged: `outs`
-    maps `id(sender)` to (sender, candidates), and `ins` maps a
-    broadcast label (exposed environment, closed predicate, message) to
-    a table from `id(receiver)` to (receiver, result).  Each entry holds
-    the component it is keyed by, so no id is reused while the run
-    lives.  Successors are taken from these tables, so a component that
-    does not move in a step is the same object in the successor state,
-    and equal components are almost always one object."""
+    `records` maps `id(component)` to the component's `Memo`, which
+    holds the component, so no id is reused while the record lives.
+    `labels` numbers each broadcast label (exposed environment, closed
+    predicate, message) when a candidate first carries it, from
+    `numbers`, so a number is never reused.  Successors are taken from the records, so a
+    component that does not move in a step is the same object in the
+    successor state, and equal components are almost always one
+    object."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
     needs: Optional[Dict[str, FrozenSet[str]]]
     bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
-    outs: Dict[int, Tuple[ComponentState, List[Tuple["OutCandidate", Dict]]]] = field(default_factory=dict)
-    ins: Dict[tuple, Dict[int, Tuple[ComponentState, "InResult"]]] = field(default_factory=dict)
+    records: Dict[int, Memo] = field(default_factory=dict)
+    labels: Dict[tuple, int] = field(default_factory=dict)
+    numbers: Iterator[int] = field(default_factory=itertools.count)
 
     @classmethod
     def of(cls, defs, externs, roots=()) -> "Run":
@@ -84,26 +96,18 @@ class Run:
         return cls(defs, externs, call_needs(defs, roots))
 
     def keep_only(self, state: SystemState) -> None:
-        """Forgets what `outs` and `ins` hold about components that are not
-        in `state`, and drops the label tables that are left empty and
-        that no live sender's candidates hold.  `simulate` calls it after
-        each step, so the tables do not keep every component the run met.
-        No hit is lost: the entries of the components in `state` stay,
-        with every label table that holds one, and a simulation never
-        comes back to a component object it left, since each step makes
-        new objects for the components that move.  Every table a live
-        sender holds stays in `ins`, so it is pruned here and is the one
-        a later sender of its label gets."""
-        live = {id(c) for c in state}
-        for key in self.outs.keys() - live:
-            del self.outs[key]
-        held = {id(judged) for _, cands in self.outs.values() for _, judged in cands}
-        for label, judged in list(self.ins.items()):
-            # in place: the senders' candidates hold these tables
-            for key in judged.keys() - live:
-                del judged[key]
-            if not judged and id(judged) not in held:
-                del self.ins[label]
+        """Forgets the records of components that are not in `state`, and
+        the labels that no kept record holds, as a sender's candidate or
+        as a judgement.  `simulate` calls it after each step, so the run
+        does not keep every component it met.  No hit is lost: a
+        simulation never comes back to a component object it left, since
+        each step makes new objects for the components that move, and a
+        label a kept record holds keeps its number."""
+        self.records = {id(c): self.records[id(c)] for c in state if id(c) in self.records}
+        held = set()
+        for memo in self.records.values():
+            held.update(memo.judged, (n for _, n in memo.outs or ()))
+        self.labels = {label: n for label, n in self.labels.items() if n in held}
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
@@ -265,30 +269,29 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
     never receives its own message.  `out_steps` and `in_step` are asked
-    only about components that the run's memo has not seen (see `Run`).
+    only what the components' records do not hold (see `Run`).
     """
-    outs, ins = run.outs, run.ins
+    records, labels = run.records, run.labels
+    memos = [records.get(id(c)) or records.setdefault(id(c), Memo(c)) for c in state]
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
-        hit = outs.get(id(sender))
-        if hit is None:
-            # each candidate carries the receiver table of its label
-            hit = outs[id(sender)] = (sender, [
-                (cand, ins.setdefault((cand.exposed_env, cand.sent_pred, cand.message), {}))
-                for cand in out_steps(sender, run)
-            ])
-        for cand, judged in hit[1]:
+        outs = memos[i].outs
+        if outs is None:
+            outs = []
+            for cand in out_steps(sender, run):
+                label = (cand.exposed_env, cand.sent_pred, cand.message)
+                outs.append((cand, labels.setdefault(label, next(run.numbers))))
+            memos[i].outs = outs
+        for cand, n in outs:
             receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
             discarded = set()
             for j, other in enumerate(state):
                 if j == i:
                     continue
-                seen = judged.get(id(other))
-                if seen is None:
-                    seen = judged[id(other)] = (
-                        other, in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
-                    )
-                r = seen[1]
+                judged = memos[j].judged
+                r = judged.get(n)
+                if r is None:
+                    r = judged[n] = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
                 if r.is_receive:
                     receiver_choices.append((j, r.successors))
                 else:

@@ -1,14 +1,21 @@
 """Core value, expression, predicate and process types.
 
-Everything in this module is immutable after construction and safe to
-share between threads.  Source spans are carried on AST nodes but are
-excluded from equality and hashing, so structurally identical terms
-parsed from different places compare equal.
+Every record is immutable in its fields after construction and safe to
+share between threads.  The one value a record keeps beside its fields
+is a component's canonical text (`ComponentState.text`), written into
+the instance on first use: it is a pure function of fields that never
+change, so it cannot go stale, it stays out of `==`, `hash` and `repr`,
+and two threads that write it at once write the same text.
+
+Source spans are carried on AST nodes but are excluded from equality
+and hashing, so structurally identical terms parsed from different
+places compare equal.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -580,29 +587,19 @@ class ComponentState(Record):
     interface: frozenset
     proc: ProcessTerm
 
+    @functools.cached_property
+    def text(self) -> str:
+        """Canonical text of the component, `name{env}proc`, written on
+        first use and kept with the component."""
+        return self.name + "{" + ser_env(self.env) + "}" + ser_proc(self.proc)
+
 
 SystemState = Tuple[ComponentState, ...]
 
 
-def ser_component(c: ComponentState) -> str:
-    """Canonical text of a component, `name{env}proc`."""
-    return c.name + "{" + ser_env(c.env) + "}" + ser_proc(c.proc)
-
-
-def state_key(s: SystemState, texts: Optional[Dict[int, Tuple[ComponentState, str]]] = None) -> Tuple[str, ...]:
-    """The canonical key of a state.  `texts` memoises `ser_component`
-    by component identity; each entry holds its component, so no id is
-    reused while the table lives.  `explore` passes one per run, so no
-    term is kept after the run."""
-    if texts is None:
-        texts = {}
-    key = []
-    for c in s:
-        hit = texts.get(id(c))
-        if hit is None:
-            hit = texts[id(c)] = (c, ser_component(c))
-        key.append(hit[1])
-    return tuple(key)
+def state_key(s: SystemState) -> Tuple[str, ...]:
+    """The canonical key of a state: its components' texts."""
+    return tuple(c.text for c in s)
 
 
 def state_hash(s: SystemState) -> str:

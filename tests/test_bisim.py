@@ -59,7 +59,7 @@ component B { attrs { } interface { } run (x = "v")(x, v).G }
 def explore_raw(monkeypatch):
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(explorer, "state_key", lambda state, texts: state)
+            m.setattr(explorer, "state_key", lambda state: state)
             return explore(spec, **kw)
 
     return run

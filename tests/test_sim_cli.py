@@ -100,22 +100,25 @@ class TestSimulate:
 
         def checked(state, run):
             live = {id(c) for c in state}
-            assert set(run.outs) <= live
-            held = {id(judged) for _, cands in run.outs.values() for _, judged in cands}
-            assert all((judged or id(judged) in held) and set(judged) <= live for judged in run.ins.values())
-            # a live sender's table is the one in `ins`, so it is pruned too
-            for _, cands in run.outs.values():
-                for cand, judged in cands:
-                    assert run.ins[cand.exposed_env, cand.sent_pred, cand.message] is judged
-            seen.append(len(run.outs))
+            assert set(run.records) <= live
+            held = set()
+            for memo in run.records.values():
+                held.update(memo.judged)
+                # a kept sender's candidates keep their labels' numbers
+                for cand, n in memo.outs or ():
+                    assert run.labels[cand.exposed_env, cand.sent_pred, cand.message] == n
+                    held.add(n)
+            # a label is kept exactly while a kept record holds it
+            assert set(run.labels.values()) == held
+            seen.append(len(run.records))
             return system_steps(state, run)
 
         monkeypatch.setattr(simulator, "system_steps", checked)
         spec, src = load(fixture_path("travel-booking.abc"))
         for seed in range(5):
             assert len(simulate(spec, src, seed, 200).steps) > 0
-        # when X sends and Y receives, S's own label table loses both its
-        # entries while S, idle, still holds it
+        # when X sends and Y receives, S's label is judged by no kept
+        # record, while S, idle, still holds it as a candidate
         spec, diags = load_spec(IDLE_SENDER)
         assert spec is not None, diags
         for seed in range(5):
