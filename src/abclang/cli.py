@@ -1,7 +1,9 @@
 """Command-line interface: parse, run, explore, check.
 
 Exit codes: 0 success / property holds; 1 a property fails; 2 parse or
-validation error, or a file that cannot be read or written; 3 a resource
+validation error, a file that cannot be read or written, or a usage error
+(an unknown option, a negative --max-steps or --max-depth, a --max-states
+below 1); 3 a resource
 limit left a verdict unknown; 4 runtime evaluation error.
 """
 from __future__ import annotations
@@ -118,6 +120,21 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+
+    def count(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="abc", description="AbC specification toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -129,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate one random trace")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=_at_least(0), default=1000)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("explore", help="build the full transition system")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=100_000)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-states", type=_at_least(1), default=100_000)
+    p.add_argument("--max-depth", type=_at_least(0), default=None)
     p.add_argument("--export-lts", metavar="FILE", default=None)
     p.set_defaults(fn=_cmd_explore)
 
@@ -145,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--property", metavar="NAME", default=None)
     g.add_argument("--all", action="store_true")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=_at_least(1), default=1_000_000)
     p.set_defaults(fn=_cmd_check)
     return ap
 

@@ -8,9 +8,11 @@ uniformly among the resulting successors.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from .terms import (
+    INT_DIGITS,
     And,
     Apply,
     Attr,
@@ -116,33 +118,47 @@ def _num(v: Value, span=None) -> float:
     raise EvalError(f"expected a number, got {ser_value(v)}", span)
 
 
+_INT_LIMIT = 10 ** INT_DIGITS
+
+
+def _number(r, span=None) -> Value:
+    """The result `r` of arithmetic as a value: an integer of at most
+    INT_DIGITS digits, or a finite float."""
+    if isinstance(r, int):
+        if -_INT_LIMIT < r < _INT_LIMIT:
+            return VInt(r)
+        raise EvalError(f"integer result longer than {INT_DIGITS} digits", span)
+    if math.isfinite(r):
+        return VFloat(r)
+    raise EvalError("float result out of range", span)
+
+
 def _arith(op: str, a: Value, b: Value, span=None) -> Value:
     x, y = _num(a, span), _num(b, span)
-    if op == "+":
-        r = x + y
-    elif op == "-":
-        r = x - y
-    elif op == "*":
-        r = x * y
-    elif op == "/":
-        if y == 0:
-            raise EvalError("division by zero", span)
-        return VFloat(x / y)
-    else:
-        raise EvalError(f"unknown operator {op}", span)
-    if isinstance(a, VInt) and isinstance(b, VInt):
-        return VInt(int(r))
-    return VFloat(float(r))
+    if op == "/" and y == 0:
+        raise EvalError("division by zero", span)
+    try:
+        if op == "+":
+            return _number(x + y, span)
+        if op == "-":
+            return _number(x - y, span)
+        if op == "*":
+            return _number(x * y, span)
+        if op == "/":
+            return _number(x / y, span)
+    except OverflowError:
+        raise EvalError(f"{op} overflows a float", span) from None
+    raise EvalError(f"unknown operator {op}", span)
 
 
 def values_equal(a: Value, b: Value) -> bool:
     """Equality used by `=`, `!=` and set membership.
 
     Structural, except that integers and doubles compare by numeric
-    value.  UNDEF equals only UNDEF.
+    value, exactly.  UNDEF equals only UNDEF.
     """
     if isinstance(a, (VInt, VFloat)) and isinstance(b, (VInt, VFloat)):
-        return float(a.v) == float(b.v)
+        return a.v == b.v
     return a == b
 
 
@@ -153,14 +169,12 @@ def compare_values(op: str, a: Value, b: Value, span=None) -> bool:
         return not values_equal(a, b)
     if isinstance(a, VUndef) or isinstance(b, VUndef):
         raise EvalError("ordered comparison with undef", span)
-    if isinstance(a, (VInt, VFloat)) and isinstance(b, (VInt, VFloat)):
-        x, y = float(a.v), float(b.v)
-    elif isinstance(a, VStr) and isinstance(b, VStr):
-        x, y = a.v, b.v
-    else:
+    if not (isinstance(a, (VInt, VFloat)) and isinstance(b, (VInt, VFloat))
+            or isinstance(a, VStr) and isinstance(b, VStr)):
         raise EvalError(
             f"ordered comparison between {ser_value(a)} and {ser_value(b)}", span
         )
+    x, y = a.v, b.v  # Python compares an int and a float exactly
     return {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y}[op]
 
 
@@ -196,10 +210,10 @@ def apply_builtin(fn: str, args: List[Value], span=None) -> Value:
         if len(args) != 2:
             raise EvalError("diff takes two arguments", span)
         x, y = _num(args[0], span), _num(args[1], span)
-        r = abs(x - y)
-        if isinstance(args[0], VInt) and isinstance(args[1], VInt):
-            return VInt(int(r))
-        return VFloat(r)
+        try:
+            return _number(abs(x - y), span)
+        except OverflowError:
+            raise EvalError("diff overflows a float", span) from None
     if fn == "tuple":
         return VTuple(tuple(args))
     if fn == "proj":

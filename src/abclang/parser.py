@@ -20,6 +20,7 @@ that shadow declared attributes so the two can never collide.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import sys
@@ -27,6 +28,7 @@ from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from .terms import (
+    INT_DIGITS,
     And,
     Apply,
     Attr,
@@ -279,9 +281,17 @@ class _Parser:
     def parse_value(self) -> Value:
         key = self.peek()
         if key == "int":
-            return VInt(int(self.next()))
+            digits = self.toks[self.pos][1].lstrip("0")
+            if len(digits) > INT_DIGITS:
+                raise self.error(f"integer literal longer than {INT_DIGITS} digits")
+            self.next()
+            return VInt(int(digits or "0"))
         if key == "float":
-            return VFloat(float(self.next()))
+            v = float(self.toks[self.pos][1])
+            if not math.isfinite(v):
+                raise self.error("float literal out of range")
+            self.next()
+            return VFloat(v)
         if key == "-":
             self.next()
             inner = self.nested(self.parse_value)

@@ -110,13 +110,19 @@ class Span(Record):
 # values
 
 
+# An integer value has at most INT_DIGITS decimal digits, as many as
+# CPython turns into text by default, so that every value prints.
+INT_DIGITS = 4300
+
+
 class VInt(Record):
     v: int
 
 
 class VFloat(Record):
-    """A double.  There is one zero: `-0.0` is stored as `0.0`, because
-    the two compare and hash equal but would print and key apart."""
+    """A finite double.  There is one zero: `-0.0` is stored as `0.0`,
+    because the two compare and hash equal but would print and key
+    apart."""
 
     v: float
 

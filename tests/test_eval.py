@@ -13,6 +13,7 @@ from abclang.evaluator import (
     apply_updates,
     close,
     close_expr,
+    compare_values,
     evaluate,
     satisfies,
 )
@@ -105,6 +106,34 @@ class TestEvaluate:
         ]
         for z in zeros:
             assert math.copysign(1.0, z.v) == 1.0 and ser_value(z) == "f0.0"
+
+    def test_numbers_compare_exactly(self):
+        # 2**53 + 1 is no double: compared through float() it equals 2**53
+        odd, even = VInt(2**53 + 1), VInt(2**53)
+        assert not compare_values("=", odd, even) and compare_values("!=", odd, VFloat(2.0**53))
+        assert compare_values(">", odd, VFloat(2.0**53)) and compare_values("<=", even, VFloat(2.0**53))
+        member = Apply("in", (Literal(odd), Literal(VSet.of([VFloat(2.0**53)]))))
+        assert evaluate(member, Env()) == VBool(False)
+        # an integer too large for a double compares without overflow
+        huge = VInt(10**400)
+        assert compare_values(">", huge, VFloat(1.5)) and compare_values("!=", huge, VFloat(1e308))
+        assert compare_values("=", VInt(3), VFloat(3.0))
+
+    @pytest.mark.parametrize("src", [
+        "x + 1.5", "x / 3", "1.5 - x", "diff(x, 0.5)",  # int too large for a double
+        "1e308 * 10.0", "1e308 - -1e308", "1e300 / 1e-300",  # not finite
+        "y + 1", "neg(y) - 1", "y * y",  # more than 4300 digits
+    ])
+    def test_arithmetic_out_of_range_errors(self, src):
+        env = env_of(x=VInt(10**400), y=VInt(10**4300 - 1))
+        with pytest.raises(EvalError):
+            evaluate(parse_expr_str(src), env)
+
+    def test_arithmetic_in_range(self):
+        env = env_of(x=VInt(10**400), y=VInt(10**4300 - 1))
+        assert evaluate(parse_expr_str("x * x"), env) == VInt(10**800)
+        assert evaluate(parse_expr_str("y - 1 + 1 - y"), env) == VInt(0)
+        assert evaluate(parse_expr_str("1e308 + 1e292"), env) == VFloat(1e308 + 1e292)
 
     def test_set_membership(self):
         env = env_of(blist=VSet.of([VStr("b1")]))

@@ -202,6 +202,24 @@ class TestParseSpec:
         assert spec is None
         assert [d.render(color=False) for d in diags] == ["f.abc:" + message]
 
+    @pytest.mark.parametrize("value, message", [
+        ("1" + "0" * 4300, "integer literal longer than 4300 digits"),
+        ("1e999", "float literal out of range"),
+        ("-1e999", "float literal out of range"),
+    ], ids=["4301-digit int", "1e999", "-1e999"])
+    def test_out_of_range_number_literal(self, value, message):
+        spec, diags = parse_spec(f"component C {{ attrs {{ x = {value}; }} interface {{ }} run 0 }}", "f.abc")
+        assert spec is None
+        col = 28 if value.startswith("-") else 27
+        assert [d.render(color=False) for d in diags] == [f"f.abc:1:{col}: error[E-PARSE]: {message}"]
+
+    def test_widest_number_literals_print_and_load_back(self):
+        longest = "9" * 4300
+        src = f"component C {{ attrs {{ x = {longest}; y = 00{longest}; z = 1.7e308; w = -5e-324; }} interface {{ }} run 0 }}"
+        spec, diags = parse_spec(src)
+        assert spec is not None and not diags
+        assert parse_spec(pp_spec(spec)) == (spec, [])
+
     def test_extern_forms(self):
         src = 'extern d : { 1, 2 }\nextern t : map { ("a") -> 1, ("b") -> 2 }\n'
         spec, diags = parse_spec(src)

@@ -499,6 +499,49 @@ class TestCli:
     def test_check_truncated_exit_3(self, capsys):
         assert main(["check", fixture_path("choice.abc"), "--all", "--max-states", "1"]) == 3
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--max-steps", "-1"],
+        ["explore", "--max-states", "0"],
+        ["explore", "--max-depth", "-1"],
+        ["check", "--all", "--max-states", "0"],
+        ["run", "--max-steps", "ten"],
+    ])
+    def test_out_of_range_limit_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main([args[0], fixture_path("ping.abc"), *args[1:]])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {args[-2]}:" in err and ("must be at least" in err or "invalid int value: 'ten'" in err)
+
+    def test_smallest_limits_are_accepted(self, capsys):
+        assert main(["run", fixture_path("ping.abc"), "--max-steps", "0"]) == 0
+        assert "0 step(s), termination: step-limit" in capsys.readouterr().out
+        assert main(["explore", fixture_path("ping.abc"), "--max-states", "1", "--max-depth", "0"]) == 3
+
+    def test_numbers_compare_exactly_in_a_verdict(self, tmp_path, capsys):
+        # 2**53 + 1 against 2**53: equal only when compared as doubles
+        f = tmp_path / "exact.abc"
+        f.write_text(
+            "component C { attrs { x = 9007199254740993; } interface { x }"
+            ' run <x = 9007199254740992>("a")@(tt).0 }\n'
+            'property sends = reachable sent(C, "a")\n'
+            "property same = invariant C.x = 9007199254740992\n"
+        )
+        assert main(["check", str(f), "--all"]) == 1
+        out = capsys.readouterr().out
+        assert "sends: FAILS" in out and "same: FAILS" in out
+
+    def test_out_of_range_arithmetic_exit_4(self, tmp_path, capsys):
+        # inf - inf was NaN, which the JSON trace wrote as a bare NaN
+        f = tmp_path / "nan.abc"
+        f.write_text('component C { attrs { x = 1e308; } interface { } run ("a", x * 10.0 - x * 10.0)@(tt).0 }\n')
+        assert main(["run", str(f), "--format", "json"]) == 4
+        lines = [json.loads(line, parse_constant=pytest.fail) for line in capsys.readouterr().out.splitlines()]
+        assert lines[0]["termination"] == "error" and "float result out of range" in lines[0]["error"]
+        f.write_text(f'component C {{ attrs {{ x = {10**400}; }} interface {{ }} run ("a")@(tt).[x := x + 1.5] 0 }}\n')
+        assert main(["run", str(f)]) == 4
+        assert "+ overflows a float" in capsys.readouterr().out
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as ei:
             main(["explore", fixture_path("ping.abc"), "--bogus"])
