@@ -196,3 +196,75 @@ def rand_component(rng: random.Random, name: str = "C") -> ComponentState:
 
 def rand_message(rng: random.Random) -> Tuple:
     return tuple(rand_value(rng) for _ in range(rng.randrange(4)))
+
+
+# ---------------------------------------------------------------------------
+# specs that reach the state-space reductions
+#
+# Every component has the attributes n and k, every message is a tag and
+# one of 0 and 1, and every update keeps n and k in {0, 1}: no evaluation
+# fails, and the state space is finite.  A definition starts with a
+# prefix, so every call is guarded, and a continuation holds at most one
+# call, so no run grows the number of parallel operands.
+
+
+def _int_expr(rng: random.Random, bound) -> str:
+    return rng.choice(["n", "k", "1 - n", "0", "1"] + ["v"] * 2 * ("v" in bound))
+
+
+def _prefix(rng: random.Random, ndefs: int, bound, depth: int) -> str:
+    tag = rng.choice("ab")
+    if rng.random() < 0.5:
+        target = rng.choice(["tt", "tt", "n = 1", "n = this.n", "k = 0"])
+        head = f'("{tag}", {_int_expr(rng, bound)})@({target})'
+    else:
+        binder = rng.choice("vw")
+        # `w = v` with w unbound reads a name that only a call's closure
+        # can bind: a guard-only binding
+        extra = rng.choice(["", " && n = 1", " && w = v" if binder == "v" else ""])
+        head = f'(t = "{tag}"{extra})(t, {binder})'
+        bound = bound | {binder}
+    ups = rng.choice(["", "", "[n := 1 - n]", "[n := 0]"] + ["[k := v]"] * ("v" in bound))
+    if rng.random() < 0.15:
+        head = f"<k = {rng.randrange(2)}>{head}"
+    return f"{head}.{ups} {_continuation(rng, ndefs, bound, depth - 1)}"
+
+
+def _continuation(rng: random.Random, ndefs: int, bound, depth: int) -> str:
+    r = rng.random()
+    if depth > 0 and r < 0.3:
+        return _prefix(rng, ndefs, bound, depth)
+    if r < 0.4 - 0.1 * bool(bound):
+        return "0"
+    call = f"K{rng.randrange(ndefs)}"
+    return rng.choice([call, call, f"({call} | 0)", f"(0 | {call})"])
+
+
+def rand_reducible_spec(rng: random.Random) -> str:
+    """Source text of a guarded, attribute-complete spec with parallel
+    copies of one call, calls under input binders that their definition
+    does not read (dead bindings) or reads only in a guard, and `| 0`
+    operands."""
+    ndefs = rng.randrange(2, 4)
+    lines = []
+    for i in range(ndefs):
+        summands = [_prefix(rng, ndefs, frozenset(), 2) for _ in range(rng.randrange(1, 3))]
+        if i == 0 and rng.random() < 0.5:
+            # K0 reads w only in a guard, and K1 calls it with w bound
+            summands[0] = f'(t = "b" && w = v)(t, v). {_continuation(rng, ndefs, {"v"}, 1)}'
+        elif i == 1 and rng.random() < 0.5:
+            summands[0] = '(t = "a")(t, w). K0'
+        lines.append(f"proc K{i} = " + " + ".join(summands))
+    for c in range(rng.randrange(2, 4)):
+        call = f"K{rng.randrange(ndefs)}"
+        run = rng.choice([call, f"{call} | {call}", f"{call} | K{rng.randrange(ndefs)}", f"{call} | 0 | {call}"])
+        iface = rng.choice(["n", "n, k"])
+        lines.append(
+            f"component C{c} {{ attrs {{ n = {rng.randrange(2)}; k = {rng.randrange(2)}; }}"
+            f" interface {{ {iface} }} run {run} }}"
+        )
+    if rng.random() < 0.5:
+        # two values under one tag: a receiver that binds one and calls a
+        # definition that does not read it has a dead binding
+        lines.append('component S { attrs { n = 0; k = 0; } interface { n } run ("a", 0)@(tt).0 + ("a", 1)@(tt).0 }')
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,12 @@
 `explore` identifies states by `state_key`, which canonicalises each
 component's process up to reordering of `|` and `+` and drops `0`
 operands of `|`.  Exploring with the raw `SystemState` as the key gives
-the unreduced system; the two must be strongly bisimilar on full
-transition labels.
+the unreduced system; the two must be strongly bisimilar on behaviour
+labels (see `behaviour_label`), and on the fixtures also on full
+transition labels.  Full labels can tell them apart when two copies of
+one process run in parallel: raw states `P' | P` and `P | P'` are one
+canonical state, and the copy that receives next has a different
+branch ordinal in each layout.
 
 Call closures keep only the names their definition reads
 (`validate.call_needs`).  Exploring with whole closures must give a
@@ -18,12 +22,14 @@ import pytest
 from conftest import fixture_path
 
 from _bisim import behaviour_label, bisimilar
+from _gen import rand_reducible_spec
 from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import make_lts
 
 from abclang import explorer, semantics
 from abclang.evaluator import EvalError
 from abclang.explorer import explore
+from abclang.semantics import Run, system_steps
 from abclang.terms import VInt, VStr
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
@@ -138,3 +144,29 @@ def test_fuzz_specs(explore_raw, explore_untrimmed):
         assert bisimilar(reduced, whole, behaviour_label)
         compared += 1
     assert compared >= 40
+
+
+def test_generated_specs(explore_raw, explore_untrimmed, monkeypatch):
+    """Specs that reach the reductions by construction (see
+    `rand_reducible_spec`): canonical keying, closure trimming and the
+    run's memo, each against the system without it."""
+    rng = random.Random(13)
+    counts = dict(compared=0, merged=0, trimmed=0)
+    for _ in range(100):
+        spec = load(rand_reducible_spec(rng), is_path=False)
+        reduced = explore(spec, max_states=300)
+        raw = explore_raw(spec, max_states=300)
+        whole = explore_untrimmed(spec, max_states=300)
+        if reduced.truncated or raw.truncated or whole.truncated:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(explorer, "system_steps",
+                      lambda state, run: system_steps(state, Run(run.defs, run.externs, run.needs)))
+            fresh = explore(spec, max_states=300)
+        assert bisimilar(reduced, raw, behaviour_label)
+        assert bisimilar(reduced, whole, behaviour_label)
+        assert fresh.export_text() == reduced.export_text()
+        counts["compared"] += 1
+        counts["merged"] += len(raw.states) > len(reduced.states)
+        counts["trimmed"] += len(whole.states) > len(reduced.states)
+    assert counts["compared"] >= 70 and counts["merged"] >= 30 and counts["trimmed"] >= 10, counts
