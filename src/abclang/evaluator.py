@@ -9,6 +9,7 @@ uniformly among the resulting successors.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 from .terms import (
@@ -133,22 +134,17 @@ def _number(r, span=None) -> Value:
     raise EvalError("float result out of range", span)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _arith(op: str, a: Value, b: Value, span=None) -> Value:
     x, y = _num(a, span), _num(b, span)
     if op == "/" and y == 0:
         raise EvalError("division by zero", span)
     try:
-        if op == "+":
-            return _number(x + y, span)
-        if op == "-":
-            return _number(x - y, span)
-        if op == "*":
-            return _number(x * y, span)
-        if op == "/":
-            return _number(x / y, span)
-    except OverflowError:
+        return _number(_ARITH[op](x, y), span)
+    except OverflowError:  # an int too large for a float
         raise EvalError(f"{op} overflows a float", span) from None
-    raise EvalError(f"unknown operator {op}", span)
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -209,11 +205,7 @@ def apply_builtin(fn: str, args: List[Value], span=None) -> Value:
     if fn == "diff":
         if len(args) != 2:
             raise EvalError("diff takes two arguments", span)
-        x, y = _num(args[0], span), _num(args[1], span)
-        try:
-            return _number(abs(x - y), span)
-        except OverflowError:
-            raise EvalError("diff overflows a float", span) from None
+        return _number(abs(_arith("-", args[0], args[1], span).v))
     if fn == "tuple":
         return VTuple(tuple(args))
     if fn == "proj":

@@ -7,7 +7,7 @@ delivers each candidate broadcast to every other component and builds
 the successor states.
 
 Every step function takes the `Run` it belongs to.  They are pure,
-except that `unfold` and `system_steps` fill the run's memo tables.
+except that `unfold` and `system_steps` fill the run's memo.
 """
 from __future__ import annotations
 
@@ -72,10 +72,10 @@ class Run:
     holds the component, so no id is reused while the record lives.
     `labels` numbers each broadcast label (exposed environment, closed
     predicate, message) when a candidate first carries it, from
-    `numbers`, so a number is never reused.  Successors are taken from the records, so a
-    component that does not move in a step is the same object in the
-    successor state, and equal components are almost always one
-    object."""
+    `numbers`, so a number is never reused.  Successors are taken from
+    the records, so a component that does not move in a step is the
+    same object in the successor state, and equal components are almost
+    always one object."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
