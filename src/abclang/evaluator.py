@@ -63,6 +63,10 @@ class EvalError(Exception):
         return f"{self.span}: {base}" if self.span else base
 
 
+class ThisAttrError(EvalError):
+    """An error in evaluating `this.a` or its index: the judge's own state."""
+
+
 # ---------------------------------------------------------------------------
 # choice reification
 
@@ -236,9 +240,11 @@ def evaluate(
     subst: Subst = EMPTY_SUBST,
     externs: Optional[Dict] = None,
     chooser: Optional[ScriptedChooser] = None,
+    this: Optional[Env] = None,
 ) -> Value:
-    """Local evaluation: both `a` and `this.a` read the own environment,
-    and a bare, unindexed `a` bound in `subst` reads its value.
+    """Evaluates `e`: a bare `a` reads `subst` when it is unindexed and
+    bound there, else `env`; `this.a` reads `this`, or `env` when `this`
+    is None, and an error in it or its index is a `ThisAttrError`.
 
     A missing attribute is a hard error here; the lenient
     absent-attribute rule applies only inside `satisfies`.
@@ -247,15 +253,23 @@ def evaluate(
     if isinstance(e, Literal):
         return e.value
     if isinstance(e, (Attr, ThisAttr)):
-        if isinstance(e, Attr) and not e.index:
+        own = isinstance(e, ThisAttr)
+        if own:
+            env = env if this is None else this
+        elif not e.index:
             v = subst.get(e.name)
             if v is not None:
                 return v
-        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in e.index)
+        try:
+            idx = tuple(evaluate(i, env, subst, externs, chooser, this) for i in e.index)
+        except EvalError as err:
+            if not own:
+                raise
+            raise ThisAttrError(err.args[0], err.span) from None
         v = env.lookup(e.name, idx)
         if v is None:
             shown = e.name + (f"[{','.join(ser_value(i) for i in idx)}]" if idx else "")
-            raise EvalError(f"attribute {shown} is not set", e.span)
+            raise (ThisAttrError if own else EvalError)(f"attribute {shown} is not set", e.span)
         return v
     if isinstance(e, Apply):
         ext = externs.get(e.fn)
@@ -265,7 +279,7 @@ def evaluate(
             if chooser is None:
                 raise EvalError(f"extern {e.fn} drawn without a chooser", e.span)
             return chooser.choose(ext.values)
-        args = [evaluate(a, env, subst, externs, chooser) for a in e.args]
+        args = [evaluate(a, env, subst, externs, chooser, this) for a in e.args]
         if isinstance(ext, TableFn):
             r = ext.lookup(tuple(args))
             if r is None:
@@ -280,54 +294,42 @@ def evaluate(
 # closure and substitution
 
 
-def close_expr(e: Expr, env: Optional[Env], subst: Subst, externs=None, chooser=None, draw=False) -> Expr:
-    """Freezes bound names to literals, and `this.a` too when `env`, the
-    speaker's environment, is given; keeps other bare attribute
-    references symbolic (they name the judging party's state).  With
-    `draw`, calls of enumerated externs are drawn now, through the
-    chooser, instead of being left for the judging party."""
+def close_expr(e: Expr, env: Optional[Env], subst: Subst, externs=None, chooser=None) -> Expr:
+    """Freezes bound names to literals.  With `env`, the speaker's
+    environment, it also freezes `this.a` and draws the calls of
+    enumerated externs, so receivers judge the values the speaker drew;
+    other bare attribute references name the judging party's state."""
     if isinstance(e, Literal):
         return e
-    if isinstance(e, ThisAttr) and env is not None:
-        idx = tuple(evaluate(i, env, subst, externs, chooser) for i in e.index)
-        v = env.lookup(e.name, idx)
-        if v is None:
-            raise EvalError(f"attribute {e.name} is not set (predicate closure)", e.span)
-        return Literal(v, e.span)
+    drawn = isinstance(e, Apply) and isinstance((externs or {}).get(e.fn), EnumDomain)
+    if env is not None and (isinstance(e, ThisAttr) or drawn):
+        return Literal(evaluate(e, env, subst, externs, chooser), e.span)
     if isinstance(e, (Attr, ThisAttr)):
         if e.index:
-            return type(e)(e.name, tuple(close_expr(i, env, subst, externs, chooser, draw) for i in e.index), e.span)
+            return type(e)(e.name, tuple(close_expr(i, env, subst, externs, chooser) for i in e.index), e.span)
         v = subst.get(e.name) if isinstance(e, Attr) else None
         return e if v is None else Literal(v, e.span)
     if isinstance(e, Apply):
-        if draw and isinstance((externs or {}).get(e.fn), EnumDomain):
-            return Literal(evaluate(e, env, subst, externs, chooser), e.span)
-        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in e.args), e.span)
+        return Apply(e.fn, tuple(close_expr(a, env, subst, externs, chooser) for a in e.args), e.span)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def close(p: Predicate, env: Optional[Env], subst: Subst = EMPTY_SUBST, externs=None, chooser=None, draw=False) -> Predicate:
-    """Closes a predicate in the speaker's environment (see `close_expr`).
-    A sender closes its target predicate with `draw`, so receivers judge
-    the values it drew; guards leave their draws to `satisfies`.  With
-    `env` None, the speaker is not known yet: this is substitution, a
-    capture-free replacement of bound names by value literals, and it
-    returns `p` itself when `subst` is empty.  A bare, unindexed
-    attribute whose name is bound is a variable occurrence: bound
-    variables and attributes share the identifier namespace in source
-    text, and validation rejects shadowing."""
+def close(p: Predicate, env: Optional[Env], subst: Subst = EMPTY_SUBST, externs=None, chooser=None) -> Predicate:
+    """Closes a predicate (see `close_expr`): with `env` None, this is
+    substitution, a capture-free replacement of bound names by value
+    literals, and returns `p` itself when `subst` is empty; with `env`,
+    a sender closes its target predicate before it sends.  A bare,
+    unindexed attribute whose name is bound is a variable occurrence:
+    bound variables and attributes share the identifier namespace in
+    source text, and validation rejects shadowing."""
     if env is None and not subst.pairs:
         return p
     if isinstance(p, AtomApply):
-        return AtomApply(p.name, tuple(close_expr(a, env, subst, externs, chooser, draw) for a in p.args), p.span)
+        return AtomApply(p.name, tuple(close_expr(a, env, subst, externs, chooser) for a in p.args), p.span)
     if isinstance(p, (And, Or)):
-        return type(p)(
-            close(p.lhs, env, subst, externs, chooser, draw),
-            close(p.rhs, env, subst, externs, chooser, draw),
-            p.span,
-        )
+        return type(p)(close(p.lhs, env, subst, externs, chooser), close(p.rhs, env, subst, externs, chooser), p.span)
     if isinstance(p, Not):
-        return Not(close(p.inner, env, subst, externs, chooser, draw), p.span)
+        return Not(close(p.inner, env, subst, externs, chooser), p.span)
     if isinstance(p, (TruePred, FalsePred)):
         return p
     raise TypeError(f"not a predicate: {p!r}")
@@ -389,36 +391,38 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
 # satisfaction
 
 
-def satisfies(env: Env, p: Predicate, externs=None, chooser=None) -> bool:
-    """Judges a closed predicate against an environment.
-
-    Bare attribute references resolve in `env`.  An atomic predicate
-    that cannot be evaluated — absent attribute, type error, ordered
-    comparison with undef — counts as false rather than failing, which
-    keeps satisfaction total (a component lacking an attribute silently
-    falls outside the addressed group).
-    """
+def satisfies(env: Env, p: Predicate, externs=None, chooser=None, subst=EMPTY_SUBST, this=None) -> bool:
+    """Judges `p` where it stands, open or closed: its atoms read `env`,
+    `subst` and `this` as in `evaluate`.  An atom that cannot be
+    evaluated — absent attribute, type error, ordered comparison with
+    undef — counts as false, which keeps satisfaction total (a component
+    lacking an attribute silently falls outside the addressed group),
+    but a `ThisAttrError` is the judge's own and propagates.  Operands
+    are judged left to right, and one that is not reached is not
+    evaluated."""
     if isinstance(p, AtomApply):  # the most common node, so tested first
         name, args = p.name, p.args
         try:
             if name in COMPARE_OPS:
-                a = evaluate(args[0], env, EMPTY_SUBST, externs, chooser)
-                return compare_values(name, a, evaluate(args[1], env, EMPTY_SUBST, externs, chooser), p.span)
+                a = evaluate(args[0], env, subst, externs, chooser, this)
+                return compare_values(name, a, evaluate(args[1], env, subst, externs, chooser, this), p.span)
             if name == "in":
-                a = evaluate(args[0], env, EMPTY_SUBST, externs, chooser)
-                return _member(a, evaluate(args[1], env, EMPTY_SUBST, externs, chooser), p.span)
-            values = [evaluate(a, env, EMPTY_SUBST, externs, chooser) for a in args]
+                a = evaluate(args[0], env, subst, externs, chooser, this)
+                return _member(a, evaluate(args[1], env, subst, externs, chooser, this), p.span)
+            values = [evaluate(a, env, subst, externs, chooser, this) for a in args]
             ext = (externs or {}).get(name)
             r = ext.lookup(tuple(values)) if isinstance(ext, TableFn) else apply_builtin(name, values, p.span)
             return isinstance(r, VBool) and r.v
+        except ThisAttrError:
+            raise
         except EvalError:
             return False
     if isinstance(p, And):
-        return satisfies(env, p.lhs, externs, chooser) and satisfies(env, p.rhs, externs, chooser)
+        return satisfies(env, p.lhs, externs, chooser, subst, this) and satisfies(env, p.rhs, externs, chooser, subst, this)
     if isinstance(p, Or):
-        return satisfies(env, p.lhs, externs, chooser) or satisfies(env, p.rhs, externs, chooser)
+        return satisfies(env, p.lhs, externs, chooser, subst, this) or satisfies(env, p.rhs, externs, chooser, subst, this)
     if isinstance(p, Not):
-        return not satisfies(env, p.inner, externs, chooser)
+        return not satisfies(env, p.inner, externs, chooser, subst, this)
     if isinstance(p, TruePred):
         return True
     if isinstance(p, FalsePred):

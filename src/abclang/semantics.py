@@ -183,10 +183,6 @@ class InResult:
 DISCARD = InResult()
 
 
-def _guards_hold(guards, env, externs, ch) -> bool:
-    return all(satisfies(env, close(g, env, externs=externs, chooser=ch), externs, ch) for g in guards)
-
-
 def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     """Every output action enabled in `c`, one candidate per extern draw
     combination.  Message, closed predicate and exposed environment all
@@ -198,10 +194,10 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
 
         def fire(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, ordinal=ordinal):
-            if not _guards_hold(guards, c.env, externs, ch):
+            if not all(satisfies(c.env, g, externs, ch) for g in guards):
                 return None
             msg = tuple(evaluate(e, c.env, externs=externs, chooser=ch) for e in node.payload)
-            pred = close(node.target, c.env, externs=externs, chooser=ch, draw=True)
+            pred = close(node.target, c.env, externs=externs, chooser=ch)
             new_env = apply_updates(c.env, node.updates, externs=externs, chooser=ch)
             succ = ComponentState(c.name, new_env, c.interface, _rebuild(ctx, node.then))
             return OutCandidate(msg, pred, exposed, succ, ordinal)
@@ -223,8 +219,8 @@ def in_step(
 
     Receive requires both communication constraints: the component's
     public environment satisfies the sender's (closed) predicate, and
-    the sender's exposed environment satisfies the receiving guard with
-    the message substituted for the binders.  Each matching input
+    the sender's exposed environment satisfies the receiving guard, its
+    binders read from the message and `this.a` from `c`.  Each matching input
     occurrence contributes one successor; otherwise the component
     discards and is left untouched.  An arity mismatch between binders
     and message is an ordinary discard.
@@ -239,13 +235,11 @@ def in_step(
         bindings = Subst.of(dict(zip(node.binders, msg)))
 
         def consume(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, bindings=bindings):
-            # a guard that cannot even be evaluated (absent attribute,
-            # type error) cannot authorize reception: treat as discard
+            # a guard that fails on c's own state (a ThisAttrError) cannot
+            # authorize reception: treat as discard
             try:
-                if not _guards_hold(guards, c.env, externs, ch):
-                    return None
-                guard = close(node.guard, c.env, bindings, externs=externs, chooser=ch)
-                if not satisfies(exposed_env, guard, externs, ch):
+                if not (all(satisfies(c.env, g, externs, ch) for g in guards)
+                        and satisfies(exposed_env, node.guard, externs, ch, bindings, c.env)):
                     return None
             except EvalError:
                 return None
