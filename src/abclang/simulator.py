@@ -61,6 +61,8 @@ def _env_updates(pre: SystemState, post: SystemState) -> List[Tuple[str, str, Tu
 
 
 def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) -> Trace:
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     rng = random.Random(seed)
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()

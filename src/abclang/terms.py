@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import sys
 from typing import Optional, Tuple, Union
 
 
@@ -111,8 +112,10 @@ class Span(Record):
 
 
 # An integer value has at most INT_DIGITS decimal digits, as many as
-# CPython turns into text by default, so that every value prints.
-INT_DIGITS = 4300
+# CPython turns into text (4,300 unless PYTHONINTMAXSTRDIGITS or
+# `-X int_max_str_digits` lowers it; 0 lifts it), so that every value prints.
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython >= 3.10.7
+INT_DIGITS = min(4300, _STR_DIGITS) if _STR_DIGITS else 4300
 
 
 class VInt(Record):
@@ -160,9 +163,6 @@ class VUndef(Record):
 UNDEF = VUndef()
 
 Value = Union[VInt, VFloat, VBool, VStr, VTuple, VSet, VUndef]
-
-TRUE = VBool(True)
-FALSE = VBool(False)
 
 
 def ser_value(v: Value) -> str:
