@@ -301,9 +301,9 @@ def close_expr(e: Expr, env: Optional[Env], subst: Subst, externs=None, chooser=
     other bare attribute references name the judging party's state."""
     if isinstance(e, Literal):
         return e
-    drawn = isinstance(e, Apply) and isinstance((externs or {}).get(e.fn), EnumDomain)
-    if env is not None and (isinstance(e, ThisAttr) or drawn):
-        return Literal(evaluate(e, env, subst, externs, chooser), e.span)
+    if env is not None and isinstance(e, (ThisAttr, Apply)):
+        if isinstance(e, ThisAttr) or isinstance((externs or {}).get(e.fn), EnumDomain):
+            return Literal(evaluate(e, env, subst, externs, chooser), e.span)
     if isinstance(e, (Attr, ThisAttr)):
         if e.index:
             return type(e)(e.name, tuple(close_expr(i, env, subst, externs, chooser) for i in e.index), e.span)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .evaluator import (
-    EvalError,
     ScriptedChooser,
+    ThisAttrError,
     all_runs,
     evaluate,
     apply_updates,
@@ -235,13 +235,13 @@ def in_step(
         bindings = Subst.of(dict(zip(node.binders, msg)))
 
         def consume(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, bindings=bindings):
-            # a guard that fails on c's own state (a ThisAttrError) cannot
-            # authorize reception: treat as discard
+            # a guard that fails on c's own state cannot authorize
+            # reception: treat as discard
             try:
                 if not (all(satisfies(c.env, g, externs, ch) for g in guards)
                         and satisfies(exposed_env, node.guard, externs, ch, bindings, c.env)):
                     return None
-            except EvalError:
+            except ThisAttrError:
                 return None
             new_env = apply_updates(c.env, node.updates, externs, ch, bindings)
             then = substitute_proc(node.then, bindings, run.needs)

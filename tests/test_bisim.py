@@ -14,6 +14,10 @@ Call closures keep only the names their definition reads
 (`validate.call_needs`).  Exploring with whole closures must give a
 system bisimilar on behaviour labels, which leave out the receivers'
 branch ordinals (see `behaviour_label`).
+
+Awareness and receive guards are judged where they stand.  Closing each
+guard in the judging component's environment first must give the same
+transition system, byte for byte.
 """
 import random
 
@@ -27,10 +31,10 @@ from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import make_lts
 
 from abclang import explorer, semantics
-from abclang.evaluator import EvalError
+from abclang.evaluator import EvalError, close, satisfies
 from abclang.explorer import explore
 from abclang.semantics import Run, system_steps
-from abclang.terms import VInt, VStr
+from abclang.terms import EMPTY_SUBST, EnumDomain, VInt, VStr
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
 # two raw ones.  W's received x is read by nothing, so W's closure is empty.
@@ -170,3 +174,29 @@ def test_generated_specs(explore_raw, explore_untrimmed, monkeypatch):
         counts["merged"] += len(raw.states) > len(reduced.states)
         counts["trimmed"] += len(whole.states) > len(reduced.states)
     assert counts["compared"] >= 70 and counts["merged"] >= 30 and counts["trimmed"] >= 10, counts
+
+
+def closing_judge(env, p, externs=None, chooser=None, subst=EMPTY_SUBST, this=None):
+    """The reference guard judgement: close the guard in the judging
+    component's environment (`this`, or `env` when it is None), then
+    judge the closed guard.  Enumerated externs are hidden from `close`,
+    which would draw them, so each is drawn when the judgement reaches
+    it, as in the judgement in place."""
+    fixed = {n: e for n, e in (externs or {}).items() if not isinstance(e, EnumDomain)}
+    return satisfies(env, close(p, env if this is None else this, subst, fixed, chooser), externs, chooser)
+
+
+def test_guards_judged_in_place_as_if_closed_first(corpus_spec, monkeypatch):
+    specs = [(spec, {}) for spec in fixture_specs(corpus_spec).values()]
+    specs.append((load(fixture_path("travel-booking.abc")), {}))
+    rng = random.Random(13)
+    specs += [(load(rand_reducible_spec(rng), is_path=False), dict(max_states=300)) for _ in range(100)]
+    receives = 0
+    for spec, limits in specs:
+        in_place = explore(spec, **limits)
+        with monkeypatch.context() as m:
+            m.setattr(semantics, "satisfies", closing_judge)
+            closing = explore(spec, **limits)
+        assert in_place.export_text() == closing.export_text()
+        receives += any(t.event.receivers for t in in_place.transitions)
+    assert receives >= 45

@@ -9,6 +9,7 @@ from _gen import rand_env, rand_expr, rand_pred, rand_subst
 from abclang.evaluator import (
     EvalError,
     ScriptedChooser,
+    ThisAttrError,
     all_runs,
     apply_updates,
     close,
@@ -210,6 +211,50 @@ class TestSatisfies:
         assert not satisfies(env_of(loc=VStr("paris")), p, externs={"near": near})
 
 
+class TestJudgeInPlace:
+    """A guard is judged where it stands: a bare name reads the other
+    party (`env`), a bound name the message (`subst`), and `this.a` the
+    judging component (`this`, or `env` when it is None)."""
+
+    def test_each_name_reads_its_party(self):
+        p = parse_pred_str('x = "offer" && price <= this.budget')
+        sender, receiver = env_of(price=VInt(80)), env_of(budget=VInt(90), price=VInt(99))
+        offer = Subst.of({"x": VStr("offer")})
+        assert satisfies(sender, p, subst=offer, this=receiver)
+        assert not satisfies(sender, p, subst=Subst.of({"x": VStr("no")}), this=receiver)
+        assert not satisfies(sender, p, subst=offer, this=env_of(budget=VInt(79)))
+
+    def test_unset_this_attr_is_an_error_not_a_false_atom(self):
+        for src in ["this.gone = 1", "!(this.gone = 1)", "ff || this.gone = 1"]:
+            with pytest.raises(ThisAttrError, match="attribute gone is not set"):
+                satisfies(env_of(gone=VInt(1)), parse_pred_str(src), this=Env())
+            with pytest.raises(ThisAttrError):
+                satisfies(Env(), parse_pred_str(src))
+        # an unset bare attribute reads the other party: the atom is false
+        assert satisfies(Env(), parse_pred_str("!(gone = 1)"), this=env_of(gone=VInt(1)))
+
+    def test_an_operand_not_reached_is_not_evaluated(self):
+        assert satisfies(Env(), parse_pred_str("tt || this.gone = 1"))
+        assert not satisfies(Env(), parse_pred_str("ff && this.gone = 1"))
+
+    def test_error_in_a_this_index_is_the_judges_own(self):
+        env = Env.of({("room", (VInt(1),)): VInt(1)})
+        for src in ["this.room[1 / 0] = 1", "this.room[this.gone] = 1", "this.room[gone] = 1"]:
+            with pytest.raises(ThisAttrError):
+                satisfies(env_of(gone=VInt(1)), parse_pred_str(src), this=env)
+        assert not satisfies(env, parse_pred_str("room[1 / 0] = 1"))
+        # the index of `this.a` reads the judge too
+        own = Env.of({("room", (VInt(1),)): VInt(1), ("i", ()): VInt(1)})
+        assert satisfies(env_of(i=VInt(2)), parse_pred_str("this.room[i] = 1"), this=own)
+
+    def test_extern_in_a_this_index_is_drawn_only_when_reached(self):
+        pick = {"pick": EnumDomain.of([VInt(1), VInt(2), VInt(3)])}
+        env = Env.of({("room", (VInt(i),)): VInt(i) for i in (1, 2, 3)})
+        judge = lambda src: lambda ch: satisfies(Env(), parse_pred_str(src), pick, ch, this=env)
+        assert all_runs(judge("tt || this.room[pick()] = 1")) == [True]
+        assert all_runs(judge("ff || this.room[pick()] = 1")) == [True, False, False]
+
+
 class TestSubstitute:
     """Substitution is closing with no speaker environment."""
 
@@ -302,8 +347,9 @@ class TestAlgebraicProperties:
             assert lhs == rhs
 
     def test_close_with_bindings_equals_close_of_substituted(self):
-        # in_step closes a receive guard with the message bindings rather
-        # than closing the guard with the bindings substituted in
+        # closing with bindings, the reference that judging a receive
+        # guard in place is checked against, equals closing the guard
+        # with the bindings substituted in
         outcomes = set()
         for seed in range(500):
             rng = random.Random(seed)
@@ -322,6 +368,37 @@ class TestAlgebraicProperties:
             assert results[0] == results[1], (seed, p)
             outcomes.add(results[0] is EvalError)
         assert outcomes == {True, False}
+
+    def test_judging_in_place_equals_judging_the_closed_guard(self):
+        # in_step judges a receive guard in place, with the message
+        # bindings and the receiver's attributes as `this`; closing the
+        # guard in the receiver's environment first must give the same
+        # verdict, and judging in place may fail only where closing fails
+        verdicts, raised, spared = set(), 0, 0
+        for seed in range(500):
+            rng = random.Random(seed)
+            env, subst = rand_env(rng), rand_subst(rng)
+            p = rand_pred(rng, env, subst)
+            # other environments or bindings may leave names unresolved
+            local = rand_env(rng) if rng.random() < 0.5 else env
+            remote = rand_env(rng) if rng.random() < 0.5 else env
+            bindings = rand_subst(rng) if rng.random() < 0.5 else subst
+            try:
+                closed = close(p, local, bindings)
+            except EvalError:
+                closed = None
+            try:
+                got = satisfies(remote, p, subst=bindings, this=local)
+            except EvalError:
+                assert closed is None, (seed, p)
+                raised += 1
+                continue
+            if closed is None:
+                spared += 1  # the failing `this.a` is in an operand not reached
+                continue
+            assert got == satisfies(remote, closed), (seed, p)
+            verdicts.add(got)
+        assert verdicts == {True, False} and raised and spared, (verdicts, raised, spared)
 
     def test_evaluate_with_bindings_equals_evaluate_of_substituted(self):
         # in_step evaluates a receive's updates with the message bindings

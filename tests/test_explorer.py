@@ -86,6 +86,12 @@ class TestExplore:
         lts = explore_fixture("ping.abc", max_depth=0)
         assert lts.truncated and len(lts.states) == 1
 
+    @pytest.mark.parametrize("limits", [dict(max_states=0), dict(max_states=-1), dict(max_depth=-3)])
+    def test_out_of_range_limits_raise(self, limits):
+        # the CLI rejects them as usage errors; the library raises
+        with pytest.raises(ValueError, match="limits out of range"):
+            explore_fixture("ping.abc", **limits)
+
     def test_export_format(self):
         lts = explore_fixture("ping.abc")
         lines = lts.export_text().splitlines()

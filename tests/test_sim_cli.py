@@ -78,6 +78,12 @@ class TestSimulate:
         t = simulate(spec, src, 0, max_steps=5)
         assert len(t.steps) == 5 and t.termination == "step-limit"
 
+    def test_negative_step_limit_raises(self):
+        # the CLI rejects it as a usage error; the library raises
+        spec, src = load(fixture_path("ping.abc"))
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate(spec, src, 0, max_steps=-1)
+
     def test_memo_matches_a_memo_less_reference(self, monkeypatch):
         # the reference runs every step with a fresh Run, so nothing is
         # carried from one state to the next
@@ -269,12 +275,12 @@ def nested_spec(**depths):
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, **env):
         proc = subprocess.run(
             [sys.executable, "-m", "abclang.cli", *args],
             capture_output=True, text=True,
             env={"ABC_COLOR": "0", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC),
-                 "PYTHONDONTWRITEBYTECODE": "1"},
+                 "PYTHONDONTWRITEBYTECODE": "1", **env},
         )
         return proc
 
@@ -541,6 +547,40 @@ class TestCli:
         f.write_text(f'component C {{ attrs {{ x = {10**400}; }} interface {{ }} run ("a")@(tt).[x := x + 1.5] 0 }}\n')
         assert main(["run", str(f)]) == 4
         assert "+ overflows a float" in capsys.readouterr().out
+
+    def test_a_lower_int_digit_limit_is_kept(self, tmp_path):
+        # with PYTHONINTMAXSTRDIGITS=640, CPython turns no longer int into text
+        f = tmp_path / "digits.abc"
+        for digits, code in [(640, 0), (641, 2), (701, 2)]:
+            f.write_text(f"component C {{ attrs {{ x = {10 ** (digits - 1)}; }} interface {{ }} run 0 }}\n")
+            proc = self.run_cli("parse", str(f), PYTHONINTMAXSTRDIGITS="640")
+            assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+        assert "E-PARSE" in proc.stderr and "longer than 640 digits" in proc.stderr
+        f.write_text(f'component C {{ attrs {{ x = {10 ** 600}; }} interface {{ }} run ("a", x * x)@(tt).0 }}\n')
+        proc = self.run_cli("run", str(f), PYTHONINTMAXSTRDIGITS="640")
+        assert proc.returncode == 4 and "Traceback" not in proc.stderr, proc.stderr
+        assert "integer result longer than 640 digits" in proc.stdout
+
+    def test_unset_this_attr_in_an_awareness_guard_exit_4(self, tmp_path, capsys):
+        f = tmp_path / "aware.abc"
+        f.write_text('component C { attrs { } interface { } run <this.gone = 1>("a")@(tt).0 }\n')
+        for command in ("run", "explore"):
+            assert main([command, str(f)]) == 4
+            assert "attribute gone is not set" in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("guard, verdict", [
+        ("!(this.gone = 1)", "FAILS"),  # an error on B's own state: B discards
+        ("tt || this.gone = 1", "HOLDS"),  # this.gone is never read: B receives
+    ])
+    def test_unset_this_attr_in_a_receive_guard(self, tmp_path, capsys, guard, verdict):
+        f = tmp_path / "receive.abc"
+        f.write_text(
+            'component A { attrs { } interface { } run ("m")@(tt).0 }\n'
+            f'component B {{ attrs {{ }} interface {{ }} run ({guard})(x).("got")@(tt).0 }}\n'
+            'property got = reachable sent(B, "got")\n'
+        )
+        assert main(["check", str(f), "--all"]) == (1 if verdict == "FAILS" else 0)
+        assert f"got: {verdict}" in capsys.readouterr().out
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as ei:
