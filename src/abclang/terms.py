@@ -112,8 +112,8 @@ class Span(Record):
 
 
 # An integer value has at most INT_DIGITS decimal digits, as many as
-# CPython turns into text (4,300 unless PYTHONINTMAXSTRDIGITS or
-# `-X int_max_str_digits` lowers it; 0 lifts it), so that every value prints.
+# CPython turns into text: 4,300, or fewer when PYTHONINTMAXSTRDIGITS or
+# `-X int_max_str_digits` sets a lower limit, so that every value prints.
 _STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython >= 3.10.7
 INT_DIGITS = min(4300, _STR_DIGITS) if _STR_DIGITS else 4300
 
