@@ -354,17 +354,18 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
     the definition body sees the bindings of its own call site when
     unfolded.  With `needs` (see `validate.call_needs`), a closure keeps
     only the names its definition reads; without, it keeps every binding
-    in scope.  Loops along prefix chains and the right operands of `|`/`+`
-    chains, and recurses only into left operands, so a long chain of
-    either kind costs no stack."""
-    chain = []  # (prefix or `|`/`+` node, the substitution under it)
-    while subst.pairs and isinstance(p, (Input, Output, Aware, Choice, Par)):
+    in scope.  Loops along prefix chains and maps over the operands of a
+    `|`/`+` chain, so a long chain of either kind costs no stack."""
+    chain = []  # (prefix, the substitution under it)
+    while subst.pairs and isinstance(p, (Input, Output, Aware)):
         if isinstance(p, Input):
             subst = subst.without(p.binders)
         chain.append((p, subst))
-        p = p.then if isinstance(p, (Input, Output)) else p.body if isinstance(p, Aware) else p.right
+        p = p.then if isinstance(p, (Input, Output)) else p.body
     if not subst.pairs or isinstance(p, Inact):
         pass
+    elif isinstance(p, (Choice, Par)):
+        p = type(p)(tuple(substitute_proc(q, subst, needs) for q in p.operands), p.span)
     elif isinstance(p, Call):
         merged = dict(subst.pairs)
         merged.update(p.closure.pairs)  # call-site bindings already captured win
@@ -375,9 +376,7 @@ def substitute_proc(p, subst: Subst, needs: Optional[Dict[str, FrozenSet[str]]] 
     else:
         raise TypeError(f"not a process: {p!r}")
     for node, s in reversed(chain):
-        if isinstance(node, (Choice, Par)):
-            p = type(node)(substitute_proc(node.left, s, needs), p, node.span)
-        elif isinstance(node, Aware):
+        if isinstance(node, Aware):
             p = Aware(close(node.guard, None, s), p, node.span)
         elif isinstance(node, Input):
             p = Input(close(node.guard, None, s), node.binders, _substitute_updates(node.updates, s), p, node.span)

@@ -470,15 +470,13 @@ class _Parser:
         return self._chain("+", Choice, self._proc_prefixed)
 
     def _chain(self, op: str, node, operand) -> ProcessTerm:
-        """`operand (op operand)*`, nested to the right.  Every link ends
-        at the chain's last token, so all spans are taken at the end."""
-        parts = [(self.span_here(), operand())]
+        """`operand (op operand)*`: one `node` over all the operands, or
+        the operand itself when there is one."""
+        start = self.span_here()
+        parts = [operand()]
         while self.accept(op):
-            parts.append((self.span_here(), operand()))
-        term = parts.pop()[1]
-        for start, left in reversed(parts):
-            term = node(left, term, self.span_from(start))
-        return term
+            parts.append(operand())
+        return node(tuple(parts), self.span_from(start)) if len(parts) > 1 else parts[0]
 
     def _proc_prefixed(self) -> ProcessTerm:
         """A chain of awareness, output and input prefixes ending in `0`, a

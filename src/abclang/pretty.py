@@ -126,14 +126,15 @@ def pp_pred(p, level: int = 0) -> str:
 
 # process precedence: 0 par, 1 choice, 2 prefixed
 def pp_proc(p, level: int = 0) -> str:
-    """Loops along prefix chains and the right operands of `|`/`+`
-    chains, so a long chain of either kind costs no stack."""
-    parts, closing = [], 0
-    while True:
+    """Loops along prefix chains and maps over the operands of a `|`/`+`
+    chain, so a long chain of either kind costs no stack.  An operand that
+    is a chain of the same kind prints in parentheses, as it parses."""
+    parts = []
+    while isinstance(p, (Aware, Output, Input)):
         if isinstance(p, Aware):
             parts.append(f"<{pp_pred(p.guard)}> ")
             p, level = p.body, 2
-        elif isinstance(p, (Output, Input)):
+        else:
             if isinstance(p, Output):
                 payload = ", ".join(pp_expr(e, 0) for e in p.payload)
                 parts.append(f"({payload})@({pp_pred(p.target)}).")
@@ -143,23 +144,17 @@ def pp_proc(p, level: int = 0) -> str:
                 ups = ", ".join(f"{u.name}{_pp_index(u.index)} := {pp_expr(u.rhs, 0)}" for u in p.updates)
                 parts.append(f"[{ups}] ")
             p, level = p.then, 2
-        elif isinstance(p, (Par, Choice)):
-            # the left operand binds tighter; the right one continues the chain
-            op, own = (" | ", 0) if isinstance(p, Par) else (" + ", 1)
-            if level > own:
-                parts.append("(")
-                closing += 1
-            parts.append(pp_proc(p.left, own + 1) + op)
-            p, level = p.right, own
-        else:
-            break
-    if isinstance(p, Inact):
+    if isinstance(p, (Par, Choice)):
+        op, own = (" | ", 0) if isinstance(p, Par) else (" + ", 1)
+        chain = op.join(pp_proc(q, own + 1) for q in p.operands)
+        parts.append(f"({chain})" if level > own else chain)
+    elif isinstance(p, Inact):
         parts.append("0")
     elif isinstance(p, Call):
         parts.append(p.name)
     else:
         raise TypeError(f"not a process: {p!r}")
-    return "".join(parts) + ")" * closing
+    return "".join(parts)
 
 
 def pp_event(e) -> str:

@@ -125,11 +125,11 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
     """The `kind` (Input or Output) occurrences of `proc`, left to right.
     Each is (prefix, guards, context): the awareness guards on the path
     to the prefix, outermost first, and its Par context for `_rebuild`,
-    which is None or (outer context, Par node, whether the path goes
-    left).  A choice or an awareness on the path is dropped when the
-    prefix fires, so neither is in the context.  Walks with an explicit
-    stack, so a long `|` or `+` chain costs no depth.  Terminates
-    because `Run.of` rejects call cycles that are not under a prefix."""
+    which is None or (outer context, Par node, operand position).  A
+    choice or an awareness on the path is dropped when the prefix fires,
+    so neither is in the context.  Walks with an explicit stack, so a
+    long `|` or `+` chain costs no depth.  Terminates because `Run.of`
+    rejects call cycles that are not under a prefix."""
     found = []
     stack = [(proc, (), None)]
     while stack:
@@ -139,9 +139,13 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
         elif isinstance(p, Aware):
             stack.append((p.body, guards + (p.guard,), ctx))
         elif isinstance(p, Choice):
-            stack += ((p.right, guards, ctx), (p.left, guards, ctx))
+            for q in reversed(p.operands):
+                stack.append((q, guards, ctx))
         elif isinstance(p, Par):
-            stack += ((p.right, guards, (ctx, p, False)), (p.left, guards, (ctx, p, True)))
+            ops, i = p.operands, len(p.operands)
+            while i:  # cheaper than a loop over a range for two operands
+                i -= 1
+                stack.append((ops[i], guards, (ctx, p, i)))
         elif isinstance(p, Call):
             stack.append((unfold(p.name, p.closure, run), guards, ctx))
         elif not isinstance(p, (Inact, Input, Output)):
@@ -153,8 +157,8 @@ def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
     """The whole component process with the occurrence at Par context
     `ctx` replaced by `p`."""
     while ctx is not None:
-        ctx, par, left = ctx
-        p = Par(p, par.right) if left else Par(par.left, p)
+        ctx, par, i = ctx
+        p = Par(par.operands[:i] + (p,) + par.operands[i + 1:])
     return p
 
 

@@ -337,15 +337,15 @@ class Aware(Record):
     span: Optional[Span] = _span_field()
 
 
+# A `+` or `|` chain: two or more operands in source order; a
+# parenthesised chain is one operand.
 class Choice(Record):
-    left: "ProcessTerm"
-    right: "ProcessTerm"
+    operands: Tuple["ProcessTerm", ...]
     span: Optional[Span] = _span_field()
 
 
 class Par(Record):
-    left: "ProcessTerm"
-    right: "ProcessTerm"
+    operands: Tuple["ProcessTerm", ...]
     span: Optional[Span] = _span_field()
 
 
@@ -380,8 +380,8 @@ _CHILDREN = {
     Input: lambda p: (p.guard, *p.updates, p.then),
     Output: lambda p: (*p.payload, p.target, *p.updates, p.then),
     Aware: lambda p: (p.guard, p.body),
-    Choice: lambda p: (p.left, p.right),
-    Par: lambda p: (p.left, p.right),
+    Choice: lambda p: p.operands,
+    Par: lambda p: p.operands,
 }
 
 
@@ -441,7 +441,7 @@ def _operands(p: ProcessTerm, kind) -> list:
     while stack:
         q = stack.pop()
         if isinstance(q, kind):
-            stack += (q.right, q.left)
+            stack += reversed(q.operands)
         elif kind is Choice and isinstance(q, Par) and len(sub := _operands(q, Par)) == 1:
             stack.append(sub[0])
         elif kind is Choice or not isinstance(q, Inact):

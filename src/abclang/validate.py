@@ -70,7 +70,7 @@ def _read_names(proc, known: Dict[str, FrozenSet[str]], guards: bool) -> FrozenS
             read |= _names(*counted(proc.guard)) - bound
             stack.append((proc.body, bound))
         elif isinstance(proc, (Choice, Par)):
-            stack += ((proc.right, bound), (proc.left, bound))
+            stack += ((q, bound) for q in reversed(proc.operands))
         elif isinstance(proc, Call):
             read |= known.get(proc.name, frozenset()) - proc.closure.domain() - bound
     return frozenset(read)
@@ -131,7 +131,7 @@ def _unguarded_calls(proc) -> List[Call]:
         if isinstance(p, Call):
             calls.append(p)
         elif isinstance(p, (Choice, Par)):
-            stack += (p.right, p.left)
+            stack += reversed(p.operands)
         elif isinstance(p, Aware):
             stack.append(p.body)
     return calls

@@ -140,10 +140,11 @@ def rand_proc(rng: random.Random, env: Env, subst: Subst, depth: int = 3):
         return Call(rng.choice(["K1", "K2"]))
     if k == 2:
         return Aware(rand_pred(rng, env, subst, 1), rand_proc(rng, env, subst, depth - 1))
-    if k == 3:
-        return Choice(rand_proc(rng, env, subst, depth - 1), rand_proc(rng, env, subst, depth - 1))
-    if k == 4:
-        return Par(rand_proc(rng, env, subst, depth - 1), rand_proc(rng, env, subst, depth - 1))
+    if k in (3, 4):
+        # 2-4 operands; an operand drawn as a chain of the same kind is a
+        # parenthesised sub-chain
+        kind = Choice if k == 3 else Par
+        return kind(tuple(rand_proc(rng, env, subst, depth - 1) for _ in range(rng.randrange(2, 5))))
     if k == 5:
         n = rng.randrange(1, 4)
         binders = tuple(rng.sample(VAR_NAMES, n))
@@ -155,12 +156,12 @@ def rand_proc(rng: random.Random, env: Env, subst: Subst, depth: int = 3):
 def reshuffle(rng: random.Random, p):
     """A term equal to `p` under commutativity and associativity of `|`
     and `+` and the unit law P | 0 = P: the operands of every chain are
-    permuted and regrouped at random, and random subterms, regrouped
-    inner chain nodes included, get a `| 0`."""
+    permuted and regrouped at random into sub-chains of 2-4 operands, and
+    random subterms, sub-chains included, get a `| 0`."""
 
     def unit(q):
         if rng.random() < 0.2:
-            return Par(q, Inact()) if rng.random() < 0.5 else Par(Inact(), q)
+            return Par((q, Inact())) if rng.random() < 0.5 else Par((Inact(), q))
         return q
 
     if isinstance(p, (Choice, Par)):
@@ -169,13 +170,14 @@ def reshuffle(rng: random.Random, p):
         while stack:
             q = stack.pop()
             if isinstance(q, kind):
-                stack += (q.left, q.right)
+                stack += q.operands
             else:
                 parts.append(reshuffle(rng, q))
         rng.shuffle(parts)
         while len(parts) > 1:
-            i = rng.randrange(len(parts) - 1)
-            parts[i:i + 2] = [unit(kind(parts[i], parts[i + 1]))]
+            n = rng.randrange(2, min(4, len(parts)) + 1)
+            i = rng.randrange(len(parts) - n + 1)
+            parts[i:i + n] = [unit(kind(tuple(parts[i:i + n])))]
         return parts[0]
     if isinstance(p, Input):
         p = Input(p.guard, p.binders, p.updates, reshuffle(rng, p.then))
@@ -243,8 +245,9 @@ def _continuation(rng: random.Random, ndefs: int, bound, depth: int) -> str:
 def rand_reducible_spec(rng: random.Random) -> str:
     """Source text of a guarded, attribute-complete spec with parallel
     copies of one call, calls under input binders that their definition
-    does not read (dead bindings) or reads only in a guard, and `| 0`
-    operands."""
+    does not read (dead bindings) or reads only in a guard, `| 0`
+    operands, and `|` and `+` chains of 2-4 operands, some with a
+    parenthesised sub-chain."""
     ndefs = rng.randrange(2, 4)
     lines = []
     for i in range(ndefs):
@@ -254,10 +257,17 @@ def rand_reducible_spec(rng: random.Random) -> str:
             summands[0] = f'(t = "b" && w = v)(t, v). {_continuation(rng, ndefs, {"v"}, 1)}'
         elif i == 1 and rng.random() < 0.5:
             summands[0] = '(t = "a")(t, w). K0'
+        # repeated summands make longer chains without new states
+        summands += rng.choices(summands, k=rng.randrange(3) * (rng.random() < 0.5))
+        if len(summands) > 2 and rng.random() < 0.5:
+            summands[-2:] = [f"({summands[-2]} + {summands[-1]})"]
         lines.append(f"proc K{i} = " + " + ".join(summands))
     for c in range(rng.randrange(2, 4)):
-        call = f"K{rng.randrange(ndefs)}"
-        run = rng.choice([call, f"{call} | {call}", f"{call} | K{rng.randrange(ndefs)}", f"{call} | 0 | {call}"])
+        call, other = f"K{rng.randrange(ndefs)}", f"K{rng.randrange(ndefs)}"
+        # one call in two of six runs keeps most state spaces within the
+        # tests' state limits
+        run = rng.choice([call, f"{call} | {call}", f"{call} | {other}", f"{call} | 0 | {call}",
+                          f"0 | (0 | {call}) | {call}", call])
         iface = rng.choice(["n", "n, k"])
         lines.append(
             f"component C{c} {{ attrs {{ n = {rng.randrange(2)}; k = {rng.randrange(2)}; }}"

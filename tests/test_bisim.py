@@ -32,7 +32,7 @@ from test_explorer import make_lts
 
 from abclang import explorer, semantics
 from abclang.evaluator import EvalError, close, satisfies
-from abclang.explorer import explore
+from abclang.explorer import check_property, explore
 from abclang.semantics import Run, system_steps
 from abclang.terms import EMPTY_SUBST, EnumDomain, VInt, VStr
 
@@ -62,6 +62,23 @@ GUARD_ONLY = """
 proc G = (x = "m" && n = v)(x, n).("got", n)@(tt).0
 component A { attrs { } interface { } run ("v", 1)@(tt).("m", 2)@(tt).("m", 1)@(tt).0 }
 component B { attrs { } interface { } run (x = "v")(x, v).G }
+"""
+
+
+# Each name a guard reads has its own value: the message's x is 2, the
+# sender's exposed k is 1, and each receiver's own k is 3.  R's guards
+# hold only as wired: the receive guard reads x from the message, bare k
+# from the sender and this.k from R, and the awareness guard reads both k
+# and this.k from R.  R2's receive guard holds only with the sender's and
+# the receiver's environments swapped.
+WIRED = """
+component S { attrs { k = 1; } interface { k } run ("m", 2)@(tt).0 }
+component R { attrs { k = 3; } interface { }
+  run <k = 3 && this.k = 3> (t = "m" && x = 2 && k = 1 && this.k = 3)(t, x).("got", x)@(tt).0 }
+component R2 { attrs { k = 3; } interface { }
+  run (t = "m" && x = 2 && k = 3 && this.k = 1)(t, x).("got", x)@(tt).0 }
+property r_receives = reachable sent(R, "got")
+property r2_receives = reachable sent(R2, "got")
 """
 
 
@@ -200,3 +217,12 @@ def test_guards_judged_in_place_as_if_closed_first(corpus_spec, monkeypatch):
         assert in_place.export_text() == closing.export_text()
         receives += any(t.event.receivers for t in in_place.transitions)
     assert receives >= 45
+
+
+def test_guards_read_the_message_the_sender_and_the_receiver():
+    # hand-derived: the broadcast reaches R and not R2, so R sends "got"
+    spec = load(WIRED, is_path=False)
+    lts = explore(spec)
+    verdicts = {name: check_property(name, prop, lts).status for name, prop in spec.properties}
+    assert verdicts == {"r_receives": "holds", "r2_receives": "fails"}
+    assert (len(lts.states), len(lts.transitions)) == (3, 2)

@@ -117,8 +117,8 @@ class TestParseProcess:
         # "." binds tightest, then "+", then "|"
         p = parse_process_str('("a")@(tt).0 + ("b")@(tt).0 | K')
         assert isinstance(p, Par)
-        assert isinstance(p.left, Choice)
-        assert p.right == Call("K")
+        assert isinstance(p.operands[0], Choice)
+        assert p.operands[1] == Call("K")
 
     def test_input_binders(self):
         p = parse_process_str('(x = "acms")(x, c, l, d, p).0')
@@ -127,7 +127,11 @@ class TestParseProcess:
 
     def test_parenthesized_grouping(self):
         p = parse_process_str('(K | 0)')
-        assert p == Par(Call("K"), Inact())
+        assert p == Par((Call("K"), Inact()))
+        # a parenthesised chain stays one operand
+        assert parse_process_str("A | (B | C)") == Par((Call("A"), Par((Call("B"), Call("C")))))
+        assert parse_process_str("(A | B) | C") == Par((Par((Call("A"), Call("B"))), Call("C")))
+        assert parse_process_str("A | B | C") == Par((Call("A"), Call("B"), Call("C")))
 
     def test_multiple_update_blocks(self):
         p = parse_process_str('(tt)(x).[a := 1][b := 2] 0')
@@ -142,14 +146,17 @@ class TestParseProcess:
             parse_process_str('("a"@(tt).0')
         assert ei.value.diagnostic.span is not None
 
-    def test_chain_links_end_at_the_chain_end(self):
+    def test_a_chain_is_one_node_with_one_span(self):
         p = parse_process_str("A | B | C")
         assert p.span == Span("<proc>", 1, 1, 1, 10)
-        assert p.right.span == Span("<proc>", 1, 5, 1, 10)
+        assert [q.span for q in p.operands] == [
+            Span("<proc>", 1, 1, 1, 2), Span("<proc>", 1, 5, 1, 6), Span("<proc>", 1, 9, 1, 10)
+        ]
         p = parse_process_str('<tt> ("a")@(tt).K + 0')
-        assert p.left.span == Span("<proc>", 1, 1, 1, 18)
-        assert p.left.body.span == Span("<proc>", 1, 6, 1, 18)
-        assert p.left.body.then.span == Span("<proc>", 1, 17, 1, 18)
+        assert p.span == Span("<proc>", 1, 1, 1, 22)
+        assert p.operands[0].span == Span("<proc>", 1, 1, 1, 18)
+        assert p.operands[0].body.span == Span("<proc>", 1, 6, 1, 18)
+        assert p.operands[0].body.then.span == Span("<proc>", 1, 17, 1, 18)
 
     def test_deep_chains_parse(self):
         n = 3000
@@ -161,10 +168,8 @@ class TestParseProcess:
         while isinstance(p, Output):
             p, depth = p.then, depth + 1
         assert depth == n and isinstance(p, Inact)
-        p, depth = parse_process_str(" | ".join(["K"] * n)), 1
-        while isinstance(p, Par):
-            p, depth = p.right, depth + 1
-        assert depth == n and isinstance(p, Call)
+        p = parse_process_str(" | ".join(["K"] * n))
+        assert p == Par((Call("K"),) * n)
 
     def test_determinism(self):
         src = '<a = 1> ("m", this.b)@(c != 2).[d := 3] K'
@@ -358,6 +363,9 @@ class TestRoundTrip:
         ]:
             p = parse_process_str(src)
             assert parse_process_str(pp_proc(p)) == p
+        # a parenthesised chain is one operand, and prints as one
+        for src in ["K1 | (K2 | K3)", "K1 + (K2 + K3) + K4", "(K1 | K2) | K3"]:
+            assert pp_proc(parse_process_str(src)) == src
 
 
 class TestValidation:

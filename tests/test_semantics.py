@@ -101,9 +101,9 @@ class TestUnfold:
         scope = Subst.of({"c": VInt(1), "g": VInt(2), "x": VInt(3), "y": VInt(4)})
         kept = Subst.of({"c": VInt(1), "g": VInt(2)})
         assert unfold("L", scope, Run.of(defs, {})).then.closure == kept
-        assert substitute_proc(parse_process_str("L | (tt)(c).K"), scope, call_needs(defs)) == Par(
+        assert substitute_proc(parse_process_str("L | (tt)(c).K"), scope, call_needs(defs)) == Par((
             Call("L", kept), Input(TruePred(), ("c",), (), Call("K", Subst.of({"g": VInt(2)})))
-        )
+        ))
         # without needs, a closure keeps every binding in scope
         assert unfold("L", scope, Run(defs, {}, None)).then.closure == scope
 
@@ -163,19 +163,23 @@ class TestOutSteps:
 
     def test_occurrences_are_numbered_left_to_right(self):
         # through +, |, awareness and a call; the fired branch's choice
-        # and awareness are dropped and its | siblings kept
+        # and awareness are dropped and its | siblings kept, at every
+        # position of a chain and of a chain inside it
         run = Run.of({"K": parse_process_str('("d")@(tt).0 + (x = "m")(x).0 + ("e")@(tt).0')}, {})
         left = parse_process_str('("a")@(tt).0 + <tt> ("b")@(tt).0')
-        c = ComponentState("A", Env(), frozenset(), Par(left, Par(parse_process_str('("c")@(tt).0'), Call("K"))))
+        mid, tail = parse_process_str('("c")@(tt).0'), parse_process_str('("f")@(tt).0')
+        inner = Par((Call("K"), tail))
+        c = ComponentState("A", Env(), frozenset(), Par((left, mid, inner)))
         cands = out_steps(c, run)
         assert [(cand.message[0].v, cand.branch) for cand in cands] == [
-            ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4),
+            ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4), ("f", 5),
         ]
-        assert cands[0].successor.proc == Par(Inact(), c.proc.right)
-        assert cands[2].successor.proc == Par(left, Par(Inact(), Call("K")))
-        assert cands[3].successor.proc == Par(left, Par(c.proc.right.left, Inact()))
+        assert cands[0].successor.proc == Par((Inact(), mid, inner))
+        assert cands[2].successor.proc == Par((left, Inact(), inner))
+        assert cands[3].successor.proc == Par((left, mid, Par((Inact(), tail))))
+        assert cands[5].successor.proc == Par((left, mid, Par((Call("K"), Inact()))))
         got = in_step(c, Env(), TruePred(), (VStr("m"),), run)
-        assert [(i, s.proc) for i, s in got.successors] == [(0, Par(left, Par(c.proc.right.left, Inact())))]
+        assert [(i, s.proc) for i, s in got.successors] == [(0, Par((left, mid, Par((Inact(), tail)))))]
 
 
 def hotel_bh(blist, cont="0"):

@@ -421,12 +421,11 @@ class TestCli:
             assert summary in proc.stdout
 
     def test_long_chains_in_a_definition_print_and_reparse(self):
-        # compare texts, not ASTs: `==` on a long chain recurses
         for op in "+|":
             spec, _ = parse_spec(definition_chain(op, 1500))
             printed = pp_spec(spec)
             assert printed.startswith("proc P = " + f" {op} ".join(['("a")@(tt).0'] * 1500) + "\n")
-            assert pp_spec(parse_spec(printed)[0]) == printed
+            assert parse_spec(printed)[0] == spec
 
     def test_nesting_at_the_bound_exit_0(self, tmp_path, capsys):
         deep = tmp_path / "deep.abc"

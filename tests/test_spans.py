@@ -73,7 +73,7 @@ SPANS = {
     'choice.abc': 'bf53a886ce4c7d49a8278e41b04effe8b8ca24fe3f459248dc537853b314c306',
     'fake3.abc': 'ea92472b6adb4c4f054b480c3b770a42e215018d257e0424e6afc3cabb388b06',
     'ping.abc': '92c50ab958bd3956f65ce2b9f02ec7aedb2a908e88600482c488a6de03524f72',
-    'travel-booking.abc': '0ecf1a2114cbf3b692a581713ed1f382031e680e804df0f786cf680992179128',
+    'travel-booking.abc': 'ff98df3ec6181c185fdf5ac2d3171de51eca3c6d0fa148db26dcd32d52de2b97',
     'lex': '8f6b36fd11d46c0059ac28d198366bb676d6902662d40b00c4e740d58fba7336',
     'parse': 'fc84d9c10487d2e5ee367dab0e2357addecca9746581d2a160d1f533e12f4ff8',
     'properties': '5a84124f5a65442905c6aefbd6274bc5aa6304045880190070ee1ddc69d192c4',

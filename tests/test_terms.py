@@ -130,28 +130,30 @@ def test_subst_extension_shadows():
 
 
 def test_canonicalize_sorts_par():
-    # C | (B | (A | 0)) has the canonical text of the sorted chain
-    # A | (B | C): the operands are reordered and the 0 is dropped
+    # C | B | A | 0 has the canonical text of the sorted chain
+    # A | (B | C): the operands are reordered and the 0 is dropped, and
+    # nested chains are flattened
     a, b, c = Call("A"), Call("B"), Call("C")
-    assert ser_proc(Par(c, Par(b, Par(a, Inact())))) == "|(KA{},|(KB{},KC{}))"
-    assert ser_proc(Par(a, Par(b, Par(Inact(), c)))) == "|(KA{},|(KB{},KC{}))"
-    assert ser_proc(Par(Par(b, c), a)) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par((c, b, a, Inact()))) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par((c, Par((b, Par((a, Inact()))))))) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par((a, Par((b, Inact(), c))))) == "|(KA{},|(KB{},KC{}))"
+    assert ser_proc(Par((Par((b, c)), a))) == "|(KA{},|(KB{},KC{}))"
 
 
 def test_canonicalize_drops_inactive_par_operands():
     p = parse_process_str('("a")@(tt).0 + (x = "b")(x).(0 | K)')
     assert ser_proc(p) == "+(in(C=(Ax[],Ls'b'))(x).[]KK{},out(Ls'a')@(tt).[]0)"
-    assert ser_proc(Par(p, Inact())) == ser_proc(p)
-    assert state_key((ComponentState("C", Env(), frozenset(), Par(Inact(), p)),)) == state_key(
+    assert ser_proc(Par((p, Inact()))) == ser_proc(p)
+    assert state_key((ComponentState("C", Env(), frozenset(), Par((Inact(), p))),)) == state_key(
         (ComponentState("C", Env(), frozenset(), p),)
     )
-    assert ser_proc(Par(Inact(), Inact())) == "0"
-    assert ser_proc(Par(Inact(), Par(Inact(), Inact()))) == "0"
+    assert ser_proc(Par((Inact(), Inact()))) == "0"
+    assert ser_proc(Par((Inact(), Par((Inact(), Inact()))))) == "0"
 
 
 def test_canonicalize_identity_on_inact():
     assert ser_proc(Inact()) == "0"
-    assert ser_proc(Choice(Inact(), Inact())) == "+(0,0)"
+    assert ser_proc(Choice((Inact(), Inact()))) == "+(0,0)"
 
 
 def test_canonicalize_merges_choice_orders():
@@ -163,25 +165,37 @@ def test_canonicalize_merges_choice_orders():
 def test_collapsed_par_splices_into_choice():
     # (A + B) | 0 is A + B, whose operands join the outer + chain
     a, b, c = Call("A"), Call("B"), Call("C")
-    spliced = Choice(Par(Choice(a, b), Inact()), c)
-    assert ser_proc(spliced) == ser_proc(Choice(a, Choice(b, c))) == "+(KA{},+(KB{},KC{}))"
-    assert ser_proc(Par(Choice(c, Par(Inact(), Choice(b, a))), Inact())) == "+(KA{},+(KB{},KC{}))"
+    spliced = Choice((Par((Choice((a, b)), Inact())), c))
+    assert ser_proc(spliced) == ser_proc(Choice((a, b, c))) == "+(KA{},+(KB{},KC{}))"
+    assert ser_proc(Par((Choice((c, Par((Inact(), Choice((b, a)))))), Inact()))) == "+(KA{},+(KB{},KC{}))"
     # a | with two operands left stays one operand of the + chain
-    assert ser_proc(Choice(Par(a, Par(Inact(), b)), c)) == "+(KC{},|(KA{},KB{}))"
+    assert ser_proc(Choice((Par((a, Inact(), b)), c))) == "+(KC{},|(KA{},KB{}))"
 
 
 def test_ser_proc_of_a_deep_term():
     p = Inact()
     for _ in range(5000):
-        p = Output((), TruePred(), (), Par(p, Inact()))
+        p = Output((), TruePred(), (), Par((p, Inact())))
     assert ser_proc(p) == "out()@(tt).[]" * 5000 + "0"
+
+
+@pytest.mark.parametrize("op", ["|", "+"])
+def test_a_long_chain_compares_hashes_and_prints(op):
+    # a chain is one node over its operands, so `==`, `hash` and `repr`
+    # of a chain of 1,500 operands go one level deep
+    source = f" {op} ".join(['("a")@(tt).0'] * 1500)
+    p, q = parse_process_str(source), parse_process_str(source)
+    assert p == q and hash(p) == hash(q)
+    assert p != parse_process_str(source + f' {op} ("b")@(tt).0')
+    assert repr(p).count("Output(") == 1500 and repr(p) == repr(q)
+    assert len(p.operands) == 1500
 
 
 def test_state_key_ignores_component_internals_order():
     rng = random.Random(11)
     env, subst = rand_env(rng), rand_subst(rng)
-    c1 = ComponentState("C", env, frozenset(), Par(Call("B", subst), Call("A")))
-    c2 = ComponentState("C", env, frozenset(), Par(Call("A"), Call("B", subst)))
+    c1 = ComponentState("C", env, frozenset(), Par((Call("B", subst), Call("A"))))
+    c2 = ComponentState("C", env, frozenset(), Par((Call("A"), Call("B", subst))))
     assert state_key((c1,)) == state_key((c2,))
     assert state_hash((c1,)) == state_hash((c2,))
 
