@@ -258,7 +258,9 @@ def rand_reducible_spec(rng: random.Random) -> str:
         elif i == 1 and rng.random() < 0.5:
             summands[0] = '(t = "a")(t, w). K0'
         # repeated summands make longer chains without new states
-        summands += rng.choices(summands, k=rng.randrange(3) * (rng.random() < 0.5))
+        copies = rng.randrange(3)
+        if rng.random() < 0.5:
+            summands += rng.choices(summands, k=copies)
         if len(summands) > 2 and rng.random() < 0.5:
             summands[-2:] = [f"({summands[-2]} + {summands[-1]})"]
         lines.append(f"proc K{i} = " + " + ".join(summands))
