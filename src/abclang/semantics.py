@@ -41,6 +41,8 @@ from .terms import (
     Subst,
     SystemState,
     Value,
+    ZERO,
+    _operands,
 )
 from .validate import call_needs, require_guarded
 
@@ -75,7 +77,8 @@ class Run:
     `numbers`, so a number is never reused.  Successors are taken from
     the records, so a component that does not move in a step is the
     same object in the successor state, and equal components are almost
-    always one object."""
+    always one object.  A component that moves gets its process in
+    normal form (`_rebuild`), so terms do not grow with the steps."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
@@ -125,11 +128,12 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
     """The `kind` (Input or Output) occurrences of `proc`, left to right.
     Each is (prefix, guards, context): the awareness guards on the path
     to the prefix, outermost first, and its Par context for `_rebuild`,
-    which is None or (outer context, Par node, operand position).  A
-    choice or an awareness on the path is dropped when the prefix fires,
-    so neither is in the context.  Walks with an explicit stack, so a
-    long `|` or `+` chain costs no depth.  Terminates because `Run.of`
-    rejects call cycles that are not under a prefix."""
+    which is None or (outer context, operands of the `|` chain as
+    `terms._operands` lists them, operand position).  A choice or an
+    awareness on the path is dropped when the prefix fires, so neither
+    is in the context.  Walks with an explicit stack, so a long `|` or
+    `+` chain costs no depth.  Terminates because `Run.of` rejects call
+    cycles that are not under a prefix."""
     found = []
     stack = [(proc, (), None)]
     while stack:
@@ -142,10 +146,11 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
             for q in reversed(p.operands):
                 stack.append((q, guards, ctx))
         elif isinstance(p, Par):
-            ops, i = p.operands, len(p.operands)
+            ops = tuple(_operands(p, Par))
+            i = len(ops)
             while i:  # cheaper than a loop over a range for two operands
                 i -= 1
-                stack.append((ops[i], guards, (ctx, p, i)))
+                stack.append((ops[i], guards, (ctx, ops, i)))
         elif isinstance(p, Call):
             stack.append((unfold(p.name, p.closure, run), guards, ctx))
         elif not isinstance(p, (Inact, Input, Output)):
@@ -155,11 +160,14 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
 
 def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
     """The whole component process with the occurrence at Par context
-    `ctx` replaced by `p`."""
+    `ctx` replaced by `p`, in normal form: the operands of `p` and of the
+    chains around it spliced into one tuple in order, without `0`s, and
+    a chain of one operand is that operand, so a term does not grow."""
+    ops = tuple(_operands(p, Par))
     while ctx is not None:
-        ctx, par, i = ctx
-        p = Par(par.operands[:i] + (p,) + par.operands[i + 1:])
-    return p
+        ctx, siblings, i = ctx
+        ops = siblings[:i] + ops + siblings[i + 1:]
+    return Par(ops) if len(ops) > 1 else ops[0] if ops else ZERO
 
 
 @dataclass

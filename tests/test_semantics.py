@@ -164,7 +164,8 @@ class TestOutSteps:
     def test_occurrences_are_numbered_left_to_right(self):
         # through +, |, awareness and a call; the fired branch's choice
         # and awareness are dropped and its | siblings kept, at every
-        # position of a chain and of a chain inside it
+        # position of a chain and of a chain inside it, in one flat chain
+        # without the `0` the fired prefix leaves
         run = Run.of({"K": parse_process_str('("d")@(tt).0 + (x = "m")(x).0 + ("e")@(tt).0')}, {})
         left = parse_process_str('("a")@(tt).0 + <tt> ("b")@(tt).0')
         mid, tail = parse_process_str('("c")@(tt).0'), parse_process_str('("f")@(tt).0')
@@ -174,12 +175,12 @@ class TestOutSteps:
         assert [(cand.message[0].v, cand.branch) for cand in cands] == [
             ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4), ("f", 5),
         ]
-        assert cands[0].successor.proc == Par((Inact(), mid, inner))
-        assert cands[2].successor.proc == Par((left, Inact(), inner))
-        assert cands[3].successor.proc == Par((left, mid, Par((Inact(), tail))))
-        assert cands[5].successor.proc == Par((left, mid, Par((Call("K"), Inact()))))
+        assert cands[0].successor.proc == Par((mid, Call("K"), tail))
+        assert cands[2].successor.proc == Par((left, Call("K"), tail))
+        assert cands[3].successor.proc == Par((left, mid, tail))
+        assert cands[5].successor.proc == Par((left, mid, Call("K")))
         got = in_step(c, Env(), TruePred(), (VStr("m"),), run)
-        assert [(i, s.proc) for i, s in got.successors] == [(0, Par((left, mid, Par((Inact(), tail)))))]
+        assert [(i, s.proc) for i, s in got.successors] == [(0, Par((left, mid, tail)))]
 
 
 def hotel_bh(blist, cont="0"):

@@ -15,7 +15,9 @@ from abclang.parser import MAX_DEPTH, parse_spec
 from abclang.pretty import pp_spec
 from abclang.semantics import Run, system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
-from abclang.terms import VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key
+from abclang.terms import (
+    Call, ComponentState, Env, Par, VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key,
+)
 from abclang.validate import load_spec
 
 from _gen import rand_value
@@ -30,6 +32,19 @@ component S { attrs { } interface { } run S }
 component X { attrs { } interface { } run X }
 component Y { attrs { } interface { } run Y }
 """
+
+
+# A fired continuation or call body that is a `|` chain with `0`
+# operands joins the component's chain without them, so each process
+# ends as the process given with it, however many steps it takes.
+CHAIN_CONTINUATIONS = {
+    "K | 0": ('proc K = ("a")@(tt).(K | 0)\n'
+              "component C { attrs { } interface { } run K }\n", Call("K")),
+    "0 | (K | 0)": ('proc K = ("a")@(tt).(0 | (K | 0))\n'
+                    "component C { attrs { } interface { } run K }\n", Call("K")),
+    "0 | a.K": ('proc K = 0 | ("a")@(tt).K\nproc X = (x = "x")(x).X\n'
+                "component C { attrs { } interface { } run X | K }\n", Par((Call("X"), Call("K")))),
+}
 
 
 def load(path):
@@ -77,6 +92,24 @@ class TestSimulate:
         assert not diags
         t = simulate(spec, src, 0, max_steps=5)
         assert len(t.steps) == 5 and t.termination == "step-limit"
+
+    def test_chain_continuations_do_not_grow(self):
+        for name, (src, final) in CHAIN_CONTINUATIONS.items():
+            spec, diags = load_spec(src)
+            assert not diags
+            t = simulate(spec, src, 0, max_steps=2000)
+            assert len(t.steps) == 2000 and t.final_state[0].proc == final, name
+
+    def test_10000_steps_of_a_chain_continuation(self):
+        # were each step to nest one more `|`, ==, hash and repr of the
+        # final state would run out of stack
+        src, final = CHAIN_CONTINUATIONS["K | 0"]
+        spec, _ = load_spec(src)
+        t = simulate(spec, src, 0, max_steps=10000)
+        state = (ComponentState("C", Env(), frozenset(), final),)
+        assert len(t.steps) == 10000 and t.final_state == state
+        assert hash(t.final_state) == hash(state)
+        assert repr(t.final_state[0].proc) == "Call(name='K', closure=Subst(pairs=()))"
 
     def test_negative_step_limit_raises(self):
         # the CLI rejects it as a usage error; the library raises
