@@ -133,7 +133,8 @@ def test_fixtures_and_mini_corpus(corpus_spec, explore_raw):
         assert bisimilar(reduced, raw), name
         sizes[name] = (len(reduced.states), len(raw.states))
     # when Q or R fires, A runs the other call alone in normal form, not
-    # `0 | R` or `R | 0`: the raw states run A, Q | R, R | Q, R, Q and 0
+    # `0 | R` or `R | 0`: A's raw processes are its run clause, Q | R,
+    # R | Q, R, Q and 0
     assert sizes["reordered"] == (5, 6)
     assert {sizes[name] for name in CHAIN_CONTINUATIONS} == {(1, 1)}
 
