@@ -7,7 +7,8 @@ delivers each candidate broadcast to every other component and builds
 the successor states.
 
 Every step function takes the `Run` it belongs to.  They are pure,
-except that `unfold` and `system_steps` fill the run's memo.
+except that `unfold`, `_occurrences` and `system_steps` fill the run's
+memo.
 """
 from __future__ import annotations
 
@@ -70,6 +71,10 @@ class Run:
     builds keeps only the names its definition reads, so call instances
     that differ in dead bindings are one term.
 
+    `tables` maps `id(term)` to the occurrence table of a process term
+    (see `_occurrences`): (term, input occurrences, output occurrences).
+    The table holds the term, so no id is reused while the table lives.
+
     `records` maps `id(component)` to the component's `Memo`, which
     holds the component, so no id is reused while the record lives.
     `labels` numbers each broadcast label (exposed environment, closed
@@ -84,6 +89,7 @@ class Run:
     externs: Dict
     needs: Optional[Dict[str, FrozenSet[str]]]
     bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
+    tables: Dict[int, tuple] = field(default_factory=dict)
     records: Dict[int, Memo] = field(default_factory=dict)
     labels: Dict[tuple, int] = field(default_factory=dict)
     numbers: Iterator[int] = field(default_factory=itertools.count)
@@ -99,18 +105,32 @@ class Run:
         return cls(defs, externs, call_needs(defs, roots))
 
     def keep_only(self, state: SystemState) -> None:
-        """Forgets the records of components that are not in `state`, and
-        the labels that no kept record holds, as a sender's candidate or
-        as a judgement.  `simulate` calls it after each step, so the run
-        does not keep every component it met.  No hit is lost: a
-        simulation never comes back to a component object it left, since
-        each step makes new objects for the components that move, and a
-        label a kept record holds keeps its number."""
-        self.records = {id(c): self.records[id(c)] for c in state if id(c) in self.records}
+        """Forgets the records of components that are not in `state`, the
+        labels that no kept record holds, as a sender's candidate or as a
+        judgement, and the tables of terms that are neither the process
+        of a component in `state` nor an operand of its top `|` chain.
+        `simulate` calls it after each step, so the run does not keep
+        every component it met.  No hit is lost: a simulation never comes
+        back to a component object it left, since each step makes new
+        objects for the components that move, and a label a kept record
+        holds keeps its number.  The chain of a component that moves
+        keeps the operands that did not fire, so their tables serve the
+        successor's table."""
+        records, tables = self.records, self.tables
+        self.records = {id(c): records[id(c)] for c in state if id(c) in records}
         held = set()
         for memo in self.records.values():
             held.update(memo.judged, (n for _, n in memo.outs or ()))
-        self.labels = {label: n for label, n in self.labels.items() if n in held}
+        dead = [label for label, n in self.labels.items() if n not in held]
+        for label in dead:  # few die per step: rebuilding would rehash every kept label
+            del self.labels[label]
+        kept = {}
+        for c in state:
+            for term in (c.proc, *_operands(c.proc, Par)) if isinstance(c.proc, Par) else (c.proc,):
+                table = tables.get(id(term))
+                if table is not None:
+                    kept[id(term)] = table
+        self.tables = kept
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
@@ -125,37 +145,74 @@ def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
 
 
 def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
-    """The `kind` (Input or Output) occurrences of `proc`, left to right.
-    Each is (prefix, guards, context): the awareness guards on the path
-    to the prefix, outermost first, and its Par context for `_rebuild`,
-    which is None or (outer context, operands of the `|` chain as
-    `terms._operands` lists them, operand position).  A choice or an
-    awareness on the path is dropped when the prefix fires, so neither
-    is in the context.  Walks with an explicit stack, so a long `|` or
-    `+` chain costs no depth.  Terminates because `Run.of` rejects call
-    cycles that are not under a prefix."""
-    found = []
-    stack = [(proc, (), None)]
-    while stack:
-        p, guards, ctx = stack.pop()
-        if isinstance(p, kind):
-            found.append((p, guards, ctx))
-        elif isinstance(p, Aware):
-            stack.append((p.body, guards + (p.guard,), ctx))
-        elif isinstance(p, Choice):
-            for q in reversed(p.operands):
-                stack.append((q, guards, ctx))
-        elif isinstance(p, Par):
-            ops = tuple(_operands(p, Par))
-            i = len(ops)
-            while i:  # cheaper than a loop over a range for two operands
-                i -= 1
-                stack.append((ops[i], guards, (ctx, ops, i)))
-        elif isinstance(p, Call):
-            stack.append((unfold(p.name, p.closure, run), guards, ctx))
-        elif not isinstance(p, (Inact, Input, Output)):
-            raise TypeError(f"not a process: {p!r}")
-    return found
+    """The `kind` (Input or Output) occurrences of `proc`, left to right,
+    from its table in `run.tables`, built on first use.  Each is (prefix,
+    guards, context): the awareness guards on the path to the prefix,
+    outermost first, and its Par context for `_rebuild`, which is None
+    or (outer context, operands of the `|` chain as `terms._operands`
+    lists them, operand position).  A choice or an awareness on the path
+    is dropped when the prefix fires, so neither is in the context."""
+    table = run.tables.get(id(proc)) or _table(proc, run)
+    return table[1] if kind is Input else table[2]
+
+
+def _table(proc: ProcessTerm, run: Run) -> tuple:
+    """Builds and keeps the occurrence table of `proc` (see `Run`).  The
+    table of a `|` chain is its operands' tables, each entry re-rooted
+    under the chain, so a successor chain shares the tables of the
+    operands that did not fire.  Any other term is walked with an
+    explicit stack, so a long or deep `|` or `+` chain costs no depth;
+    an operand is no `|` chain, so it is walked.  Terminates because
+    `Run.of` rejects call cycles that are not under a prefix."""
+    ins: List[tuple] = []
+    outs: List[tuple] = []
+    if isinstance(proc, Par):
+        ops = tuple(_operands(proc, Par))
+        for i, op in enumerate(ops):
+            sub = run.tables.get(id(op)) or _table(op, run)
+            root, done = (None, ops, i), {}
+            ins += [(q, guards, _rerooted(ctx, root, done)) for q, guards, ctx in sub[1]]
+            outs += [(q, guards, _rerooted(ctx, root, done)) for q, guards, ctx in sub[2]]
+    else:
+        stack = [(proc, (), None)]
+        while stack:
+            p, guards, ctx = stack.pop()
+            if isinstance(p, Input):
+                ins.append((p, guards, ctx))
+            elif isinstance(p, Output):
+                outs.append((p, guards, ctx))
+            elif isinstance(p, Aware):
+                stack.append((p.body, guards + (p.guard,), ctx))
+            elif isinstance(p, Choice):
+                for q in reversed(p.operands):
+                    stack.append((q, guards, ctx))
+            elif isinstance(p, Par):
+                sub_ops = tuple(_operands(p, Par))
+                i = len(sub_ops)
+                while i:  # cheaper than a loop over a range for two operands
+                    i -= 1
+                    stack.append((sub_ops[i], guards, (ctx, sub_ops, i)))
+            elif isinstance(p, Call):
+                stack.append((unfold(p.name, p.closure, run), guards, ctx))
+            elif not isinstance(p, Inact):
+                raise TypeError(f"not a process: {p!r}")
+    table = run.tables[id(proc)] = (proc, ins, outs)
+    return table
+
+
+def _rerooted(ctx, root, done: Dict[int, tuple]):
+    """The Par context `ctx` of an operand's table with its outermost
+    None replaced by `root`.  `done` maps the id of each level already
+    re-rooted to its copy, so levels the operand's entries share are
+    copied once and stay shared."""
+    path = []
+    while ctx is not None and id(ctx) not in done:
+        path.append(ctx)
+        ctx = ctx[0]
+    new = root if ctx is None else done[id(ctx)]
+    for level in reversed(path):
+        new = done[id(level)] = (new, level[1], level[2])
+    return new
 
 
 def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
@@ -201,7 +258,7 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     come from the pre-update environment.  An evaluation error in a guard,
     payload, target or update propagates."""
     externs = run.externs
-    exposed = c.env.restricted(c.interface)
+    exposed = c.exposed
     candidates: List[OutCandidate] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
 
@@ -235,14 +292,19 @@ def in_step(
     binders read from the message and `this.a` from `c`.  Each matching input
     occurrence contributes one successor; otherwise the component
     discards and is left untouched.  An arity mismatch between binders
-    and message is an ordinary discard.
+    and message is an ordinary discard, and so is a message that fails
+    the occurrence's `Input.message_key`: its guard is then false under
+    every extern draw, so the guard is not judged.  A skipped occurrence
+    keeps its ordinal.
     """
     externs = run.externs
-    if not satisfies(c.env.restricted(c.interface), sent_pred, externs):
+    if not satisfies(c.exposed, sent_pred, externs):
         return DISCARD
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Input, run)):
         if len(node.binders) != len(msg):
+            continue
+        if not all(msg[i] == s for i, s in node.message_key):
             continue
         bindings = Subst.of(dict(zip(node.binders, msg)))
 

@@ -1,11 +1,13 @@
 """Core value, expression, predicate and process types.
 
 Every record is immutable in its fields after construction and safe to
-share between threads.  The one value a record keeps beside its fields
-is a component's canonical text (`ComponentState.text`), written into
-the instance on first use: it is a pure function of fields that never
-change, so it cannot go stale, it stays out of `==`, `hash` and `repr`,
-and two threads that write it at once write the same text.
+share between threads.  The values a record keeps beside its fields
+are a component's canonical text and exposed environment
+(`ComponentState.text`, `ComponentState.exposed`) and an input's
+message key (`Input.message_key`), each written into the instance on
+first use: each is a pure function of fields that never change, so it
+cannot go stale, it stays out of `==`, `hash` and `repr`, and two
+threads that write it at once write equal values.
 
 Source spans are carried on AST nodes but are excluded from equality
 and hashing, so structurally identical terms parsed from different
@@ -320,6 +322,27 @@ class Input(Record):
     then: "ProcessTerm"
     span: Optional[Span] = _span_field()
 
+    @functools.cached_property
+    def message_key(self) -> Tuple[Tuple[int, VStr], ...]:
+        """The (position, string) pairs a message must hold for the guard
+        to be true: one for each atom `b = "s"` or `"s" = b` in the top
+        `&&` chain of the guard, where `b` is an unindexed binder and the
+        position is the binder's (its last, if the name repeats, as the
+        bindings take it).  A number is not keyed: `x = 1` holds for 1.0
+        too.  Written on first use and kept with the node."""
+        position = {b: i for i, b in enumerate(self.binders)}
+        key, stack = [], [self.guard]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, And):
+                stack += (p.rhs, p.lhs)
+            elif isinstance(p, AtomApply) and p.name == "=" and len(p.args) == 2:
+                b, s = p.args if isinstance(p.args[1], Literal) else reversed(p.args)
+                if (isinstance(b, Attr) and not b.index and b.name in position
+                        and isinstance(s, Literal) and isinstance(s.value, VStr)):
+                    key.append((position[b.name], s.value))
+        return tuple(key)
+
 
 class Output(Record):
     """(payload)@(target).[updates] then"""
@@ -598,6 +621,13 @@ class ComponentState(Record):
         """Canonical text of the component, `name{env}proc`, written on
         first use and kept with the component."""
         return self.name + "{" + ser_env(self.env) + "}" + ser_proc(self.proc)
+
+    @functools.cached_property
+    def exposed(self) -> Env:
+        """The environment restricted to the interface: what a sender
+        exposes and what a sender's predicate judges.  Written on first
+        use and kept with the component."""
+        return self.env.restricted(self.interface)
 
 
 SystemState = Tuple[ComponentState, ...]

@@ -18,6 +18,11 @@ branch ordinals (see `behaviour_label`).
 Awareness and receive guards are judged where they stand.  Closing each
 guard in the judging component's environment first must give the same
 transition system, byte for byte.
+
+A run keeps each term's occurrence table, and a receive skips the inputs
+whose message key the broadcast fails.  Walking each term afresh and
+judging every input must also give the same transition system, byte for
+byte.
 """
 import random
 
@@ -27,6 +32,7 @@ from conftest import fixture_path
 
 from _bisim import behaviour_label, bisimilar
 from _gen import rand_reducible_spec
+from _walk import reference_occurrences
 from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import make_lts
 from test_sim_cli import CHAIN_CONTINUATIONS
@@ -35,7 +41,7 @@ from abclang import explorer, semantics
 from abclang.evaluator import EvalError, close, satisfies
 from abclang.explorer import check_property, explore
 from abclang.semantics import Run, system_steps
-from abclang.terms import EMPTY_SUBST, EnumDomain, Inact, Par, VInt, VStr, _operands
+from abclang.terms import EMPTY_SUBST, EnumDomain, Inact, Input, Par, VInt, VStr, _operands, subterms
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
 # two raw ones.  W's received x is read by nothing, so W's closure is empty.
@@ -105,6 +111,24 @@ def explore_untrimmed(monkeypatch):
     return run
 
 
+def untabled(m):
+    """Within the monkeypatch context `m`: every occurrence list is walked
+    afresh (`_walk.reference_occurrences`), and every message key is empty,
+    so each input whose arity matches is judged."""
+    m.setattr(semantics, "_occurrences", reference_occurrences)
+    m.setattr(Input, "message_key", property(lambda self: ()))
+
+
+@pytest.fixture
+def explore_untabled(monkeypatch):
+    def run(spec, **kw):
+        with monkeypatch.context() as m:
+            untabled(m)
+            return explore(spec, **kw)
+
+    return run
+
+
 def fixture_specs(corpus_spec):
     specs = {name: load(fixture_path(name)) for name in ["ping.abc", "choice.abc", "fake3.abc"]}
     specs["mini corpus"] = mini_corpus(corpus_spec)
@@ -165,6 +189,22 @@ def test_successors_are_in_normal_form(corpus_spec, monkeypatch):
     assert sum(calls) >= 1000, (len(calls), sum(calls))
 
 
+def test_tables_and_message_keys_change_no_export(corpus_spec, explore_untabled):
+    travel = load(fixture_path("travel-booking.abc"))
+    specs = [(spec, {}) for spec in fixture_specs(corpus_spec).values()] + [(travel, {})]
+    rng = random.Random(13)
+    specs += [(load(rand_reducible_spec(rng), is_path=False), dict(max_states=300)) for _ in range(100)]
+    for spec, limits in specs:
+        tabled, walked = explore(spec, **limits), explore_untabled(spec, **limits)
+        assert tabled.export_text() == walked.export_text()
+        # the receivers' branch ordinals too, which the export leaves out
+        assert [t.event for t in tabled.transitions] == [t.event for t in walked.transitions]
+    # the fixture's broker, hotels and customers key their inputs on tags
+    keyed = [q for _, body in travel.proc_defs for q in subterms(body)
+             if isinstance(q, Input) and q.message_key]
+    assert len(keyed) >= 10
+
+
 def test_trimmed_closures_behave_the_same(corpus_spec, explore_untrimmed):
     specs = fixture_specs(corpus_spec)
     specs["dead binding"] = load(DEAD_BINDING, is_path=False)
@@ -202,7 +242,8 @@ def test_fuzz_specs(explore_raw, explore_untrimmed):
 def test_generated_specs(explore_raw, explore_untrimmed, monkeypatch):
     """Specs that reach the reductions by construction (see
     `rand_reducible_spec`): canonical keying, closure trimming and the
-    run's memo, each against the system without it."""
+    run's memo, each against the system without it, and the memo also
+    without occurrence tables and message keys."""
     rng = random.Random(13)
     counts = dict(compared=0, merged=0, trimmed=0)
     for _ in range(100):
@@ -216,9 +257,12 @@ def test_generated_specs(explore_raw, explore_untrimmed, monkeypatch):
             m.setattr(explorer, "system_steps",
                       lambda state, run: system_steps(state, Run(run.defs, run.externs, run.needs)))
             fresh = explore(spec, max_states=300)
+            untabled(m)
+            fresh_untabled = explore(spec, max_states=300)
         assert bisimilar(reduced, raw, behaviour_label)
         assert bisimilar(reduced, whole, behaviour_label)
         assert fresh.export_text() == reduced.export_text()
+        assert fresh_untabled.export_text() == reduced.export_text()
         counts["compared"] += 1
         counts["merged"] += len(raw.states) > len(reduced.states)
         counts["trimmed"] += len(whole.states) > len(reduced.states)

@@ -451,6 +451,20 @@ class TestValidation:
         assert [d.code for d in diags] == ["E-UNGUARDED"]
         assert "P -> Q -> P" in diags[0].message
 
+    def test_unguarded_cycles_sharing_a_definition_behind_a_prefix(self):
+        # A and B lie on no cycle; C -> D -> C and E -> C -> E share C,
+        # and each is reported once, from its first definition
+        src = (
+            "proc A = B | C\nproc B = C\nproc C = D + E\nproc D = C\nproc E = <tt> C\n"
+            "component K { attrs { } interface { } run A }"
+        )
+        diags = self.check(src)
+        assert [(d.code, d.span.line) for d in diags] == [("E-UNGUARDED", 3), ("E-UNGUARDED", 5)]
+        assert [d.message for d in diags] == [
+            "unguarded recursion C -> D -> C: the call cycle passes no input or output prefix",
+            "unguarded recursion E -> C -> E: the call cycle passes no input or output prefix",
+        ]
+
     def test_unguarded_recursion_under_awareness(self):
         src = "proc P = <a = 1> P\ncomponent C { attrs { a = 1; } interface { } run P }"
         assert self.codes(src) == ["E-UNGUARDED"]

@@ -21,6 +21,7 @@ from abclang.terms import (
     Subst,
     TruePred,
     VBool,
+    VFloat,
     VInt,
     VSet,
     VStr,
@@ -41,7 +42,8 @@ CUSTOMER_F = (
     '(("acms", this.id, this.price)@(type = "Broker").[send := false] F)'
 )
 
-# no definitions, so its memo stays empty and the tests can share it
+# no definitions, so the tests can share it: what its memo keeps is the
+# occurrence tables of the terms they judge, each holding its term
 NO_DEFS = Run.of({}, {})
 
 
@@ -246,6 +248,64 @@ class TestInStep:
         c = comp("B", {"role": VStr("srv")}, [], "(tt)(x).0")
         res = in_step(c, Env(), parse_pred_str('role = "srv"'), (VInt(1),), NO_DEFS)
         assert not res.is_receive  # role is not exposed
+
+
+def key_of(src):
+    return parse_process_str(src).message_key
+
+
+@pytest.fixture
+def judge(monkeypatch):
+    """The ordinals of the inputs of `src` that receive `msg`, judged with
+    message keys and again with every key empty, which must agree."""
+
+    def run(src, *msg):
+        c = comp("R", {}, [], src)
+        got = in_step(c, Env(), TruePred(), msg, Run.of({}, {}))
+        with monkeypatch.context() as m:
+            m.setattr(Input, "message_key", property(lambda self: ()))
+            assert got == in_step(c, Env(), TruePred(), msg, Run.of({}, {}))
+        return [i for i, _ in got.successors]
+
+    return run
+
+
+class TestMessageKey:
+    def test_literal_on_either_side(self, judge):
+        assert key_of('(x = "a" && "b" = y)(x, y).0') == ((0, VStr("a")), (1, VStr("b")))
+        assert judge('("b" = y)(x, y).0', VStr("z"), VStr("b")) == [0]
+        assert judge('("b" = y)(x, y).0', VStr("b"), VStr("z")) == []
+
+    def test_a_repeated_binder_is_keyed_at_its_last_position(self, judge):
+        # as the bindings take it: dict(zip(binders, msg)) keeps the last
+        assert key_of('(x = "a")(x, x).0') == ((1, VStr("a")),)
+        assert judge('(x = "a")(x, x).0', VStr("b"), VStr("a")) == [0]
+        assert judge('(x = "a")(x, x).0', VStr("a"), VStr("b")) == []
+
+    def test_numbers_are_not_keyed(self, judge):
+        assert key_of("(x = 1)(x).0") == ()
+        assert judge("(x = 1)(x).0", VFloat(1.0)) == [0]
+        assert judge("(x = 1)(x).0", VInt(2)) == []
+
+    def test_only_the_top_and_chain_is_keyed(self, judge):
+        assert key_of('(x = "a" || x = "b")(x).0') == ()
+        assert key_of('(!(x = "a"))(x).0') == ()
+        assert key_of('(x = "a" && (y = "b" || tt) && !(y = "c"))(x, y).0') == ((0, VStr("a")),)
+        assert judge('(!(x = "a"))(x).0', VStr("b")) == [0]
+        assert judge('(x = "a" || x = "b")(x).0', VStr("b")) == [0]
+
+    def test_only_unindexed_binders_are_keyed(self):
+        # `a` is an attribute, `this.x` the receiver's own, `x[1]` indexed
+        assert key_of('(a = "s" && this.x = "s" && x[1] = "s")(x).0') == ()
+
+    def test_an_arity_mismatch_is_a_discard(self, judge):
+        assert judge('(x = "a" && y = "b")(x, y).0', VStr("a")) == []
+        assert judge('(y = "b")(x, y).0', VStr("b")) == []
+
+    def test_a_skipped_occurrence_keeps_its_ordinal(self, judge):
+        src = '(x = "a")(x).0 + (x = "b")(x).0 + (tt)(x).0 | (x = "b")(x).0'
+        assert judge(src, VStr("b")) == [1, 2, 3]
+        assert judge(src, VStr("a")) == [0, 2]
 
 
 def system(*comps):

@@ -16,7 +16,7 @@ from abclang.pretty import pp_spec
 from abclang.semantics import Run, system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
 from abclang.terms import (
-    Call, ComponentState, Env, Par, VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key,
+    Call, ComponentState, Env, Par, VFloat, VInt, VSet, VStr, VTuple, UNDEF, _operands, state_key,
 )
 from abclang.validate import load_spec
 
@@ -164,6 +164,28 @@ class TestSimulate:
             assert len(simulate(spec, IDLE_SENDER, seed, 50).steps) == 50
         assert max(seen) > 0
 
+    def test_memo_keeps_only_the_tables_of_the_current_state(self, monkeypatch):
+        # after pruning, the run holds the tables of the components'
+        # processes and of the operands of their top | chains, no other,
+        # and an operand's table outlives the chain it was built for
+        seen, operand_tables = [], 0
+
+        def checked(state, run):
+            nonlocal operand_tables
+            procs = {id(c.proc) for c in state}
+            live = procs.union(*(map(id, _operands(c.proc, Par)) for c in state if isinstance(c.proc, Par)))
+            assert set(run.tables) <= live
+            assert all(id(table[0]) == i for i, table in run.tables.items())
+            operand_tables += len(set(run.tables) - procs)
+            seen.append(len(run.tables))
+            return system_steps(state, run)
+
+        monkeypatch.setattr(simulator, "system_steps", checked)
+        spec, src = load(fixture_path("travel-booking.abc"))
+        for seed in range(5):
+            assert len(simulate(spec, src, seed, 200).steps) > 0
+        assert max(seen) > 0 and operand_tables > 0
+
     def test_memo_pruning_judges_nothing_twice(self, monkeypatch):
         # a simulation never returns to a component it left, so forgetting
         # those components costs no judgement
@@ -282,6 +304,21 @@ def binder_chain(op, n):
     return (
         'component S { attrs { } interface { } run ("v")@(tt).0 }\n'
         "component C { attrs { } interface { } run (tt)(y).(" + ops + ") }\n"
+    )
+
+
+def nested_calls(n):
+    """A component D whose process unfolds through `n` levels of unguarded
+    calls, each level one `+` and one `|` deeper, with an input that no
+    message matches and an output behind a false awareness guard, so D
+    never moves; and a component S that sends for ever."""
+    levels = "".join(
+        f'proc D{i} = (x = "none")(x).0 + (<ff> ("d")@(tt).0 | D{i + 1})\n' for i in range(n)
+    )
+    return (
+        levels + f'proc D{n} = 0\nproc S = ("m")@(tt).S\n'
+        "component D { attrs { } interface { } run D0 }\n"
+        "component S { attrs { } interface { } run S }\n"
     )
 
 
@@ -420,6 +457,19 @@ class TestCli:
             wide = tmp_path / "wide.abc"
             wide.write_text(spec)
             proc = self.run_cli("run", str(wide), *args)
+            assert proc.returncode == 0, proc.stderr
+            assert summary in proc.stdout
+
+    def test_nested_call_levels_exit_0(self, tmp_path):
+        # D's occurrence table is built through 1,200 levels of calls,
+        # each one Par context deeper, without a level of stack each
+        deep = tmp_path / "deep.abc"
+        deep.write_text(nested_calls(1200))
+        for args, summary in (
+            (["run", "--max-steps", "2"], "2 step(s), termination: step-limit"),
+            (["explore"], "1 state(s), 1 transition(s) (complete)"),
+        ):
+            proc = self.run_cli(args[0], str(deep), *args[1:])
             assert proc.returncode == 0, proc.stderr
             assert summary in proc.stdout
 
