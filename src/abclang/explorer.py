@@ -121,6 +121,7 @@ def explore(
             break
         frontier = next_frontier
         depth += 1
+        run.keep_only([c for sid in frontier for c in states[sid]])
     return lts
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluator import (
     ScriptedChooser,
@@ -104,33 +104,25 @@ class Run:
         require_guarded(defs)
         return cls(defs, externs, call_needs(defs, roots))
 
-    def keep_only(self, state: SystemState) -> None:
-        """Forgets the records of components that are not in `state`, the
-        labels that no kept record holds, as a sender's candidate or as a
-        judgement, and the tables of terms that are neither the process
-        of a component in `state` nor an operand of its top `|` chain.
-        `simulate` calls it after each step, so the run does not keep
-        every component it met.  No hit is lost: a simulation never comes
-        back to a component object it left, since each step makes new
-        objects for the components that move, and a label a kept record
-        holds keeps its number.  The chain of a component that moves
-        keeps the operands that did not fire, so their tables serve the
-        successor's table."""
+    def keep_only(self, components: Sequence[ComponentState]) -> None:
+        """Forgets the records of components that are not in `components`,
+        the labels that no kept record holds, as a sender's candidate or
+        as a judgement, and the tables of terms that are not the process
+        of a kept component.  `simulate` calls it with the state after
+        each step, and `explore` with the components of the next level's
+        states, so a run does not keep every component it met.  No hit
+        is lost: each step makes new objects for the components that
+        move, so a component object judged later is one of the kept
+        ones, and a label a kept record holds keeps its number."""
         records, tables = self.records, self.tables
-        self.records = {id(c): records[id(c)] for c in state if id(c) in records}
+        self.records = {id(c): records[id(c)] for c in components if id(c) in records}
         held = set()
         for memo in self.records.values():
             held.update(memo.judged, (n for _, n in memo.outs or ()))
         dead = [label for label, n in self.labels.items() if n not in held]
         for label in dead:  # few die per step: rebuilding would rehash every kept label
             del self.labels[label]
-        kept = {}
-        for c in state:
-            for term in (c.proc, *_operands(c.proc, Par)) if isinstance(c.proc, Par) else (c.proc,):
-                table = tables.get(id(term))
-                if table is not None:
-                    kept[id(term)] = table
-        self.tables = kept
+        self.tables = {id(c.proc): tables[id(c.proc)] for c in components if id(c.proc) in tables}
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
@@ -151,29 +143,15 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
     outermost first, and its Par context for `_rebuild`, which is None
     or (outer context, operands of the `|` chain as `terms._operands`
     lists them, operand position).  A choice or an awareness on the path
-    is dropped when the prefix fires, so neither is in the context."""
-    table = run.tables.get(id(proc)) or _table(proc, run)
-    return table[1] if kind is Input else table[2]
-
-
-def _table(proc: ProcessTerm, run: Run) -> tuple:
-    """Builds and keeps the occurrence table of `proc` (see `Run`).  The
-    table of a `|` chain is its operands' tables, each entry re-rooted
-    under the chain, so a successor chain shares the tables of the
-    operands that did not fire.  Any other term is walked with an
-    explicit stack, so a long or deep `|` or `+` chain costs no depth;
-    an operand is no `|` chain, so it is walked.  Terminates because
-    `Run.of` rejects call cycles that are not under a prefix."""
-    ins: List[tuple] = []
-    outs: List[tuple] = []
-    if isinstance(proc, Par):
-        ops = tuple(_operands(proc, Par))
-        for i, op in enumerate(ops):
-            sub = run.tables.get(id(op)) or _table(op, run)
-            root, done = (None, ops, i), {}
-            ins += [(q, guards, _rerooted(ctx, root, done)) for q, guards, ctx in sub[1]]
-            outs += [(q, guards, _rerooted(ctx, root, done)) for q, guards, ctx in sub[2]]
-    else:
+    is dropped when the prefix fires, so neither is in the context.
+    The table is built by one walk with an explicit stack, so a long
+    `|` or `+` chain costs no depth, and a call is unfolded once per
+    table, not once per judgement.  Terminates because `Run.of` rejects
+    call cycles that are not under a prefix."""
+    table = run.tables.get(id(proc))
+    if table is None:
+        ins: List[tuple] = []
+        outs: List[tuple] = []
         stack = [(proc, (), None)]
         while stack:
             p, guards, ctx = stack.pop()
@@ -187,32 +165,17 @@ def _table(proc: ProcessTerm, run: Run) -> tuple:
                 for q in reversed(p.operands):
                     stack.append((q, guards, ctx))
             elif isinstance(p, Par):
-                sub_ops = tuple(_operands(p, Par))
-                i = len(sub_ops)
+                ops = tuple(_operands(p, Par))
+                i = len(ops)
                 while i:  # cheaper than a loop over a range for two operands
                     i -= 1
-                    stack.append((sub_ops[i], guards, (ctx, sub_ops, i)))
+                    stack.append((ops[i], guards, (ctx, ops, i)))
             elif isinstance(p, Call):
                 stack.append((unfold(p.name, p.closure, run), guards, ctx))
             elif not isinstance(p, Inact):
                 raise TypeError(f"not a process: {p!r}")
-    table = run.tables[id(proc)] = (proc, ins, outs)
-    return table
-
-
-def _rerooted(ctx, root, done: Dict[int, tuple]):
-    """The Par context `ctx` of an operand's table with its outermost
-    None replaced by `root`.  `done` maps the id of each level already
-    re-rooted to its copy, so levels the operand's entries share are
-    copied once and stay shared."""
-    path = []
-    while ctx is not None and id(ctx) not in done:
-        path.append(ctx)
-        ctx = ctx[0]
-    new = root if ctx is None else done[id(ctx)]
-    for level in reversed(path):
-        new = done[id(level)] = (new, level[1], level[2])
-    return new
+        table = run.tables[id(proc)] = (proc, ins, outs)
+    return table[1] if kind is Input else table[2]
 
 
 def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
@@ -258,7 +221,7 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     come from the pre-update environment.  An evaluation error in a guard,
     payload, target or update propagates."""
     externs = run.externs
-    exposed = c.exposed
+    exposed = c.env.restricted(c.interface)
     candidates: List[OutCandidate] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
 
@@ -298,7 +261,7 @@ def in_step(
     keeps its ordinal.
     """
     externs = run.externs
-    if not satisfies(c.exposed, sent_pred, externs):
+    if not satisfies(c.env.restricted(c.interface), sent_pred, externs):
         return DISCARD
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Input, run)):

@@ -2,12 +2,11 @@
 
 Every record is immutable in its fields after construction and safe to
 share between threads.  The values a record keeps beside its fields
-are a component's canonical text and exposed environment
-(`ComponentState.text`, `ComponentState.exposed`) and an input's
-message key (`Input.message_key`), each written into the instance on
-first use: each is a pure function of fields that never change, so it
-cannot go stale, it stays out of `==`, `hash` and `repr`, and two
-threads that write it at once write equal values.
+are a component's canonical text (`ComponentState.text`) and an
+input's message key (`Input.message_key`), each written into the
+instance on first use: each is a pure function of fields that never
+change, so it cannot go stale, it stays out of `==`, `hash` and
+`repr`, and two threads that write it at once write equal values.
 
 Source spans are carried on AST nodes but are excluded from equality
 and hashing, so structurally identical terms parsed from different
@@ -621,13 +620,6 @@ class ComponentState(Record):
         """Canonical text of the component, `name{env}proc`, written on
         first use and kept with the component."""
         return self.name + "{" + ser_env(self.env) + "}" + ser_proc(self.proc)
-
-    @functools.cached_property
-    def exposed(self) -> Env:
-        """The environment restricted to the interface: what a sender
-        exposes and what a sender's predicate judges.  Written on first
-        use and kept with the component."""
-        return self.env.restricted(self.interface)
 
 
 SystemState = Tuple[ComponentState, ...]

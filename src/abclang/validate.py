@@ -137,77 +137,31 @@ def _unguarded_calls(proc) -> List[Call]:
     return calls
 
 
-def _cyclic_components(edges: Dict[str, List[Call]]) -> Dict[str, FrozenSet[str]]:
-    """Each definition that lies on a cycle of `edges`, mapped to its
-    strongly connected component (Tarjan's algorithm).  Walks with an
-    explicit stack, so a long call chain costs no depth."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    stack: List[str] = []
-    on_stack: Set[str] = set()
-    cyclic: Dict[str, FrozenSet[str]] = {}
-    for start in edges:
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        stack.append(start)
-        on_stack.add(start)
-        work = [(start, iter(edges[start]))]
-        while work:
-            u, calls = work[-1]
-            for call in calls:
-                v = call.name
-                if v not in index:
-                    index[v] = low[v] = len(index)
-                    stack.append(v)
-                    on_stack.add(v)
-                    work.append((v, iter(edges[v])))
-                    break
-                if v in on_stack:
-                    low[u] = min(low[u], index[v])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                if low[u] == index[u]:
-                    members = []
-                    while not members or members[-1] != u:
-                        members.append(stack.pop())
-                        on_stack.discard(members[-1])
-                    if len(members) > 1 or any(c.name == u for c in edges[u]):
-                        cyclic.update(dict.fromkeys(members, frozenset(members)))
-    return cyclic
-
-
 def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
     """Cycles of the graph of unguarded calls between definitions, as
     (names along the cycle, first call), each cycle reported once from
     its first definition.  Unfolding such a cycle never reaches an
-    action, so the step relation would not terminate.  A search starts
-    only from a definition on a cycle and stays in its strongly
-    connected component, which holds every way back to it, so an
-    acyclic chain of calls costs no search."""
+    action, so the step relation would not terminate."""
     edges = {name: [c for c in _unguarded_calls(body) if c.name in defs]
              for name, body in defs.items()}
-    cyclic = _cyclic_components(edges)
     reported: Set[str] = set()
     cycles = []
     for root in defs:
-        if root in reported or root not in cyclic:
+        if root in reported:
             continue
-        component = cyclic[root]
         # breadth-first search for the shortest way back to `root`
         prev: Dict[str, Tuple[str, Call]] = {}
         queue = [root]
-        while root not in prev:
+        while queue and root not in prev:
             nxt = []
             for u in queue:
                 for call in edges[u]:
-                    if call.name in component and call.name not in prev:
+                    if call.name not in prev:
                         prev[call.name] = (u, call)
                         nxt.append(call.name)
             queue = nxt
+        if root not in prev:
+            continue
         path = [root]
         while len(path) == 1 or path[-1] != root:
             path.append(prev[path[-1]][0])

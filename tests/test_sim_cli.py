@@ -10,13 +10,14 @@ from conftest import fixture_path
 from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
 
 from abclang import cli, semantics, simulator
+from abclang.explorer import explore
 from abclang.cli import main
 from abclang.parser import MAX_DEPTH, parse_spec
 from abclang.pretty import pp_spec
 from abclang.semantics import Run, system_steps
 from abclang.simulator import json_to_value, simulate, trace_to_json, value_to_json
 from abclang.terms import (
-    Call, ComponentState, Env, Par, VFloat, VInt, VSet, VStr, VTuple, UNDEF, _operands, state_key,
+    Call, ComponentState, Env, Par, VFloat, VInt, VSet, VStr, VTuple, UNDEF, state_key,
 )
 from abclang.validate import load_spec
 
@@ -166,17 +167,12 @@ class TestSimulate:
 
     def test_memo_keeps_only_the_tables_of_the_current_state(self, monkeypatch):
         # after pruning, the run holds the tables of the components'
-        # processes and of the operands of their top | chains, no other,
-        # and an operand's table outlives the chain it was built for
-        seen, operand_tables = [], 0
+        # processes, no other, each keyed by the id of the term it holds
+        seen = []
 
         def checked(state, run):
-            nonlocal operand_tables
-            procs = {id(c.proc) for c in state}
-            live = procs.union(*(map(id, _operands(c.proc, Par)) for c in state if isinstance(c.proc, Par)))
-            assert set(run.tables) <= live
+            assert set(run.tables) <= {id(c.proc) for c in state}
             assert all(id(table[0]) == i for i, table in run.tables.items())
-            operand_tables += len(set(run.tables) - procs)
             seen.append(len(run.tables))
             return system_steps(state, run)
 
@@ -184,7 +180,7 @@ class TestSimulate:
         spec, src = load(fixture_path("travel-booking.abc"))
         for seed in range(5):
             assert len(simulate(spec, src, seed, 200).steps) > 0
-        assert max(seen) > 0 and operand_tables > 0
+        assert max(seen) > 0
 
     def test_memo_pruning_judges_nothing_twice(self, monkeypatch):
         # a simulation never returns to a component it left, so forgetting
@@ -201,6 +197,32 @@ class TestSimulate:
                 traces = [trace_to_json(simulate(spec, src, seed, 200), spec.component_names()) for seed in range(5)]
                 runs.append((traces, len(judged)))
             assert runs[0] == runs[1] and runs[0][1] > 0, spec.component_names()
+
+    def test_explore_keeps_one_level_and_judges_nothing_twice(self, monkeypatch):
+        # explore prunes the run to the components of the next level's
+        # states; a component that moves is a new object, so no later
+        # level asks for what was forgotten
+        calls = []
+        for name in ("in_step", "out_steps"):
+            real = getattr(semantics, name)
+            monkeypatch.setattr(semantics, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        pruning, kept = Run.keep_only, []
+
+        def checked(run, components):
+            pruning(run, components)
+            assert set(run.records) <= {id(c) for c in components}
+            assert set(run.tables) <= {id(c.proc) for c in components}
+            kept.append(len(run.tables))
+
+        for spec, src in [load(fixture_path("travel-booking.abc")), (load_spec(IDLE_SENDER)[0], IDLE_SENDER)]:
+            runs = []
+            for keep_only in (checked, lambda run, components: None):
+                monkeypatch.setattr(Run, "keep_only", keep_only)
+                calls.clear()
+                lts = explore(spec)
+                runs.append((lts.export_text(), calls.count("in_step"), calls.count("out_steps")))
+            assert runs[0] == runs[1] and runs[0][1] > 0, spec.component_names()
+        assert max(kept) > 0 and kept[-1] == 0
 
     def test_signed_zero_echoes_what_was_received(self):
         spec, _ = load_spec(SIGNED_ZERO, "zero.abc")
