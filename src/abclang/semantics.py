@@ -50,12 +50,15 @@ from .validate import call_needs, require_guarded
 
 @dataclass(slots=True)
 class Memo:
-    """What a run knows about one component object: its output
-    candidates once it has been asked as a sender (`outs`, each with the
-    number of its broadcast label), and its judgement of each label it
-    has been asked to receive (`judged`, by label number)."""
+    """What a run knows about one component object: its input and
+    output occurrences once either is asked for (`occurrences`, see
+    `_occurrences`), its output candidates once it has been asked as a
+    sender (`outs`, each with the number of its broadcast label), and its
+    judgement of each label it has been asked to receive (`judged`, by
+    label number)."""
 
     component: ComponentState
+    occurrences: Optional[Tuple[List[tuple], List[tuple]]] = None
     outs: Optional[List[Tuple["OutCandidate", int]]] = None
     judged: Dict[int, "InResult"] = field(default_factory=dict)
 
@@ -71,12 +74,8 @@ class Run:
     builds keeps only the names its definition reads, so call instances
     that differ in dead bindings are one term.
 
-    `tables` maps `id(term)` to the occurrence table of a process term
-    (see `_occurrences`): (term, input occurrences, output occurrences).
-    The table holds the term, so no id is reused while the table lives.
-
-    `records` maps `id(component)` to the component's `Memo`, which
-    holds the component, so no id is reused while the record lives.
+    `records` maps `id(component)` to the component's `Memo` (see there),
+    which holds the component, so no id is reused while the record lives.
     `labels` numbers each broadcast label (exposed environment, closed
     predicate, message) when a candidate first carries it, from
     `numbers`, so a number is never reused.  Successors are taken from
@@ -89,7 +88,6 @@ class Run:
     externs: Dict
     needs: Optional[Dict[str, FrozenSet[str]]]
     bodies: Dict[Tuple[str, Subst], ProcessTerm] = field(default_factory=dict)
-    tables: Dict[int, tuple] = field(default_factory=dict)
     records: Dict[int, Memo] = field(default_factory=dict)
     labels: Dict[tuple, int] = field(default_factory=dict)
     numbers: Iterator[int] = field(default_factory=itertools.count)
@@ -106,15 +104,14 @@ class Run:
 
     def keep_only(self, components: Sequence[ComponentState]) -> None:
         """Forgets the records of components that are not in `components`,
-        the labels that no kept record holds, as a sender's candidate or
-        as a judgement, and the tables of terms that are not the process
-        of a kept component.  `simulate` calls it with the state after
+        and the labels that no kept record holds, as a sender's candidate
+        or as a judgement.  `simulate` calls it with the state after
         each step, and `explore` with the components of the next level's
         states, so a run does not keep every component it met.  No hit
         is lost: each step makes new objects for the components that
         move, so a component object judged later is one of the kept
         ones, and a label a kept record holds keeps its number."""
-        records, tables = self.records, self.tables
+        records = self.records
         self.records = {id(c): records[id(c)] for c in components if id(c) in records}
         held = set()
         for memo in self.records.values():
@@ -122,7 +119,6 @@ class Run:
         dead = [label for label, n in self.labels.items() if n not in held]
         for label in dead:  # few die per step: rebuilding would rehash every kept label
             del self.labels[label]
-        self.tables = {id(c.proc): tables[id(c.proc)] for c in components if id(c.proc) in tables}
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
@@ -136,23 +132,24 @@ def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
     return body
 
 
-def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
-    """The `kind` (Input or Output) occurrences of `proc`, left to right,
-    from its table in `run.tables`, built on first use.  Each is (prefix,
-    guards, context): the awareness guards on the path to the prefix,
-    outermost first, and its Par context for `_rebuild`, which is None
-    or (outer context, operands of the `|` chain as `terms._operands`
-    lists them, operand position).  A choice or an awareness on the path
-    is dropped when the prefix fires, so neither is in the context.
-    The table is built by one walk with an explicit stack, so a long
-    `|` or `+` chain costs no depth, and a call is unfolded once per
-    table, not once per judgement.  Terminates because `Run.of` rejects
-    call cycles that are not under a prefix."""
-    table = run.tables.get(id(proc))
-    if table is None:
+def _occurrences(c: ComponentState, kind, run: Run) -> List[tuple]:
+    """The `kind` (Input or Output) occurrences of `c`'s process, left to
+    right, from `c`'s record in `run.records`, walked on first use.  Each
+    is (prefix, guards, context): the awareness guards on the path to the
+    prefix, outermost first, and its Par context for `_rebuild`, which is
+    None or (outer context, operands of the `|` chain as
+    `terms._operands` lists them, operand position).  A choice or an
+    awareness on the path is dropped when the prefix fires, so neither is
+    in the context.  One walk with an explicit stack finds both kinds, so
+    a long `|` or `+` chain costs no depth, and a call is unfolded once
+    per component object, not once per judgement.  Terminates because
+    `Run.of` rejects call cycles that are not under a prefix."""
+    memo = run.records.get(id(c)) or run.records.setdefault(id(c), Memo(c))
+    found = memo.occurrences
+    if found is None:
         ins: List[tuple] = []
         outs: List[tuple] = []
-        stack = [(proc, (), None)]
+        stack = [(c.proc, (), None)]
         while stack:
             p, guards, ctx = stack.pop()
             if isinstance(p, Input):
@@ -174,8 +171,8 @@ def _occurrences(proc: ProcessTerm, kind, run: Run) -> List[tuple]:
                 stack.append((unfold(p.name, p.closure, run), guards, ctx))
             elif not isinstance(p, Inact):
                 raise TypeError(f"not a process: {p!r}")
-        table = run.tables[id(proc)] = (proc, ins, outs)
-    return table[1] if kind is Input else table[2]
+        found = memo.occurrences = (ins, outs)
+    return found[0] if kind is Input else found[1]
 
 
 def _rebuild(ctx, p: ProcessTerm) -> ProcessTerm:
@@ -223,7 +220,7 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     externs = run.externs
     exposed = c.env.restricted(c.interface)
     candidates: List[OutCandidate] = []
-    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Output, run)):
+    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c, Output, run)):
 
         def fire(ch: ScriptedChooser, node=node, guards=guards, ctx=ctx, ordinal=ordinal):
             if not all(satisfies(c.env, g, externs, ch) for g in guards):
@@ -264,7 +261,7 @@ def in_step(
     if not satisfies(c.env.restricted(c.interface), sent_pred, externs):
         return DISCARD
     successors: List[Tuple[int, ComponentState]] = []
-    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c.proc, Input, run)):
+    for ordinal, (node, guards, ctx) in enumerate(_occurrences(c, Input, run)):
         if len(node.binders) != len(msg):
             continue
         if not all(msg[i] == s for i, s in node.message_key):

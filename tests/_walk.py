@@ -1,15 +1,16 @@
-"""The occurrence walk without tables, the reference for `semantics._occurrences`.
+"""The occurrence walk without a memo, the reference for `semantics._occurrences`.
 
-Each call walks the whole term again, unfolding every call it meets, and
-builds each `|` chain's Par context as it reaches the chain.
+Each call walks the component's whole process again, unfolding every
+call it meets, and builds each `|` chain's Par context as it reaches the
+chain.
 """
 from abclang import semantics
 from abclang.terms import Aware, Call, Choice, Inact, Input, Output, Par, _operands
 
 
-def reference_occurrences(proc, kind, run):
+def reference_occurrences(c, kind, run):
     found = []
-    stack = [(proc, (), None)]
+    stack = [(c.proc, (), None)]
     while stack:
         p, guards, ctx = stack.pop()
         if isinstance(p, kind):

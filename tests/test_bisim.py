@@ -19,10 +19,10 @@ Awareness and receive guards are judged where they stand.  Closing each
 guard in the judging component's environment first must give the same
 transition system, byte for byte.
 
-A run keeps each term's occurrence table, and a receive skips the inputs
-whose message key the broadcast fails.  Walking each term afresh and
-judging every input must also give the same transition system, byte for
-byte.
+A run keeps each component's occurrences in its record, and a receive
+skips the inputs whose message key the broadcast fails.  Walking each
+process afresh and judging every input must also give the same
+transition system, byte for byte.
 """
 import random
 

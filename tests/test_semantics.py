@@ -43,7 +43,7 @@ CUSTOMER_F = (
 )
 
 # no definitions, so the tests can share it: what its memo keeps is the
-# occurrence tables of the terms they judge, each holding its term
+# records of the components they judge, each holding its component
 NO_DEFS = Run.of({}, {})
 
 

@@ -165,23 +165,6 @@ class TestSimulate:
             assert len(simulate(spec, IDLE_SENDER, seed, 50).steps) == 50
         assert max(seen) > 0
 
-    def test_memo_keeps_only_the_tables_of_the_current_state(self, monkeypatch):
-        # after pruning, the run holds the tables of the components'
-        # processes, no other, each keyed by the id of the term it holds
-        seen = []
-
-        def checked(state, run):
-            assert set(run.tables) <= {id(c.proc) for c in state}
-            assert all(id(table[0]) == i for i, table in run.tables.items())
-            seen.append(len(run.tables))
-            return system_steps(state, run)
-
-        monkeypatch.setattr(simulator, "system_steps", checked)
-        spec, src = load(fixture_path("travel-booking.abc"))
-        for seed in range(5):
-            assert len(simulate(spec, src, seed, 200).steps) > 0
-        assert max(seen) > 0
-
     def test_memo_pruning_judges_nothing_twice(self, monkeypatch):
         # a simulation never returns to a component it left, so forgetting
         # those components costs no judgement
@@ -211,8 +194,7 @@ class TestSimulate:
         def checked(run, components):
             pruning(run, components)
             assert set(run.records) <= {id(c) for c in components}
-            assert set(run.tables) <= {id(c.proc) for c in components}
-            kept.append(len(run.tables))
+            kept.append(len(run.records))
 
         for spec, src in [load(fixture_path("travel-booking.abc")), (load_spec(IDLE_SENDER)[0], IDLE_SENDER)]:
             runs = []
@@ -223,6 +205,31 @@ class TestSimulate:
                 runs.append((lts.export_text(), calls.count("in_step"), calls.count("out_steps")))
             assert runs[0] == runs[1] and runs[0][1] > 0, spec.component_names()
         assert max(kept) > 0 and kept[-1] == 0
+
+    def test_each_component_object_is_walked_once(self, monkeypatch):
+        # a component's occurrences live in its record: the walk runs the
+        # first time out_steps or in_step asks about the object, and every
+        # component of a state is asked once as a sender, so the walks are
+        # exactly the out_steps calls
+        walked, senders = [], []
+        real_occurrences, real_out_steps = semantics._occurrences, semantics.out_steps
+
+        def occurrences(c, kind, run):
+            memo = run.records.get(id(c))
+            if memo is None or memo.occurrences is None:
+                walked.append(c)  # kept alive, so no two walked objects share an id
+            return real_occurrences(c, kind, run)
+
+        monkeypatch.setattr(semantics, "_occurrences", occurrences)
+        monkeypatch.setattr(semantics, "out_steps", lambda c, run: senders.append(c) or real_out_steps(c, run))
+        spec, src = load(fixture_path("travel-booking.abc"))
+        explore(spec)
+        assert len({id(c) for c in walked}) == len(walked) == len(senders) == 911
+        walked.clear()
+        senders.clear()
+        for seed in range(5):
+            simulate(spec, src, seed, 200)
+        assert len({id(c) for c in walked}) == len(walked) == len(senders) == 301
 
     def test_signed_zero_echoes_what_was_received(self):
         spec, _ = load_spec(SIGNED_ZERO, "zero.abc")
