@@ -45,7 +45,7 @@ from .terms import (
     ZERO,
     _operands,
 )
-from .validate import call_needs, require_guarded
+from .validate import call_needs, require_domains, require_guarded
 
 
 @dataclass(slots=True)
@@ -94,12 +94,14 @@ class Run:
 
     @classmethod
     def of(cls, defs, externs, roots=()) -> "Run":
-        """Raises EvalError for an unguarded call cycle or a call, in a
-        definition or in one of `roots`, to an undefined process
-        (`validate` reports these as E-UNGUARDED and E-UNDEF-PROC): the
-        step relation relies on there being none, and a spec need not
-        have been validated."""
+        """Raises EvalError for an unguarded call cycle, an extern with an
+        empty domain, and a term, in a definition or in one of `roots`,
+        that is nested too deep or calls an undefined process (`validate`
+        reports these as E-UNGUARDED, E-EMPTY-DOMAIN, E-DEPTH and
+        E-UNDEF-PROC): the step relation relies on there being none, and
+        a spec need not have been validated."""
         require_guarded(defs)
+        require_domains(externs)
         return cls(defs, externs, call_needs(defs, roots))
 
     def keep_only(self, components: Sequence[ComponentState]) -> None:

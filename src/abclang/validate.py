@@ -8,7 +8,7 @@ the identifier namespace in source text).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from .evaluator import BUILTIN_NAMES, EvalError
 from .parser import MAX_DEPTH, Diagnostic
@@ -97,12 +97,13 @@ def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
     these in the closures it builds: the other bindings cannot change the
     unfolded body, and would only tell apart states that behave the same.
 
-    Raises EvalError for a call, in a definition or in one of `roots`, to
-    a process `defs` does not define; `semantics.Run.of` passes the
-    components' processes, because a spec need not have been validated.
+    Raises EvalError for a term, in a definition or in one of `roots`,
+    nested too deep (see `_shallow_subterms`) and for a call to a process
+    `defs` does not define; `semantics.Run.of` passes the components'
+    processes, because a spec need not have been validated.
     """
     for root in (*defs.values(), *roots):
-        for q in subterms(root):
+        for q in _shallow_subterms(root):
             if isinstance(q, Call) and q.name not in defs:
                 raise EvalError(f"undefined process {q.name}", q.span)
     return _fixpoint(defs, True)
@@ -183,15 +184,41 @@ def require_guarded(defs) -> None:
         raise EvalError(_unguarded_message(path), call.span)
 
 
-def _too_deep(root, diags: List[Diagnostic]) -> None:
-    """E-DEPTH at the first term of `root` (a process or a property) that
-    lies more than MAX_DEPTH levels down an expression, predicate or
-    formula tree: the evaluator, the printer and the canonical text
-    recurse once or twice per level."""
+def _empty_domains(externs) -> List[str]:
+    """A message for each of the (name, declaration) pairs `externs` whose
+    enumerated domain is empty: a draw from it has no value to pick."""
+    return [f"extern {name} has an empty domain"
+            for name, decl in externs if isinstance(decl, EnumDomain) and not decl.values]
+
+
+def require_domains(externs) -> None:
+    """Raises EvalError for the first extern of the map `externs` whose
+    domain is empty.  The extern draws rely on there being none;
+    `semantics.Run.of` checks it because a spec need not have been
+    validated."""
+    for message in _empty_domains(externs.items()):
+        raise EvalError(message)
+
+
+def _shallow_subterms(root) -> Iterator:
+    """`subterms(root)`, raising EvalError at the first term that lies
+    more than MAX_DEPTH levels down an expression, predicate or formula
+    tree: the evaluator, the printer and the canonical text recurse once
+    or twice per level."""
     for q, depth in nesting(root):
         if depth > MAX_DEPTH:
-            diags.append(Diagnostic("error", q.span, f"nested more than {MAX_DEPTH} levels deep", "E-DEPTH"))
-            return
+            raise EvalError(f"nested more than {MAX_DEPTH} levels deep", q.span)
+        yield q
+
+
+def _too_deep(root, diags: List[Diagnostic]) -> None:
+    """E-DEPTH at the first term of `root` (a process or a property) that
+    `_shallow_subterms` rejects."""
+    try:
+        for _ in _shallow_subterms(root):
+            pass
+    except EvalError as e:
+        diags.append(Diagnostic("error", e.span, e.args[0], "E-DEPTH"))
 
 
 # Each takes the subterms of a process, listed once by `validate`.
@@ -228,9 +255,8 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
             diags.append(Diagnostic("error", comp.span, f"duplicate component {comp.name}", "E-DUP-COMP"))
         comp_names.add(comp.name)
 
-    for name, decl in spec.externs:
-        if isinstance(decl, EnumDomain) and not decl.values:
-            diags.append(Diagnostic("error", None, f"extern {name} has an empty domain", "E-EMPTY-DOMAIN"))
+    for message in _empty_domains(spec.externs):
+        diags.append(Diagnostic("error", None, message, "E-EMPTY-DOMAIN"))
 
     # call targets and extern/builtin references
     roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]

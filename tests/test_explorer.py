@@ -18,7 +18,7 @@ from abclang.explorer import (
     check_property,
     explore,
 )
-from abclang.parser import parse_spec
+from abclang.parser import MAX_DEPTH, parse_spec
 from abclang.semantics import Run, system_steps
 from abclang.simulator import simulate
 from abclang.terms import (
@@ -33,6 +33,8 @@ from abclang.terms import (
     Sent,
     TruePred,
     Env,
+    EnumDomain,
+    SystemSpec,
     VFloat,
     VInt,
     VStr,
@@ -56,6 +58,26 @@ DIVISION_BY_ZERO = """extern pick : { 0, 1 }
 proc P = (1 / pick())@(tt).0
 component C { attrs { } interface { } run ("go")@(tt).P }
 """
+
+# the text cannot declare an empty domain (`extern pick : {}` is an
+# E-PARSE), so `empty_domain_spec` replaces pick's domain in the parsed spec
+EMPTY_DOMAIN = """extern pick : { 0 }
+component C { attrs { } interface { } run (pick())@(tt).0 }
+"""
+
+
+def empty_domain_spec():
+    spec, diags = parse_spec(EMPTY_DOMAIN)
+    assert spec is not None, diags
+    return SystemSpec(spec.components, spec.proc_defs, (("pick", EnumDomain(())),), spec.properties)
+
+
+# an awareness guard of 1,200 atoms, left-nested, so the innermost `&&` lies
+# 1,200 levels down: `parse_spec` takes it and `validate` rejects it (E-DEPTH)
+DEEP_GUARD = (
+    "component C { attrs { x = 1; } interface { x } run <"
+    + " && ".join(["x = 1"] * 1200) + '> ("a")@(tt).0 }\n'
+)
 
 # A1 sends -0.0 and A2 sends 0.0; B echoes the value it received
 SIGNED_ZERO = """component A1 { attrs { } interface { } run ("v", neg(0.0))@(tt).0 }
@@ -128,6 +150,19 @@ component C { attrs { } interface { } run R }
         spec, _ = parse_spec('component C { attrs { } interface { } run ("m")@(tt).Nope }\n')
         with pytest.raises(EvalError, match="undefined process Nope"):
             explore(spec)
+
+    def test_unvalidated_empty_domain_raises(self):
+        # a draw from the empty domain once ended in IndexError
+        with pytest.raises(EvalError, match="extern pick has an empty domain"):
+            explore(empty_domain_spec())
+
+    def test_unvalidated_deep_guard_raises(self):
+        # judging or printing the guard once ended in RecursionError
+        spec, diags = parse_spec(DEEP_GUARD, "deep.abc")
+        assert spec is not None, diags
+        with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep") as ei:
+            explore(spec)
+        assert (ei.value.span.line, ei.value.span.col) == (1, len("component C { attrs { x = 1; } interface { x } run <") + 1)
 
     def test_payload_error_in_a_reachable_state_raises_with_its_span(self):
         spec, _ = parse_spec(DIVISION_BY_ZERO, "div.abc")

@@ -7,7 +7,9 @@ from abclang.parser import (
     KEYWORDS, MAX_DEPTH, ParseError, _lex, _line_col, _newlines, parse_spec, parse_process_str, parse_pred_str,
 )
 from abclang.pretty import pp_proc, pp_spec
-from abclang.terms import AtomApply, Attr, Aware, Call, Inact, Input, Output, Par, Choice, Span, ThisAttr, VStr
+from abclang.terms import (
+    AtomApply, Attr, Aware, Call, Choice, EnumDomain, Inact, Input, Output, Par, Span, SystemSpec, ThisAttr, VStr,
+)
 from abclang.validate import call_needs, load_spec, validate
 
 
@@ -387,6 +389,19 @@ class TestValidation:
     def test_undefined_extern(self):
         src = 'component C { attrs { } interface { } run ("m", f(1))@(tt).0 }'
         assert "E-UNDEF-EXTERN" in self.codes(src)
+
+    def test_empty_domain(self):
+        # the text cannot declare one, a library-built spec can
+        spec, diags = parse_spec("extern e : { 1 }\n")
+        assert spec is not None, diags
+        spec = SystemSpec(spec.components, spec.proc_defs, (("e", EnumDomain(())),), spec.properties)
+        assert [(d.code, d.message) for d in validate(spec)] == [
+            ("E-EMPTY-DOMAIN", "extern e has an empty domain"),
+        ]
+
+    def test_empty_domain_in_text_is_a_parse_error(self):
+        spec, diags = parse_spec("extern e : {}\n")
+        assert spec is None and [d.code for d in diags] == ["E-PARSE"]
 
     def test_bad_interface(self):
         src = "component C { attrs { a = 1; } interface { a, ghost } run 0 }"

@@ -6,7 +6,7 @@ import pytest
 from _gen import rand_component, rand_env, rand_message, rand_pred, rand_subst
 
 from abclang.evaluator import EvalError, close, substitute_proc
-from abclang.parser import parse_pred_str, parse_process_str
+from abclang.parser import MAX_DEPTH, parse_pred_str, parse_process_str
 from abclang.pretty import pp_pred
 from abclang.semantics import Run, in_step, out_steps, system_steps, unfold
 from abclang.terms import (
@@ -59,6 +59,20 @@ class TestRun:
             Run.of({"P": parse_process_str('("m")@(tt).Nope')}, {})
         with pytest.raises(EvalError, match="undefined process Nope"):
             Run.of({}, {}, [parse_process_str("Nope")])
+
+    def test_rejects_an_empty_domain(self):
+        with pytest.raises(EvalError, match="extern e has an empty domain"):
+            Run.of({}, {"e": EnumDomain(())})
+
+    def test_rejects_a_term_nested_too_deep(self):
+        # the innermost of n `tt`s, left-nested under `&&`, lies n levels down
+        deep = parse_process_str("<" + " && ".join(["tt"] * (MAX_DEPTH + 1)) + '> ("a")@(tt).0')
+        shallow = parse_process_str("<" + " && ".join(["tt"] * MAX_DEPTH) + '> ("a")@(tt).0')
+        Run.of({"P": shallow}, {}, [shallow])
+        with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
+            Run.of({"P": deep}, {})
+        with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
+            Run.of({}, {}, [deep])
 
 
 class TestUnfold:

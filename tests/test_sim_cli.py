@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import fixture_path
-from test_explorer import DIVISION_BY_ZERO, SIGNED_ZERO
+from test_explorer import DEEP_GUARD, DIVISION_BY_ZERO, EMPTY_DOMAIN, SIGNED_ZERO, empty_domain_spec
 
 from abclang import cli, semantics, simulator
 from abclang.explorer import explore
@@ -69,6 +69,17 @@ class TestSimulate:
         trace = simulate(spec, src, seed=0)
         assert trace.termination == "error" and trace.steps == []
         assert "undefined process Nope" in trace.error
+
+    def test_unvalidated_empty_domain_is_an_error_trace(self):
+        trace = simulate(empty_domain_spec(), EMPTY_DOMAIN, seed=0)
+        assert trace.termination == "error" and trace.steps == []
+        assert trace.error == "extern pick has an empty domain"
+
+    def test_unvalidated_deep_guard_is_an_error_trace(self):
+        spec, _ = parse_spec(DEEP_GUARD)
+        trace = simulate(spec, DEEP_GUARD, seed=0)
+        assert trace.termination == "error" and trace.steps == []
+        assert f"nested more than {MAX_DEPTH} levels deep" in trace.error
 
     def test_deterministic_given_seed(self):
         spec, src = load(fixture_path("travel-booking.abc"))
