@@ -224,9 +224,13 @@ def _too_deep(root, diags: List[Diagnostic]) -> None:
 # Each takes the subterms of a process, listed once by `validate`.
 
 
-def _apply_names(terms) -> Set[str]:
-    return {q.fn if isinstance(q, Apply) else q.name
-            for q in terms if isinstance(q, (Apply, AtomApply))}
+def _apply_names(terms) -> Dict[str, object]:
+    """Each name a call or an atom applies, with the first that applies it."""
+    named: Dict[str, object] = {}
+    for q in terms:
+        if isinstance(q, (Apply, AtomApply)):
+            named.setdefault(q.fn if isinstance(q, Apply) else q.name, q)
+    return named
 
 
 def _called(terms) -> Set[str]:
@@ -246,7 +250,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
     defs = {}
     for name, body in spec.proc_defs:
         if name in defs:
-            diags.append(Diagnostic("error", None, f"duplicate process definition {name}", "E-DUP-PROC"))
+            diags.append(Diagnostic("error", body.span, f"duplicate process definition {name}", "E-DUP-PROC"))
         defs[name] = body
     externs = dict(spec.externs)
     comp_names = set()
@@ -270,10 +274,11 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                 diags.append(
                     Diagnostic("error", call.span, f"undefined process {call.name}", "E-UNDEF-PROC")
                 )
-        for fn in sorted(_apply_names(terms)):
+        applied = _apply_names(terms)
+        for fn in sorted(applied):
             if fn not in externs and fn not in BUILTIN_NAMES:
                 diags.append(
-                    Diagnostic("error", None, f"undefined extern or function {fn}", "E-UNDEF-EXTERN")
+                    Diagnostic("error", applied[fn].span, f"undefined extern or function {fn}", "E-UNDEF-EXTERN")
                 )
 
     for path, call in _unguarded_cycles(defs):

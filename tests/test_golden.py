@@ -113,8 +113,8 @@ DIAGNOSTICS = {
     'parse': 'f4ffd45cedfea3e693d624e4ca39cd5692fa91ffe2e9b5fb8375abb60bd5f585',
     'properties': '2a6d418d0269a1e86f63f7bb440567f027a871847d80453d0f0c027b0a788176',
     'shadow-unbound': 'c890e311187e4656609ded91920beff17d93a9af03b2bffc68cd4879e0a01eab',
-    'undefined': 'da53429bb7c5f94ddf6f367c238ec101a66899127b20a97924422e246de68a26',
-    'unguarded': '3bb0b4f35c94b4aacb37497b91ddf3bfdcb939c70607cc3cbf267eee29dbe8e0',
+    'undefined': 'edce5898f03be7176894c98625d1dc2545681a2dfa1d3a1cf72f21b1ab9a662e',
+    'unguarded': 'd0d2211e0ae8e5393bc442ab17ab07ba50558c9c845dea05c0671c23d6a0357d',
 }
 
 

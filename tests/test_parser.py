@@ -382,6 +382,10 @@ class TestValidation:
     def test_duplicate_proc(self):
         assert "E-DUP-PROC" in self.codes("proc A = 0\nproc A = 0\n")
 
+    def test_duplicate_proc_is_reported_at_the_duplicate_body(self):
+        [d] = self.check('proc A = 0\nproc A =  ("m")@(tt).0\n')
+        assert (d.code, d.span.line, d.span.col) == ("E-DUP-PROC", 2, 11)
+
     def test_undefined_proc(self):
         src = "component C { attrs { } interface { } run MISSING }"
         assert "E-UNDEF-PROC" in self.codes(src)
@@ -389,6 +393,17 @@ class TestValidation:
     def test_undefined_extern(self):
         src = 'component C { attrs { } interface { } run ("m", f(1))@(tt).0 }'
         assert "E-UNDEF-EXTERN" in self.codes(src)
+
+    def test_undefined_extern_is_reported_once_per_root_at_its_first_use(self):
+        # f in P's awareness guard, and twice in C: first as an atom, then
+        # in a payload
+        src = (
+            "proc P = <f(1) = 1> (\"a\")@(tt).0\n"
+            "component C { attrs { } interface { } run (f(2))(x).(f(3))@(tt).P }\n"
+        )
+        assert [(d.code, d.span.line, d.span.col) for d in self.check(src)] == [
+            ("E-UNDEF-EXTERN", 1, 11), ("E-UNDEF-EXTERN", 2, 44),
+        ]
 
     def test_empty_domain(self):
         # the text cannot declare one, a library-built spec can

@@ -78,8 +78,8 @@ SPANS = {
     'parse': 'fc84d9c10487d2e5ee367dab0e2357addecca9746581d2a160d1f533e12f4ff8',
     'properties': '5a84124f5a65442905c6aefbd6274bc5aa6304045880190070ee1ddc69d192c4',
     'shadow-unbound': 'b1e14306269998457ef29befd7b31a888a6514a9af0174cd01356d10885fc031',
-    'undefined': '021c738a311b6fe0de8b234b5658da831029763fecac0da5efb7739f876c3d0c',
-    'unguarded': '624c995f518606dee3623cf218d2d611ba5c4510845061649226622955ebc1ee',
+    'undefined': '9d9354499a6077a8752473aef84d66f96f151ba753c7e4baa75a8926d70f35a3',
+    'unguarded': '906d3c46e9164b889e6cd0a8e75fd9fe4b79630cc90bdb51ab5c06bf80f25e3d',
     'comment-at-eof': '9bdd922a7033ffde96de2d30dc5684ccbb9d581a7f8be2bd225b37a4a5eeb270',
     'comment-at-eof-newline': '63202ce8b8efe05901d1996534c5fe00370b63b092646f90fa2daf692a3e1568',
     'lex-line-3': 'c10f7339c03ed2d3d708908a567b49caea02bd3b19c1e1cae36ee3ac0d8a4e07',
