@@ -78,10 +78,10 @@ def explore(
     max_depth: Optional[int] = None,
 ) -> LTS:
     """Breadth-first exploration of `spec`'s reachable states.  Raises
-    `EvalError` for an unguarded call cycle or a call to an undefined
-    process (which `validate` reports as E-UNGUARDED and E-UNDEF-PROC) and
-    for a failed evaluation in a reachable state, and `ValueError` for a
-    `max_states` below 1 or a negative `max_depth`."""
+    `EvalError` for a spec that `semantics.Run.of` rejects (what
+    `validate` reports as E-UNGUARDED, E-UNDEF-PROC, E-EMPTY-DOMAIN and
+    E-DEPTH) and for a failed evaluation in a reachable state, and
+    `ValueError` for a `max_states` below 1 or a negative `max_depth`."""
     if max_states < 1 or max_depth is not None and max_depth < 0:
         raise ValueError(f"limits out of range: max_states={max_states}, max_depth={max_depth}")
     run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
