@@ -162,6 +162,9 @@ def values_equal(a: Value, b: Value) -> bool:
     return a == b
 
 
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def compare_values(op: str, a: Value, b: Value, span=None) -> bool:
     if op == "=":
         return values_equal(a, b)
@@ -174,8 +177,7 @@ def compare_values(op: str, a: Value, b: Value, span=None) -> bool:
         raise EvalError(
             f"ordered comparison between {ser_value(a)} and {ser_value(b)}", span
         )
-    x, y = a.v, b.v  # Python compares an int and a float exactly
-    return {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y}[op]
+    return _ORDERED[op](a.v, b.v)  # Python compares an int and a float exactly
 
 
 def _member(elem: Value, coll: Value, span=None) -> bool:

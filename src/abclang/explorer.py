@@ -23,6 +23,7 @@ from .terms import (
     Property,
     Reachable,
     Received,
+    SCompare,
     Sent,
     StateExpr,
     SystemSpec,
@@ -32,9 +33,10 @@ from .terms import (
     state_key,
 )
 from .evaluator import compare_values, EvalError
+from .validate import require_checkable
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     src: int
     dst: int
@@ -43,6 +45,12 @@ class Transition:
 
 @dataclass
 class LTS:
+    """The reachable states, numbered in the order they were first
+    reached, and the transitions between them in the order they were
+    found.  Transitions with the same broadcast and outcome usually
+    share one event object (see `semantics.Run`); `event_numbers` gives
+    each structurally distinct event one number."""
+
     states: List[SystemState]
     transitions: List[Transition]
     component_names: Tuple[str, ...]
@@ -50,6 +58,8 @@ class LTS:
     truncated: bool = False
     truncation_reason: str = ""
     _out: Optional[List[List[int]]] = field(default=None, init=False, repr=False, compare=False)
+    _numbered: Optional[Tuple[List[BroadcastEvent], List[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def out_edges(self) -> List[List[int]]:
         """Outgoing transition indices per state, built on the first call;
@@ -60,6 +70,34 @@ class LTS:
                 out[t.src].append(i)
             self._out = out
         return self._out
+
+    def event_numbers(self) -> Tuple[List[BroadcastEvent], List[int]]:
+        """The distinct events, in the order of the first transition that
+        carries each, and the number of each transition's event in that
+        list; built on the first call, like `out_edges`.  Events are told
+        apart by identity first, then by equality, so equal events that
+        are different objects (a label that died and came back, or a
+        hand-built LTS) get one number."""
+        if self._numbered is None:
+            transitions = self.transitions
+            events: List[BroadcastEvent] = []
+            by_id: Dict[int, int] = {}
+            # equal events have the same sender, message, receivers and
+            # discards; hashing these is cheaper than hashing the whole event
+            outlines: Dict[tuple, List[int]] = {}
+            for event in {id(t.event): t.event for t in transitions}.values():
+                same = outlines.setdefault(
+                    (event.sender, event.message, event.receivers, event.discarded), [])
+                for k in same:
+                    if events[k] == event:
+                        break
+                else:
+                    k = len(events)
+                    same.append(k)
+                    events.append(event)
+                by_id[id(event)] = k
+            self._numbered = (events, [by_id[id(t.event)] for t in transitions])
+        return self._numbered
 
     def export_text(self) -> str:
         lines = []
@@ -129,44 +167,67 @@ def explore(
 # property evaluation
 
 
-def event_matches(ev: Event, t: Transition, names: Sequence[str]) -> bool:
-    tag = t.event.tag()
-    if tag != ev.tag:
+def event_matches(ev: Event, event: BroadcastEvent, names: Sequence[str]) -> bool:
+    if event.tag() != ev.tag:
         return False
     if isinstance(ev, Sent):
-        sender = names[t.event.sender]
-        return ev.component == "*" or ev.component == sender
+        return ev.component == "*" or ev.component == names[event.sender]
     # Received: some receiver matches the component pattern
-    for idx, _branch in t.event.receivers:
+    for idx, _branch in event.receivers:
         if ev.component == "*" or names[idx] == ev.component:
             return True
     return False
 
 
-def state_satisfies(expr: StateExpr, state: SystemState, names: Sequence[str]) -> bool:
-    if isinstance(expr, TruePred):
-        return True
-    if isinstance(expr, FalsePred):
+def _matching(lts: LTS, patterns: Sequence[Event]) -> Tuple[List[bool], List[int]]:
+    """Whether each distinct event of `lts` matches some of `patterns`,
+    by event number, and the event number of each transition (see
+    `LTS.event_numbers`): a pattern is judged once per event, not once
+    per transition."""
+    events, numbers = lts.event_numbers()
+    names = lts.component_names
+    hits = [False] * len(events)
+    for p in patterns:
+        hits = [hit or event_matches(p, e, names) for hit, e in zip(hits, events)]
+    return hits, numbers
+
+
+def _positions(names: Sequence[str]) -> Dict[str, Tuple[int, ...]]:
+    """The positions in a state of the components each atom of a state
+    expression reads: those named so, or every one for `*`."""
+    where = {name: (i,) for i, name in enumerate(names)}
+    if len(where) < len(names):  # a name given twice (E-DUP-COMP) reads both
+        where = {name: tuple(i for i, n in enumerate(names) if n == name) for name in where}
+    where["*"] = tuple(range(len(names)))
+    return where
+
+
+def state_satisfies(expr: StateExpr, state: SystemState, where: Dict[str, Tuple[int, ...]]) -> bool:
+    """Whether `state` satisfies `expr`; `where` is `_positions` of the
+    LTS's component names."""
+    kind = type(expr)
+    if kind is SCompare:  # "*" means some component satisfies the comparison
+        for i in where.get(expr.component, ()):
+            v = state[i].env.lookup(expr.attr, expr.index)
+            if v is None:
+                continue
+            try:
+                if compare_values(expr.op, v, expr.value):
+                    return True
+            except EvalError:
+                continue
         return False
-    if isinstance(expr, And):
-        return state_satisfies(expr.lhs, state, names) and state_satisfies(expr.rhs, state, names)
-    if isinstance(expr, Or):
-        return state_satisfies(expr.lhs, state, names) or state_satisfies(expr.rhs, state, names)
-    if isinstance(expr, Not):
-        return not state_satisfies(expr.inner, state, names)
-    # SCompare: "*" means some component satisfies the comparison
-    for i, comp in enumerate(state):
-        if expr.component != "*" and names[i] != expr.component:
-            continue
-        v = comp.env.lookup(expr.attr, expr.index)
-        if v is None:
-            continue
-        try:
-            if compare_values(expr.op, v, expr.value):
-                return True
-        except EvalError:
-            continue
-    return False
+    if kind is And:
+        return state_satisfies(expr.lhs, state, where) and state_satisfies(expr.rhs, state, where)
+    if kind is Or:
+        return state_satisfies(expr.lhs, state, where) or state_satisfies(expr.rhs, state, where)
+    if kind is Not:
+        return not state_satisfies(expr.inner, state, where)
+    if kind is TruePred:
+        return True
+    if kind is FalsePred:
+        return False
+    raise TypeError(f"not a state expression: {expr!r}")
 
 
 @dataclass
@@ -221,19 +282,21 @@ def describe_transition(lts: LTS, ti: int) -> str:
 
 
 def check_reachable(name: str, prop: Reachable, lts: LTS) -> Verdict:
-    names = lts.component_names
     if isinstance(prop.target, (Sent, Received)):
-        # shortest-first scan: transitions are appended level by level
-        for ti, t in enumerate(lts.transitions):
-            if event_matches(prop.target, t, names):
-                path = _path_to(lts, {t.src})
-                steps = [describe_transition(lts, i) for i in (path or [])]
-                steps.append(describe_transition(lts, ti))
-                return Verdict(name, "holds", "event is reachable", steps)
+        hits, numbers = _matching(lts, (prop.target,))
+        if True in hits:
+            # transitions are appended level by level, and events are
+            # numbered in the order of their first transition, so the
+            # first transition of the lowest matching event is the first
+            # matching transition, on a shortest path
+            ti = numbers.index(hits.index(True))
+            path = _path_to(lts, {lts.transitions[ti].src})
+            steps = [describe_transition(lts, i) for i in (path or [])]
+            steps.append(describe_transition(lts, ti))
+            return Verdict(name, "holds", "event is reachable", steps)
     else:
-        hits = {
-            i for i, s in enumerate(lts.states) if state_satisfies(prop.target, s, names)
-        }
+        where = _positions(lts.component_names)
+        hits = {i for i, s in enumerate(lts.states) if state_satisfies(prop.target, s, where)}
         if hits:
             path = _path_to(lts, hits)
             return Verdict(
@@ -246,8 +309,8 @@ def check_reachable(name: str, prop: Reachable, lts: LTS) -> Verdict:
 
 
 def check_invariant(name: str, prop: Invariant, lts: LTS) -> Verdict:
-    names = lts.component_names
-    bad = {i for i, s in enumerate(lts.states) if not state_satisfies(prop.expr, s, names)}
+    where = _positions(lts.component_names)
+    bad = {i for i, s in enumerate(lts.states) if not state_satisfies(prop.expr, s, where)}
     if bad:
         path = _path_to(lts, bad)
         return Verdict(
@@ -262,37 +325,32 @@ def check_invariant(name: str, prop: Invariant, lts: LTS) -> Verdict:
 def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
     if lts.truncated:
         return Verdict(name, "unknown", f"exploration was truncated: {lts.truncation_reason}")
-    names = lts.component_names
-    triggers = [ti for ti, t in enumerate(lts.transitions) if event_matches(prop.trigger, t, names)]
-    if not triggers:
+    is_trigger, numbers = _matching(lts, (prop.trigger,))
+    if True not in is_trigger:
         return Verdict(name, "holds", "vacuously: the trigger event never occurs")
+    is_goal, _ = _matching(lts, prop.goals)
     out = lts.out_edges()
-    goal = [
-        any(event_matches(g, t, names) for g in prop.goals) for t in lts.transitions
-    ]
-    trigger_targets = sorted({lts.transitions[ti].dst for ti in triggers if not goal[ti]})
+    transitions = lts.transitions
+    trigger_targets = sorted({
+        t.dst for t, k in zip(transitions, numbers) if is_trigger[k] and not is_goal[k]
+    })
 
     # In the subgraph with goal-labelled transitions removed, the property
     # fails iff some trigger successor can reach a state that is terminal
     # in the full graph, or a cycle: either gives a maximal run with no
-    # goal after the trigger.
-    n = len(lts.states)
-    sub_out: List[List[int]] = [[] for _ in range(n)]
-    for ti, t in enumerate(lts.transitions):
-        if not goal[ti]:
-            sub_out[t.src].append(ti)
-
-    reach: set = set()
+    # goal after the trigger.  `sub` holds the goal-free out-edges of each
+    # state that a trigger successor reaches in that subgraph.
+    sub: Dict[int, List[int]] = {}
     stack = list(trigger_targets)
     while stack:
         u = stack.pop()
-        if u in reach:
+        if u in sub:
             continue
-        reach.add(u)
-        for ti in sub_out[u]:
-            stack.append(lts.transitions[ti].dst)
+        edges = sub[u] = [ti for ti in out[u] if not is_goal[numbers[ti]]]
+        stack.extend(transitions[ti].dst for ti in edges)
+    reach = sorted(sub)
 
-    for u in sorted(reach):
+    for u in reach:
         if not out[u]:
             return Verdict(
                 name, "fails",
@@ -302,7 +360,7 @@ def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
 
     # cycle detection restricted to the reachable subgraph
     color: Dict[int, int] = {}  # 0 visiting, 1 done
-    for root in sorted(reach):
+    for root in reach:
         if root in color:
             continue
         stack2: List[Tuple[int, int]] = [(root, 0)]
@@ -310,12 +368,10 @@ def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
             u, ei = stack2[-1]
             if ei == 0:
                 color[u] = 0
-            edges = sub_out[u]
+            edges = sub[u]
             if ei < len(edges):
                 stack2[-1] = (u, ei + 1)
-                v = lts.transitions[edges[ei]].dst
-                if v not in reach:
-                    continue
+                v = transitions[edges[ei]].dst
                 c = color.get(v)
                 if c == 0:
                     return Verdict(
@@ -335,6 +391,12 @@ def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
 
 
 def check_property(name: str, prop: Property, lts: LTS) -> Verdict:
+    """The verdict of property `prop` on `lts`.  Raises `EvalError` for
+    a property nested more than E-DEPTH allows or one that names a
+    component, other than `*`, that is not in `lts.component_names`
+    (`validate` reports these as E-DEPTH and E-UNDEF-COMP): the checkers
+    rely on there being none, and a spec need not have been validated."""
+    require_checkable(name, prop, lts.component_names)
     if isinstance(prop, Reachable):
         return check_reachable(name, prop, lts)
     if isinstance(prop, Invariant):

@@ -8,7 +8,7 @@ the successor states.
 
 Every step function takes the `Run` it belongs to.  They are pure,
 except that `unfold`, `_occurrences` and `system_steps` fill the run's
-memo.
+memo and its event table.
 """
 from __future__ import annotations
 
@@ -82,7 +82,13 @@ class Run:
     the records, so a component that does not move in a step is the
     same object in the successor state, and equal components are almost
     always one object.  A component that moves gets its process in
-    normal form (`_rebuild`), so terms do not grow with the steps."""
+    normal form (`_rebuild`), so terms do not grow with the steps.
+
+    `events` holds, under each label number, the `BroadcastEvent`s that
+    `system_steps` has made for the label, keyed by (sender index,
+    number of components, then each receiver with its branch ordinal in
+    index order).  The key fixes the discard set too, so every
+    transition with that broadcast and outcome shares one event."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
@@ -91,6 +97,7 @@ class Run:
     records: Dict[int, Memo] = field(default_factory=dict)
     labels: Dict[tuple, int] = field(default_factory=dict)
     numbers: Iterator[int] = field(default_factory=itertools.count)
+    events: Dict[int, Dict[tuple, BroadcastEvent]] = field(default_factory=dict)
 
     @classmethod
     def of(cls, defs, externs, roots=()) -> "Run":
@@ -107,12 +114,13 @@ class Run:
     def keep_only(self, components: Sequence[ComponentState]) -> None:
         """Forgets the records of components that are not in `components`,
         and the labels that no kept record holds, as a sender's candidate
-        or as a judgement.  `simulate` calls it with the state after
-        each step, and `explore` with the components of the next level's
-        states, so a run does not keep every component it met.  No hit
-        is lost: each step makes new objects for the components that
-        move, so a component object judged later is one of the kept
-        ones, and a label a kept record holds keeps its number."""
+        or as a judgement, with their events.  `simulate` calls it with
+        the state after each step, and `explore` with the components of
+        the next level's states, so a run does not keep every component
+        it met.  No hit is lost: each step makes new objects for the
+        components that move, so a component object judged later is one
+        of the kept ones, and a label a kept record holds keeps its
+        number and its events."""
         records = self.records
         self.records = {id(c): records[id(c)] for c in components if id(c) in records}
         held = set()
@@ -120,7 +128,7 @@ class Run:
             held.update(memo.judged, (n for _, n in memo.outs or ()))
         dead = [label for label, n in self.labels.items() if n not in held]
         for label in dead:  # few die per step: rebuilding would rehash every kept label
-            del self.labels[label]
+            self.events.pop(self.labels.pop(label), None)
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
@@ -299,9 +307,11 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
     never receives its own message.  `out_steps` and `in_step` are asked
-    only what the components' records do not hold (see `Run`).
+    only what the components' records do not hold, and an event is made
+    only when `run.events` holds none for its key (see `Run`).
     """
-    records, labels = run.records, run.labels
+    records, labels, events = run.records, run.labels, run.events
+    width = len(state)
     memos = [records.get(id(c)) or records.setdefault(id(c), Memo(c)) for c in state]
     results: List[Tuple[BroadcastEvent, SystemState]] = []
     for i, sender in enumerate(state):
@@ -313,6 +323,9 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
                 outs.append((cand, labels.setdefault(label, next(run.numbers))))
             memos[i].outs = outs
         for cand, n in outs:
+            shared = events.get(n)
+            if shared is None:
+                shared = events[n] = {}
             receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
             discarded = set()
             for j, other in enumerate(state):
@@ -329,17 +342,20 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
             for combo in itertools.product(*(ch for _, ch in receiver_choices)):
                 new_state = list(state)
                 new_state[i] = cand.successor
-                receivers = set()
+                received = []
                 for (j, _), (ordinal, succ) in zip(receiver_choices, combo):
                     new_state[j] = succ
-                    receivers.add((j, ordinal))
-                event = BroadcastEvent(
-                    sender=i,
-                    message=cand.message,
-                    sent_pred=cand.sent_pred,
-                    exposed_env=cand.exposed_env,
-                    receivers=frozenset(receivers),
-                    discarded=frozenset(discarded),
-                )
+                    received.append((j, ordinal))
+                key = (i, width, *received)
+                event = shared.get(key)
+                if event is None:
+                    event = shared[key] = BroadcastEvent(
+                        sender=i,
+                        message=cand.message,
+                        sent_pred=cand.sent_pred,
+                        exposed_env=cand.exposed_env,
+                        receivers=frozenset(received),
+                        discarded=frozenset(discarded),
+                    )
                 results.append((event, tuple(new_state)))
     return results

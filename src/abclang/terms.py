@@ -706,7 +706,7 @@ _CHILDREN.update({
 })
 
 # the terms that are no level of an expression, predicate or formula tree
-_FLAT = (Inact, Input, Output, Aware, Choice, Par, Call, Update, Reachable, Invariant, LeadsTo)
+_FLAT = frozenset({Inact, Input, Output, Aware, Choice, Par, Call, Update, Reachable, Invariant, LeadsTo})
 
 
 def nesting(node):
@@ -717,11 +717,13 @@ def nesting(node):
     stack = [(node, 0)]
     while stack:
         node, depth = stack.pop()
-        depth = 0 if isinstance(node, _FLAT) else depth + 1
+        kind = type(node)
+        depth = 0 if kind in _FLAT else depth + 1
         yield node, depth
-        children = _CHILDREN.get(type(node))
+        children = _CHILDREN.get(kind)
         if children is not None:
-            stack.extend((c, depth) for c in reversed(children(node)))
+            for c in reversed(children(node)):
+                stack.append((c, depth))
 
 
 # ---------------------------------------------------------------------------

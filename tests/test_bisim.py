@@ -23,6 +23,10 @@ A run keeps each component's occurrences in its record, and a receive
 skips the inputs whose message key the broadcast fails.  Walking each
 process afresh and judging every input must also give the same
 transition system, byte for byte.
+
+A run shares one event object among the transitions with the same
+broadcast and outcome.  Exploring with an event table that keeps
+nothing must give equal events, transition by transition.
 """
 import random
 
@@ -129,6 +133,32 @@ def explore_untabled(monkeypatch):
     return run
 
 
+class Forgetful(dict):
+    """An event table that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.fixture
+def explore_unshared(monkeypatch):
+    """`explore` with a run whose event table keeps nothing, so each
+    candidate of each state makes its own events."""
+    of = Run.of
+
+    def unshared(*args):
+        run = of(*args)
+        run.events = Forgetful()
+        return run
+
+    def run(spec, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(Run, "of", unshared)
+            return explore(spec, **kw)
+
+    return run
+
+
 def fixture_specs(corpus_spec):
     specs = {name: load(fixture_path(name)) for name in ["ping.abc", "choice.abc", "fake3.abc"]}
     specs["mini corpus"] = mini_corpus(corpus_spec)
@@ -203,6 +233,20 @@ def test_tables_and_message_keys_change_no_export(corpus_spec, explore_untabled)
     keyed = [q for _, body in travel.proc_defs for q in subterms(body)
              if isinstance(q, Input) and q.message_key]
     assert len(keyed) >= 10
+
+
+def test_shared_events_change_no_transition(corpus_spec, explore_unshared):
+    travel = load(fixture_path("travel-booking.abc"))
+    specs = [(spec, {}) for spec in fixture_specs(corpus_spec).values()] + [(travel, {})]
+    rng = random.Random(13)
+    specs += [(load(rand_reducible_spec(rng), is_path=False), dict(max_states=300)) for _ in range(100)]
+    for spec, limits in specs:
+        shared, fresh = explore(spec, **limits), explore_unshared(spec, **limits)
+        assert [t.event for t in shared.transitions] == [t.event for t in fresh.transitions]
+    # the table is what shares them
+    shared, fresh = explore(travel), explore_unshared(travel)
+    objects = [len({id(t.event) for t in lts.transitions}) for lts in (shared, fresh)]
+    assert objects == [57, 2_979], objects
 
 
 def test_trimmed_closures_behave_the_same(corpus_spec, explore_untrimmed):

@@ -1,5 +1,7 @@
 """State-space exploration and property checking."""
 import gc
+import importlib.util
+import pathlib
 import random
 import sys
 import weakref
@@ -16,6 +18,8 @@ from abclang.explorer import (
     Transition,
     check_leads_to,
     check_property,
+    check_reachable,
+    describe_transition,
     explore,
 )
 from abclang.parser import MAX_DEPTH, parse_spec
@@ -78,6 +82,32 @@ DEEP_GUARD = (
     "component C { attrs { x = 1; } interface { x } run <"
     + " && ".join(["x = 1"] * 1200) + '> ("a")@(tt).0 }\n'
 )
+
+# C's property formulas: a 1,200-atom invariant, nested like DEEP_GUARD,
+# and two that name a component the spec does not have; `parse_spec` takes
+# them and `validate` rejects them (E-DEPTH and E-UNDEF-COMP)
+UNCHECKABLE = (
+    'component C { attrs { x = 1; } interface { x } run ("a")@(tt).("b")@(tt).0 }\n'
+    "property deep = invariant " + " && ".join(["C.x = 1"] * 1200) + "\n"
+    "property nobody = reachable Nobody.x = 1\n"
+    'property nobody_sends = sent(Nobody, "a") leadsto sent(C, "b")\n'
+)
+
+# K broadcasts its counter and increments it at every step, so each step
+# has a new label and the label of the step before dies
+COUNTER = """proc K = ("n", n)@(tt).[n := n + 1] K
+component C { attrs { n = 0; } interface { n } run K }
+"""
+
+
+def gen_corpus():
+    """The benchmark's generator of corpus variants, `perfbench/gen_corpus.py`."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # A1 sends -0.0 and A2 sends 0.0; B echoes the value it received
 SIGNED_ZERO = """component A1 { attrs { } interface { } run ("v", neg(0.0))@(tt).0 }
@@ -165,6 +195,26 @@ component C { attrs { } interface { } run R }
         # the `&&` 101 levels down starts at the guard's first atom
         assert (ei.value.span.line, ei.value.span.col) == (1, DEEP_GUARD.index("<") + 2)
 
+    def test_unvalidated_deep_property_raises(self):
+        # judging the invariant once ended in RecursionError
+        spec, diags = parse_spec(UNCHECKABLE, "uncheckable.abc")
+        assert spec is not None, diags
+        lts = explore(spec)
+        with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
+            check_property("deep", dict(spec.properties)["deep"], lts)
+
+    def test_unvalidated_unknown_component_in_a_state_expression_raises(self):
+        # once a FAILS verdict
+        spec, _ = parse_spec(UNCHECKABLE, "uncheckable.abc")
+        with pytest.raises(EvalError, match="property nobody references unknown component Nobody"):
+            check_property("nobody", dict(spec.properties)["nobody"], explore(spec))
+
+    def test_unvalidated_unknown_component_in_an_event_raises(self):
+        # once a HOLDS verdict
+        spec, _ = parse_spec(UNCHECKABLE, "uncheckable.abc")
+        with pytest.raises(EvalError, match="property nobody_sends references unknown component Nobody"):
+            check_property("nobody_sends", dict(spec.properties)["nobody_sends"], explore(spec))
+
     def test_payload_error_in_a_reachable_state_raises_with_its_span(self):
         spec, _ = parse_spec(DIVISION_BY_ZERO, "div.abc")
         with pytest.raises(EvalError, match="division by zero") as ei:
@@ -215,6 +265,37 @@ component C { attrs { } interface { } run R }
         lts = explore_fixture("choice.abc")
         assert lts.out_edges() is lts.out_edges()
         assert lts.out_edges() == [[0, 1], [], []]
+
+    def test_one_event_object_per_distinct_event(self):
+        # the fixture's 2,979 transitions and the benchmark corpus's 179
+        # carry 57 and 25 distinct events, one object each
+        corpus = gen_corpus().corpus_variant(2, 1, rooms=2)
+        for lts, distinct in [(explore_fixture("travel-booking.abc"), 57),
+                              (explore(load_spec(corpus, "corpus.abc")[0]), 25)]:
+            carried = [t.event for t in lts.transitions]
+            assert len({id(e) for e in carried}) == len(set(carried)) == distinct
+            events, numbers = lts.event_numbers()
+            assert lts.event_numbers() is lts.event_numbers()
+            assert len(events) == distinct and [events[k] for k in numbers] == carried
+            assert numbers.index(len(events) - 1) == max(numbers.index(k) for k in range(distinct))
+
+    def test_simulate_keeps_the_events_of_live_labels_only(self, monkeypatch):
+        runs = []
+        of = Run.of
+
+        def kept(*args):
+            runs.append(of(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(Run, "of", kept)
+        spec = load_spec(COUNTER, "counter.abc")[0]
+        trace = simulate(spec, COUNTER, 0, max_steps=2_000)
+        assert trace.termination == "step-limit" and len(trace.steps) == 2_000
+        run, = runs
+        # one label a step, 2,000 in all; each dies with the step after
+        # it, and its events with it
+        assert set(run.events) <= set(run.labels.values())
+        assert len(run.events) <= 1
 
 
 # Two specs that define `proc K` with different bodies; the call instance
@@ -325,11 +406,14 @@ property got2 = reachable received(B2, "m")
 # synthetic LTSs and the brute-force oracle
 
 
-def make_lts(n, edges):
-    """edges: list of (src, dst, sender_name_index, tag)."""
+def make_lts(n, edges, shared=False):
+    """edges: list of (src, dst, sender_name_index, tag).  Each edge gets
+    its own event object, so equal events are different objects, unless
+    `shared`: then equal events are one object, as `explore` makes them."""
     names = ("P", "Q")
     states = [(i,) for i in range(n)]  # opaque placeholder states
     transitions = []
+    made = {}
     for src, dst, sender, tag in edges:
         others = frozenset(range(len(names))) - {sender}
         ev = BroadcastEvent(
@@ -340,6 +424,8 @@ def make_lts(n, edges):
             receivers=frozenset((i, 0) for i in others),
             discarded=frozenset(),
         )
+        if shared:
+            ev = made.setdefault(ev, ev)
         transitions.append(Transition(src, dst, ev))
     return LTS(states, transitions, names)
 
@@ -376,7 +462,8 @@ def oracle_leads_to(lts, trigger_tag, goal_tags, trigger_sender=0):
     return True
 
 
-def rand_lts(rng, max_nodes=25):
+def rand_edges(rng, max_nodes=25):
+    """(n, edges) of a random graph for `make_lts`."""
     n = rng.randrange(2, max_nodes)
     edges = []
     tags = ["t", "g", "a", "b"]
@@ -384,29 +471,47 @@ def rand_lts(rng, max_nodes=25):
     for src in range(n):
         for _ in range(rng.randrange(0, 3)):
             edges.append((src, rng.randrange(n), rng.randrange(2), rng.choice(tags)))
-    return make_lts(n, edges)
+    return n, edges
+
+
+def rand_lts(rng, max_nodes=25):
+    return make_lts(*rand_edges(rng, max_nodes))
 
 
 class TestLeadsToOracle:
-    def run_case(self, lts):
+    def run_case(self, n, edges):
+        """Leads-to agrees with the oracle, and reachable finds the first
+        matching edge, whether equal events are one object or several."""
         prop = LeadsTo(Sent("P", "t"), (Received("Q", "g"),))
-        got = check_leads_to("x", prop, lts).status
-        want = "holds" if oracle_leads_to(lts, "t", {"g"}) else "fails"
-        assert got == want
+        # Q receives every event that P sends
+        first = next((i for i, (_, _, sender, tag) in enumerate(edges) if (sender, tag) == (0, "g")), None)
+        verdicts, numbering = [], []
+        for shared in (False, True):
+            lts = make_lts(n, edges, shared)
+            got = check_leads_to("x", prop, lts).status
+            want = "holds" if oracle_leads_to(lts, "t", {"g"}) else "fails"
+            assert got == want
+            reach = check_reachable("r", Reachable(Received("Q", "g")), lts)
+            assert reach.status == ("fails" if first is None else "holds")
+            if first is not None:
+                assert reach.witness[-1] == describe_transition(lts, first)
+            verdicts.append((got, reach))
+            events, numbers = lts.event_numbers()
+            assert len(events) == len({(sender, tag) for _, _, sender, tag in edges})
+            numbering.append(numbers)
+        assert verdicts[0] == verdicts[1] and numbering[0] == numbering[1]
 
     def test_hand_cases(self):
         # trigger then dead end: fails
-        self.run_case(make_lts(3, [(0, 1, 0, "t"), (1, 2, 0, "a")]))
+        self.run_case(3, [(0, 1, 0, "t"), (1, 2, 0, "a")])
         # trigger then goal: holds
-        self.run_case(make_lts(3, [(0, 1, 0, "t"), (1, 2, 0, "g")]))
+        self.run_case(3, [(0, 1, 0, "t"), (1, 2, 0, "g")])
         # trigger then goal-free cycle: fails
-        self.run_case(make_lts(3, [(0, 1, 0, "t"), (1, 2, 0, "a"), (2, 1, 0, "a")]))
+        self.run_case(3, [(0, 1, 0, "t"), (1, 2, 0, "a"), (2, 1, 0, "a")])
         # cycle broken only by goal edge: holds
-        self.run_case(
-            make_lts(3, [(0, 1, 0, "t"), (1, 2, 0, "g"), (2, 1, 0, "a")])
-        )
+        self.run_case(3, [(0, 1, 0, "t"), (1, 2, 0, "g"), (2, 1, 0, "a")])
 
     def test_random_lts_agreement(self):
         rng = random.Random(4242)
         for _ in range(60):
-            self.run_case(rand_lts(rng))
+            self.run_case(*rand_edges(rng))
