@@ -23,7 +23,6 @@ from .terms import (
     Property,
     Reachable,
     Received,
-    SCompare,
     Sent,
     StateExpr,
     SystemSpec,
@@ -49,7 +48,7 @@ class LTS:
     reached, and the transitions between them in the order they were
     found.  Transitions with the same broadcast and outcome usually
     share one event object (see `semantics.Run`); `event_numbers` gives
-    each structurally distinct event one number."""
+    each distinct event object one number."""
 
     states: List[SystemState]
     transitions: List[Transition]
@@ -72,31 +71,22 @@ class LTS:
         return self._out
 
     def event_numbers(self) -> Tuple[List[BroadcastEvent], List[int]]:
-        """The distinct events, in the order of the first transition that
-        carries each, and the number of each transition's event in that
-        list; built on the first call, like `out_edges`.  Events are told
-        apart by identity first, then by equality, so equal events that
-        are different objects (a label that died and came back, or a
-        hand-built LTS) get one number."""
+        """The distinct event objects, in the order of the first
+        transition that carries each, and the number of each transition's
+        event in that list; built on the first call, like `out_edges`.
+        Equal events that are different objects get different numbers,
+        which no checker minds: each judges an event by its contents."""
         if self._numbered is None:
-            transitions = self.transitions
             events: List[BroadcastEvent] = []
             by_id: Dict[int, int] = {}
-            # equal events have the same sender, message, receivers and
-            # discards; hashing these is cheaper than hashing the whole event
-            outlines: Dict[tuple, List[int]] = {}
-            for event in {id(t.event): t.event for t in transitions}.values():
-                same = outlines.setdefault(
-                    (event.sender, event.message, event.receivers, event.discarded), [])
-                for k in same:
-                    if events[k] == event:
-                        break
-                else:
-                    k = len(events)
-                    same.append(k)
-                    events.append(event)
-                by_id[id(event)] = k
-            self._numbered = (events, [by_id[id(t.event)] for t in transitions])
+            numbers = []
+            for t in self.transitions:
+                k = by_id.get(id(t.event))
+                if k is None:
+                    k = by_id[id(t.event)] = len(events)
+                    events.append(t.event)
+                numbers.append(k)
+            self._numbered = (events, numbers)
         return self._numbered
 
     def export_text(self) -> str:
@@ -159,7 +149,7 @@ def explore(
             break
         frontier = next_frontier
         depth += 1
-        run.keep_only([c for sid in frontier for c in states[sid]])
+        run.keep_only([c for sid in frontier for c in states[sid]], judged_events=True)
     return lts
 
 
@@ -192,42 +182,30 @@ def _matching(lts: LTS, patterns: Sequence[Event]) -> Tuple[List[bool], List[int
     return hits, numbers
 
 
-def _positions(names: Sequence[str]) -> Dict[str, Tuple[int, ...]]:
-    """The positions in a state of the components each atom of a state
-    expression reads: those named so, or every one for `*`."""
-    where = {name: (i,) for i, name in enumerate(names)}
-    if len(where) < len(names):  # a name given twice (E-DUP-COMP) reads both
-        where = {name: tuple(i for i, n in enumerate(names) if n == name) for name in where}
-    where["*"] = tuple(range(len(names)))
-    return where
-
-
-def state_satisfies(expr: StateExpr, state: SystemState, where: Dict[str, Tuple[int, ...]]) -> bool:
-    """Whether `state` satisfies `expr`; `where` is `_positions` of the
-    LTS's component names."""
-    kind = type(expr)
-    if kind is SCompare:  # "*" means some component satisfies the comparison
-        for i in where.get(expr.component, ()):
-            v = state[i].env.lookup(expr.attr, expr.index)
-            if v is None:
-                continue
-            try:
-                if compare_values(expr.op, v, expr.value):
-                    return True
-            except EvalError:
-                continue
-        return False
-    if kind is And:
-        return state_satisfies(expr.lhs, state, where) and state_satisfies(expr.rhs, state, where)
-    if kind is Or:
-        return state_satisfies(expr.lhs, state, where) or state_satisfies(expr.rhs, state, where)
-    if kind is Not:
-        return not state_satisfies(expr.inner, state, where)
-    if kind is TruePred:
+def state_satisfies(expr: StateExpr, state: SystemState, names: Sequence[str]) -> bool:
+    if isinstance(expr, TruePred):
         return True
-    if kind is FalsePred:
+    if isinstance(expr, FalsePred):
         return False
-    raise TypeError(f"not a state expression: {expr!r}")
+    if isinstance(expr, And):
+        return state_satisfies(expr.lhs, state, names) and state_satisfies(expr.rhs, state, names)
+    if isinstance(expr, Or):
+        return state_satisfies(expr.lhs, state, names) or state_satisfies(expr.rhs, state, names)
+    if isinstance(expr, Not):
+        return not state_satisfies(expr.inner, state, names)
+    # SCompare: "*" means some component satisfies the comparison
+    for i, comp in enumerate(state):
+        if expr.component != "*" and names[i] != expr.component:
+            continue
+        v = comp.env.lookup(expr.attr, expr.index)
+        if v is None:
+            continue
+        try:
+            if compare_values(expr.op, v, expr.value):
+                return True
+        except EvalError:
+            continue
+    return False
 
 
 @dataclass
@@ -295,8 +273,10 @@ def check_reachable(name: str, prop: Reachable, lts: LTS) -> Verdict:
             steps.append(describe_transition(lts, ti))
             return Verdict(name, "holds", "event is reachable", steps)
     else:
-        where = _positions(lts.component_names)
-        hits = {i for i, s in enumerate(lts.states) if state_satisfies(prop.target, s, where)}
+        names = lts.component_names
+        hits = {
+            i for i, s in enumerate(lts.states) if state_satisfies(prop.target, s, names)
+        }
         if hits:
             path = _path_to(lts, hits)
             return Verdict(
@@ -309,8 +289,8 @@ def check_reachable(name: str, prop: Reachable, lts: LTS) -> Verdict:
 
 
 def check_invariant(name: str, prop: Invariant, lts: LTS) -> Verdict:
-    where = _positions(lts.component_names)
-    bad = {i for i, s in enumerate(lts.states) if not state_satisfies(prop.expr, s, where)}
+    names = lts.component_names
+    bad = {i for i, s in enumerate(lts.states) if not state_satisfies(prop.expr, s, names)}
     if bad:
         path = _path_to(lts, bad)
         return Verdict(

@@ -88,7 +88,8 @@ class Run:
     `system_steps` has made for the label, keyed by (sender index,
     number of components, then each receiver with its branch ordinal in
     index order).  The key fixes the discard set too, so every
-    transition with that broadcast and outcome shares one event."""
+    transition with that broadcast and outcome shares one event while
+    the run keeps the label's events (see `keep_only`)."""
 
     defs: Dict[str, ProcessTerm]
     externs: Dict
@@ -111,24 +112,38 @@ class Run:
         require_domains(externs)
         return cls(defs, externs, call_needs(defs, roots))
 
-    def keep_only(self, components: Sequence[ComponentState]) -> None:
+    def keep_only(self, components: Sequence[ComponentState], judged_events: bool = False) -> None:
         """Forgets the records of components that are not in `components`,
-        and the labels that no kept record holds, as a sender's candidate
-        or as a judgement, with their events.  `simulate` calls it with
-        the state after each step, and `explore` with the components of
-        the next level's states, so a run does not keep every component
-        it met.  No hit is lost: each step makes new objects for the
-        components that move, so a component object judged later is one
-        of the kept ones, and a label a kept record holds keeps its
-        number and its events."""
+        the labels that no kept record holds, as a sender's candidate or
+        as a judgement, and the events of the labels that no kept record
+        holds as a candidate, or, with `judged_events`, that no kept
+        record holds at all.  `simulate` calls it with the state after
+        each step, and `explore`, with `judged_events`, with the
+        components of the next level's states, so a run does not keep
+        every component it met.  No hit is lost: each step makes new
+        objects for the components that move, so a component object
+        judged later is one of the kept ones, and a label a kept record
+        holds keeps its number.
+
+        A label that only a judgement holds is often offered again a few
+        levels on by a sender that moved, and the LTS holds every event
+        anyway, so `explore` keeps its events to share them.  A trace
+        holds only the events it took, and a component that never moves
+        holds every label it judged, so `simulate` drops them."""
         records = self.records
         self.records = {id(c): records[id(c)] for c in components if id(c) in records}
-        held = set()
+        held, offered = set(), set()
         for memo in self.records.values():
-            held.update(memo.judged, (n for _, n in memo.outs or ()))
+            held.update(memo.judged)
+            offered.update(n for _, n in memo.outs or ())
+        held |= offered
         dead = [label for label, n in self.labels.items() if n not in held]
         for label in dead:  # few die per step: rebuilding would rehash every kept label
-            self.events.pop(self.labels.pop(label), None)
+            del self.labels[label]
+        kept = held if judged_events else offered
+        events = self.events
+        for n in [n for n in events if n not in kept]:
+            del events[n]
 
 
 def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:

@@ -706,7 +706,7 @@ _CHILDREN.update({
 })
 
 # the terms that are no level of an expression, predicate or formula tree
-_FLAT = frozenset({Inact, Input, Output, Aware, Choice, Par, Call, Update, Reachable, Invariant, LeadsTo})
+_FLAT = (Inact, Input, Output, Aware, Choice, Par, Call, Update, Reachable, Invariant, LeadsTo)
 
 
 def nesting(node):
@@ -717,13 +717,11 @@ def nesting(node):
     stack = [(node, 0)]
     while stack:
         node, depth = stack.pop()
-        kind = type(node)
-        depth = 0 if kind in _FLAT else depth + 1
+        depth = 0 if isinstance(node, _FLAT) else depth + 1
         yield node, depth
-        children = _CHILDREN.get(kind)
+        children = _CHILDREN.get(type(node))
         if children is not None:
-            for c in reversed(children(node)):
-                stack.append((c, depth))
+            stack.extend((c, depth) for c in reversed(children(node)))
 
 
 # ---------------------------------------------------------------------------

@@ -207,18 +207,15 @@ def _shallow_subterms(root) -> Iterator:
     or twice per level."""
     for q, depth in nesting(root):
         if depth > MAX_DEPTH:
-            raise _depth_error(q)
+            raise EvalError(f"nested more than {MAX_DEPTH} levels deep", q.span)
         yield q
 
 
-def _depth_error(q) -> EvalError:
-    return EvalError(f"nested more than {MAX_DEPTH} levels deep", q.span)
-
-
-def _names_unknown(q, comp_names) -> bool:
-    """Whether `q` is a property atom that names a component, other than
-    `*`, that is not in `comp_names`."""
-    return isinstance(q, (Sent, Received, SCompare)) and q.component not in comp_names and q.component != "*"
+def _unknown_atoms(terms, comp_names) -> List:
+    """The property atoms among `terms` that name a component, other
+    than `*`, that is not in `comp_names`."""
+    return [q for q in terms if isinstance(q, (Sent, Received, SCompare))
+            and q.component not in comp_names and q.component != "*"]
 
 
 def _unknown_message(name: str, q) -> str:
@@ -226,17 +223,18 @@ def _unknown_message(name: str, q) -> str:
 
 
 def require_checkable(name: str, prop, comp_names) -> None:
-    """Raises EvalError for the first term of property `prop` that is
-    nested too deep (as `_shallow_subterms` rejects it) or that names a component,
-    other than `*`, not in `comp_names` (`validate` reports these as
-    E-DEPTH and E-UNDEF-COMP).  The checkers rely on there being none;
+    """Raises EvalError if property `prop` is nested too deep (see
+    `_shallow_subterms`) or names a component, other than `*`, that is
+    not in `comp_names` (`validate` reports these as E-DEPTH and
+    E-UNDEF-COMP).  The checkers rely on there being none;
     `explorer.check_property` checks it because a spec need not have
     been validated."""
-    for q, depth in nesting(prop):  # as `_shallow_subterms`, with one generator fewer
-        if depth > MAX_DEPTH:
-            raise _depth_error(q)
-        if _names_unknown(q, comp_names):
-            raise EvalError(_unknown_message(name, q))
+    terms = list(subterms(prop))
+    if len(terms) > MAX_DEPTH:  # else no path down is that long
+        for _ in _shallow_subterms(prop):
+            pass
+    for q in _unknown_atoms(terms, comp_names):
+        raise EvalError(_unknown_message(name, q))
 
 
 def _too_deep(root, diags: List[Diagnostic]) -> None:
@@ -372,9 +370,8 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
         if name in seen_props:
             diags.append(Diagnostic("error", None, f"duplicate property {name}", "E-DUP-PROP"))
         seen_props.add(name)
-        for q in subterms(prop):
-            if _names_unknown(q, comp_names):
-                diags.append(Diagnostic("error", None, _unknown_message(name, q), "E-UNDEF-COMP"))
+        for q in _unknown_atoms(subterms(prop), comp_names):
+            diags.append(Diagnostic("error", None, _unknown_message(name, q), "E-UNDEF-COMP"))
         _too_deep(prop, diags)
     return diags
 

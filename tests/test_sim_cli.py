@@ -202,14 +202,14 @@ class TestSimulate:
             monkeypatch.setattr(semantics, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
         pruning, kept = Run.keep_only, []
 
-        def checked(run, components):
-            pruning(run, components)
+        def checked(run, components, **kw):
+            pruning(run, components, **kw)
             assert set(run.records) <= {id(c) for c in components}
             kept.append(len(run.records))
 
         for spec, src in [load(fixture_path("travel-booking.abc")), (load_spec(IDLE_SENDER)[0], IDLE_SENDER)]:
             runs = []
-            for keep_only in (checked, lambda run, components: None):
+            for keep_only in (checked, lambda run, components, **kw: None):
                 monkeypatch.setattr(Run, "keep_only", keep_only)
                 calls.clear()
                 lts = explore(spec)
