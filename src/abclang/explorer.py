@@ -2,7 +2,8 @@
 
 The explorer builds a labelled transition system by breadth-first
 search over the broadcast step relation, deduplicating states by their
-canonical key.  States are numbered in the order they are first reached,
+canonical key: the numbers a per-run `terms.Numbering` gives their
+components.  States are numbered in the order they are first reached,
 so the resulting LTS is the same on every run.
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .terms import (
     Invariant,
     LeadsTo,
     Not,
+    Numbering,
     Or,
     Property,
     Reachable,
@@ -116,8 +118,9 @@ def explore(
     names = spec.component_names()
     initial = spec.initial_state()
 
+    numbering = Numbering()
     states: List[SystemState] = [initial]
-    index: Dict[tuple, int] = {state_key(initial): 0}
+    index: Dict[tuple, int] = {state_key(initial, numbering): 0}
     transitions: List[Transition] = []
     lts = LTS(states, transitions, names)
 
@@ -132,7 +135,7 @@ def explore(
         capped = False
         for sid in frontier:
             for event, succ in system_steps(states[sid], run):
-                key = state_key(succ)
+                key = state_key(succ, numbering)
                 dst = index.get(key)
                 if dst is None:
                     if len(states) >= max_states:

@@ -2,11 +2,15 @@
 
 Every record is immutable in its fields after construction and safe to
 share between threads.  The values a record keeps beside its fields
-are a component's canonical text (`ComponentState.text`) and an
-input's message key (`Input.message_key`), each written into the
-instance on first use: each is a pure function of fields that never
-change, so it cannot go stale, it stays out of `==`, `hash` and
-`repr`, and two threads that write it at once write equal values.
+are a component's canonical text (`ComponentState.text`), an input's
+message key (`Input.message_key`) and a property's term list
+(`Reachable.terms` and its kin), each written into the instance on
+first use: each is a pure function of fields that never change, so it
+cannot go stale, it stays out of `==`, `hash` and `repr`, and two
+threads that write it at once write equal values.  A process term, an
+environment or a component numbered by a run (see `Numbering`) also
+keeps its number, tagged with that run: a term of the spec is shared by
+every run over it, and a run reads only a number that it wrote.
 
 Source spans are carried on AST nodes but are excluded from equality
 and hashing, so structurally identical terms parsed from different
@@ -85,6 +89,9 @@ class Record:
                 fn = ns[name]
                 fn.__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, fn)
+
+    # (run stamp, number) once a `Numbering` has numbered the record
+    _number = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -625,9 +632,106 @@ class ComponentState(Record):
 SystemState = Tuple[ComponentState, ...]
 
 
-def state_key(s: SystemState) -> Tuple[str, ...]:
-    """The canonical key of a state: its components' texts."""
-    return tuple(c.text for c in s)
+class Numbering:
+    """One run's hash-consing table (Filliâtre & Conchon, "Type-safe
+    modular hash-consing", 2006): it gives each distinct process term,
+    environment and component a small integer, so that two numbered by
+    one `Numbering` have equal numbers exactly when they have equal
+    canonical texts.  A term is keyed by its kind, its own fields and
+    its children's numbers, as `ser_proc` writes it: a `|` or `+` chain
+    by the sorted numbers of its `_operands`, a chain of fewer than two
+    operands by its operand's number, a prefix by its guard or payload
+    and target, binders, updates and the number of its continuation.
+
+    Each object is numbered once per run: its number is written into the
+    instance with the run's `stamp`, and a number with another stamp is
+    not read, so a run never takes a number from another run over the
+    same spec.  A new prefix on a numbered continuation costs one key,
+    so a prefix chain is numbered in linear time and without recursion.
+    The table keeps the keys, which hold fields and numbers, not the
+    numbered objects."""
+
+    def __init__(self):
+        self.keys: dict = {}
+        self.stamp = object()
+
+    def _intern(self, key) -> int:
+        n = self.keys.get(key)
+        if n is None:
+            n = self.keys[key] = len(self.keys)
+        return n
+
+    def proc(self, p: ProcessTerm) -> int:
+        """The number of `p`, numbering its unnumbered subterms bottom-up
+        with an explicit stack."""
+        stamp = self.stamp
+        done: list = []  # the numbers of finished terms whose parent is pending
+        todo: list = [(p, None)]
+        while todo:
+            q, parts = todo.pop()
+            cls = q.__class__
+            if parts is None:  # first visit: number the children first
+                got = q._number
+                if got is not None and got[0] is stamp:
+                    done.append(got[1])
+                    continue
+                if cls is Input or cls is Output:
+                    todo += ((q, ()), (q.then, None))
+                    continue
+                if cls is Aware:
+                    todo += ((q, ()), (q.body, None))
+                    continue
+                if cls is Choice or cls is Par:
+                    parts = _operands(q, cls) or [ZERO]
+                    todo.append((q, parts))
+                    todo += ((o, None) for o in parts)
+                    continue
+            if cls is Input:
+                n = self._intern((Input, q.guard, q.binders, q.updates, done.pop()))
+            elif cls is Output:
+                n = self._intern((Output, q.payload, q.target, q.updates, done.pop()))
+            elif cls is Aware:
+                n = self._intern((Aware, q.guard, done.pop()))
+            elif cls is Choice or cls is Par:
+                kids = done[-len(parts):]
+                del done[-len(parts):]
+                n = kids[0] if len(kids) == 1 else self._intern((cls, tuple(sorted(kids))))
+            elif cls is Call:
+                n = self._intern((Call, q.name, q.closure))
+            elif cls is Inact:
+                n = self._intern((Inact,))
+            else:
+                raise TypeError(f"not a process: {q!r}")
+            object.__setattr__(q, "_number", (stamp, n))
+            done.append(n)
+        return done[0]
+
+    def env(self, env: "Env") -> int:
+        got = env._number
+        if got is not None and got[0] is self.stamp:
+            return got[1]
+        n = self._intern((Env, env.entries))
+        object.__setattr__(env, "_number", (self.stamp, n))
+        return n
+
+    def component(self, c: ComponentState) -> int:
+        got = c._number
+        if got is not None and got[0] is self.stamp:
+            return got[1]
+        n = self._intern((c.name, self.env(c.env), c.interface, self.proc(c.proc)))
+        object.__setattr__(c, "_number", (self.stamp, n))
+        return n
+
+
+def state_key(s: SystemState, numbering: Optional[Numbering] = None) -> tuple:
+    """The canonical key of a state: its components' numbers in
+    `numbering`, or without one their texts.  Two states have equal keys
+    in one numbering exactly when they have equal text keys."""
+    if numbering is None:
+        return tuple([c.text for c in s])
+    stamp = numbering.stamp
+    return tuple([got[1] if (got := c._number) is not None and got[0] is stamp
+                  else numbering.component(c) for c in s])
 
 
 def state_hash(s: SystemState) -> str:
@@ -683,15 +787,26 @@ class SCompare(Record):
 StateExpr = Union[TruePred, FalsePred, SCompare, And, Or, Not]
 
 
-class Reachable(Record):
+class _Formula:
+    """What the three property kinds share beside `Record`."""
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """`subterms(self)` as a tuple, written on first use and kept
+        with the property, so `validate` and every check of the property
+        share one walk."""
+        return tuple(subterms(self))
+
+
+class Reachable(Record, _Formula):
     target: Union[Event, StateExpr]
 
 
-class Invariant(Record):
+class Invariant(Record, _Formula):
     expr: StateExpr
 
 
-class LeadsTo(Record):
+class LeadsTo(Record, _Formula):
     trigger: Event
     goals: Tuple[Event, ...]  # disjunctive
 

@@ -40,14 +40,15 @@ def _names(*terms) -> Set[str]:
             if isinstance(q, Attr) and not q.index}
 
 
-def _read_names(proc, known: Dict[str, FrozenSet[str]], guards: bool) -> FrozenSet[str]:
-    """Bare names that `proc` reads outside the binders of its inputs: in
-    payloads, updates and indexes, and with `guards` also in awareness and
-    input guards and send predicates.  A call reads what `known` says its
-    definition needs, less its closure.  Walks with an explicit stack, so
-    depth costs no stack.
+def _summary(proc, guards: bool) -> Tuple[FrozenSet[str], FrozenSet[Tuple[str, FrozenSet[str]]]]:
+    """What `proc` reads, from one walk: the bare names it reads outside
+    the binders of its inputs, in payloads, updates and indexes, and with
+    `guards` also in awareness and input guards and send predicates; and
+    each call in it as (callee, names it cannot read from the callee:
+    the call's closure domain and the binders around it).  Walks with an
+    explicit stack, so depth costs no stack.
 
-    Without `guards` these are the names that must be bound: a bare name
+    Without `guards` the names are those that must be bound: a bare name
     inside a predicate falls back to an attribute of the judging party at
     run time, so it can never be a hard unbound error.  With `guards` they
     are the names that a substitution applied to `proc` replaces: it
@@ -56,6 +57,7 @@ def _read_names(proc, known: Dict[str, FrozenSet[str]], guards: bool) -> FrozenS
     """
     counted = (lambda *preds: preds) if guards else (lambda *preds: ())
     read: Set[str] = set()
+    calls: Set[Tuple[str, FrozenSet[str]]] = set()
     stack = [(proc, frozenset())]
     while stack:
         proc, bound = stack.pop()
@@ -72,19 +74,29 @@ def _read_names(proc, known: Dict[str, FrozenSet[str]], guards: bool) -> FrozenS
         elif isinstance(proc, (Choice, Par)):
             stack += ((q, bound) for q in reversed(proc.operands))
         elif isinstance(proc, Call):
-            read |= known.get(proc.name, frozenset()) - proc.closure.domain() - bound
-    return frozenset(read)
+            calls.add((proc.name, proc.closure.domain() | bound))
+    return frozenset(read), frozenset(calls)
+
+
+def _read_names(summary, known: Dict[str, FrozenSet[str]]) -> FrozenSet[str]:
+    """The names a term with `_summary` `summary` reads, where a call
+    reads what `known` says its definition needs, less what the call
+    excludes."""
+    read, calls = summary
+    return read.union(*(known.get(callee, frozenset()) - excluded for callee, excluded in calls))
 
 
 def _fixpoint(defs, guards: bool) -> Dict[str, FrozenSet[str]]:
-    """Least solution of `known[name] = _read_names(defs[name], known,
-    guards)` over the definitions, iterated up from empty sets."""
-    known: Dict[str, FrozenSet[str]] = {name: frozenset() for name in defs}
+    """Least solution of `known[name] = _read_names(_summary(defs[name],
+    guards), known)` over the definitions, iterated up from each
+    definition's own reads; each definition is walked once."""
+    summaries = {name: _summary(body, guards) for name, body in defs.items()}
+    known: Dict[str, FrozenSet[str]] = {name: read for name, (read, _) in summaries.items()}
     changed = True
     while changed:
         changed = False
-        for name, body in defs.items():
-            names = _read_names(body, known, guards)
+        for name, summary in summaries.items():
+            names = _read_names(summary, known)
             if names != known[name]:
                 known[name] = names
                 changed = True
@@ -223,13 +235,16 @@ def _unknown_message(name: str, q) -> str:
 
 
 def require_checkable(name: str, prop, comp_names) -> None:
-    """Raises EvalError if property `prop` is nested too deep (see
-    `_shallow_subterms`) or names a component, other than `*`, that is
-    not in `comp_names` (`validate` reports these as E-DEPTH and
-    E-UNDEF-COMP).  The checkers rely on there being none;
-    `explorer.check_property` checks it because a spec need not have
-    been validated."""
-    terms = list(subterms(prop))
+    """Raises EvalError if `comp_names` names two components alike, or
+    if property `prop` is nested too deep (see `_shallow_subterms`) or
+    names a component, other than `*`, that is not in `comp_names`
+    (`validate` reports these as E-DUP-COMP, E-DEPTH and E-UNDEF-COMP).
+    The checkers rely on there being none; `explorer.check_property`
+    checks it because a spec need not have been validated."""
+    if len(set(comp_names)) < len(comp_names):
+        dup = next(c for i, c in enumerate(comp_names) if c in comp_names[:i])
+        raise EvalError(f"duplicate component {dup}")
+    terms = prop.terms
     if len(terms) > MAX_DEPTH:  # else no path down is that long
         for _ in _shallow_subterms(prop):
             pass
@@ -352,7 +367,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                     "E-SHADOW",
                 )
             )
-        unbound = sorted(_read_names(comp.proc, def_free, False) - known)
+        unbound = sorted(_read_names(_summary(comp.proc, False), def_free) - known)
         if unbound:
             diags.append(
                 Diagnostic(
@@ -370,9 +385,10 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
         if name in seen_props:
             diags.append(Diagnostic("error", None, f"duplicate property {name}", "E-DUP-PROP"))
         seen_props.add(name)
-        for q in _unknown_atoms(subterms(prop), comp_names):
+        for q in _unknown_atoms(prop.terms, comp_names):
             diags.append(Diagnostic("error", None, _unknown_message(name, q), "E-UNDEF-COMP"))
-        _too_deep(prop, diags)
+        if len(prop.terms) > MAX_DEPTH:  # else no path down is that long
+            _too_deep(prop, diags)
     return diags
 
 

@@ -1,8 +1,8 @@
 """The state-space reductions against the unreduced systems.
 
-`explore` identifies states by `state_key`, which canonicalises each
+`explore` identifies states by `state_key`, which numbers each
 component's process up to reordering of `|` and `+` and drops `0`
-operands of `|`.  Exploring with the raw `SystemState` as the key gives
+operands of `|`, as its canonical text does.  Exploring with the raw `SystemState` as the key gives
 the unreduced system; the two must be strongly bisimilar on behaviour
 labels (see `behaviour_label`), and on the fixtures also on full
 transition labels.  Full labels can tell them apart when two copies of
@@ -38,14 +38,16 @@ from _bisim import behaviour_label, bisimilar
 from _gen import rand_reducible_spec
 from _walk import reference_occurrences
 from test_acceptance import load, mini_corpus, rand_spec_ast
-from test_explorer import make_lts
+from test_explorer import gen_corpus, make_lts
 from test_sim_cli import CHAIN_CONTINUATIONS
 
 from abclang import explorer, semantics
 from abclang.evaluator import EvalError, close, satisfies
 from abclang.explorer import check_property, explore
 from abclang.semantics import Run, system_steps
-from abclang.terms import EMPTY_SUBST, EnumDomain, Inact, Input, Par, VInt, VStr, _operands, subterms
+from abclang.terms import (
+    EMPTY_SUBST, EnumDomain, Inact, Input, Par, VInt, VStr, _operands, state_key, subterms,
+)
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
 # two raw ones.  W's received x is read by nothing, so W's closure is empty.
@@ -97,7 +99,7 @@ property r2_receives = reachable sent(R2, "got")
 def explore_raw(monkeypatch):
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(explorer, "state_key", lambda state: state)
+            m.setattr(explorer, "state_key", lambda state, numbering: state)
             return explore(spec, **kw)
 
     return run
@@ -191,6 +193,37 @@ def test_fixtures_and_mini_corpus(corpus_spec, explore_raw):
     # R | Q, R, Q and 0
     assert sizes["reordered"] == (5, 6)
     assert {sizes[name] for name in CHAIN_CONTINUATIONS} == {(1, 1)}
+
+
+def test_number_keys_and_texts_are_in_bijection(corpus_spec, monkeypatch):
+    """Over every state `explore` keys, the reached ones and the
+    successors it merges into them, a number key and a text key
+    determine each other, and so do a component's number and text: so
+    deduplicating by number is deduplicating by text."""
+    specs = [(spec, {}) for spec in fixture_specs(corpus_spec).values()]
+    specs.append((load(fixture_path("travel-booking.abc")), {}))
+    variant = gen_corpus().corpus_variant
+    specs += [(load(variant(n, m, rooms=n), is_path=False), {}) for n, m in [(2, 1), (2, 2), (3, 2)]]
+    rng = random.Random(13)
+    specs += [(load(rand_reducible_spec(rng), is_path=False), dict(max_states=300)) for _ in range(100)]
+    key, merged = explorer.state_key, 0
+    for spec, limits in specs:
+        keyed, components = set(), set()
+
+        def both(state, numbering):
+            number = key(state, numbering)
+            keyed.add((number, state_key(state)))
+            components.update((numbering.component(c), c.text) for c in state)
+            return number
+
+        with monkeypatch.context() as m:
+            m.setattr(explorer, "state_key", both)
+            lts = explore(spec, **limits)
+        for pairs in (keyed, components):
+            assert len(pairs) == len({n for n, _ in pairs}) == len({t for _, t in pairs})
+        assert len(keyed) >= len(lts.states)
+        merged += len(keyed) < len(lts.transitions) + 1
+    assert merged >= 80, merged
 
 
 def test_successors_are_in_normal_form(corpus_spec, monkeypatch):

@@ -11,7 +11,7 @@ from conftest import fixture_path
 
 import pytest
 
-from abclang import explorer, semantics
+from abclang import explorer, semantics, terms
 from abclang.evaluator import EvalError
 from abclang.explorer import (
     LTS,
@@ -32,12 +32,14 @@ from abclang.terms import (
     Reachable,
     Received,
     FalsePred,
+    Inact,
     Not,
     SCompare,
     Sent,
     TruePred,
     Env,
     EnumDomain,
+    Numbering,
     SystemSpec,
     VFloat,
     VInt,
@@ -91,6 +93,13 @@ UNCHECKABLE = (
     "property deep = invariant " + " && ".join(["C.x = 1"] * 1200) + "\n"
     "property nobody = reachable Nobody.x = 1\n"
     'property nobody_sends = sent(Nobody, "a") leadsto sent(C, "b")\n'
+)
+
+# two components named C, which `validate` rejects (E-DUP-COMP)
+TWO_CS = (
+    "component C { attrs { x = 1; } interface { } run 0 }\n"
+    "component C { attrs { x = 2; } interface { } run 0 }\n"
+    "property first = invariant C.x = 1\n"
 )
 
 # K broadcasts its counter and increments it at every step, so each step
@@ -218,6 +227,26 @@ component C { attrs { } interface { } run R }
         with pytest.raises(EvalError, match="property nobody_sends references unknown component Nobody"):
             check_property("nobody_sends", dict(spec.properties)["nobody_sends"], explore(spec))
 
+    def test_unvalidated_duplicate_component_raises(self):
+        # once a HOLDS verdict: the atom read the first C only
+        spec, _ = parse_spec(TWO_CS, "two.abc")
+        lts = explore(spec)
+        with pytest.raises(EvalError, match="duplicate component C"):
+            check_property("first", dict(spec.properties)["first"], lts)
+
+    def test_a_check_walks_no_validated_property(self, corpus_spec, monkeypatch):
+        # `validate` left each property's term list with the property
+        assert all("terms" in prop.__dict__ for _, prop in corpus_spec.properties)
+        lts = explore(corpus_spec)
+
+        def walk(node):
+            raise AssertionError("walked a property again")
+
+        monkeypatch.setattr(terms, "subterms", walk)
+        monkeypatch.setattr(sys.modules["abclang.validate"], "subterms", walk)
+        verdicts = [check_property(name, prop, lts) for name, prop in corpus_spec.properties]
+        assert len(verdicts) == 12 and all(v.holds for v in verdicts)
+
     def test_payload_error_in_a_reachable_state_raises_with_its_span(self):
         spec, _ = parse_spec(DIVISION_BY_ZERO, "div.abc")
         with pytest.raises(EvalError, match="division by zero") as ei:
@@ -312,6 +341,75 @@ component S { attrs { } interface { } run ("go", 1)@(tt).0 }
 component R { attrs { } interface { } run W }
 """
 SAME_NAME_B = SAME_NAME_A.replace('("done", c)@(tt).0', '("x", c)@(tt).("y", c)@(tt).0')
+
+
+class TestNumbering:
+    def test_explore_writes_no_text(self, corpus_spec):
+        lts = explore(corpus_spec)
+        components = list({id(c): c for s in lts.states for c in s}.values())
+        assert len(components) > 100
+        assert not any("text" in c.__dict__ for c in components)
+        lts.export_text()  # the texts are written for the export
+        assert all("text" in c.__dict__ for c in components)
+
+    def test_interleaved_runs_give_the_same_lts(self, corpus_spec, monkeypatch):
+        # runs share the terms of their specs, and each run numbers them
+        # anew: runs started inside another, at its 1st, 100th and 1,000th
+        # key, read no number another run wrote.  The mini corpus shares
+        # the definitions and four of the components' processes, and
+        # numbers them in another order.
+        from test_acceptance import mini_corpus  # which imports this module
+
+        mini = mini_corpus(corpus_spec)
+        alone = {id(spec): explore(spec) for spec in (corpus_spec, mini)}
+        key, outer, inner, keyed = explorer.state_key, [], [], [0]
+
+        def interleaved(state, numbering):
+            outer[:] = outer or [numbering]
+            if numbering is outer[0]:
+                keyed[0] += 1
+                spec = {1: mini, 100: corpus_spec, 1_000: mini}.get(keyed[0])
+                if spec is not None:
+                    inner.append((spec, explore(spec)))
+            return key(state, numbering)
+
+        monkeypatch.setattr(explorer, "state_key", interleaved)
+        runs = [(corpus_spec, explore(corpus_spec))] + inner
+        assert len(runs) == 4
+        for spec, lts in runs:
+            want = alone[id(spec)]
+            assert lts.export_text() == want.export_text()
+            assert [t.event for t in lts.transitions] == [t.event for t in want.transitions]
+
+    def test_threads_exploring_shared_terms_give_the_same_lts(self, corpus_spec):
+        from test_acceptance import mini_corpus
+
+        specs = [corpus_spec, mini_corpus(corpus_spec)] * 2
+        alone = [explore(spec).export_text() for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(explore, spec) for spec in specs]
+                got = [f.result(timeout=120).export_text() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == alone
+
+    def test_a_prefix_chain_is_numbered_once(self):
+        # each state's process is its predecessor's continuation, numbered
+        # with it: 3,000 prefixes once took 8 s, with their texts
+        chain = ('("a")@(tt).' * 3000) + "0"
+        spec, _ = parse_spec("component C { attrs { } interface { } run " + chain + " }", "chain.abc")
+        numbering, p = Numbering(), spec.components[0].proc
+        numbers = [numbering.proc(p)]
+        assert len(numbering.keys) == 3001
+        while not isinstance(p, Inact):
+            p = p.then
+            numbers.append(numbering.proc(p))
+        assert len(numbering.keys) == len(set(numbers)) == 3001
+        lts = explore(spec)
+        assert (len(lts.states), len(lts.transitions)) == (3001, 3000)
 
 
 class TestUnfoldMemo:

@@ -1,7 +1,12 @@
 """DSL parsing, pretty-printing round-trips, diagnostics, validation."""
+import random
+
 import pytest
 
 from conftest import fixture_path
+
+from _gen import rand_env, rand_proc, rand_reducible_spec, rand_subst
+from _walk import reference_fixpoint
 
 from abclang.parser import (
     KEYWORDS, MAX_DEPTH, ParseError, _lex, _line_col, _newlines, parse_spec, parse_process_str, parse_pred_str,
@@ -10,7 +15,7 @@ from abclang.pretty import pp_proc, pp_spec
 from abclang.terms import (
     AtomApply, Attr, Aware, Call, Choice, EnumDomain, Inact, Input, Output, Par, Span, SystemSpec, ThisAttr, VStr,
 )
-from abclang.validate import call_needs, load_spec, validate
+from abclang.validate import _fixpoint, call_needs, load_spec, validate
 
 
 def tokens(src):
@@ -515,6 +520,23 @@ class TestValidation:
         # which cannot be told from variables syntactically.
         assert needs["BrkMain"] == {"id", "locality", "type"}
         assert needs["BrkCC"] == frozenset()
+
+    def test_call_needs_against_the_reference(self):
+        """One walk per definition gives what walking every definition on
+        every pass gives, with and without the guards' names."""
+        specs = [load_spec(open(fixture_path(name)).read())[0]
+                 for name in ["travel-booking.abc", "ping.abc", "fake3.abc", "choice.abc"]]
+        rng = random.Random(13)
+        specs += [load_spec(rand_reducible_spec(rng))[0] for _ in range(100)]
+        all_defs = [spec.defs_map() for spec in specs]
+        all_defs += [{name: rand_proc(rng, rand_env(rng), rand_subst(rng)) for name in ("K1", "K2")}
+                     for _ in range(200)]
+        nonempty = 0
+        for defs in all_defs:
+            assert call_needs(defs) == reference_fixpoint(defs, True)
+            assert _fixpoint(defs, False) == reference_fixpoint(defs, False)
+            nonempty += any(call_needs(defs).values())
+        assert nonempty >= 200
 
     def test_clean_fixtures_have_no_diagnostics(self):
         for name in ["travel-booking.abc", "ping.abc", "fake3.abc", "choice.abc"]:

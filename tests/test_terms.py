@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from _gen import rand_env, rand_proc, rand_subst, rand_value
+from _gen import rand_component, rand_env, rand_proc, rand_subst, rand_value, reshuffle
 
 from abclang import terms
 from abclang.evaluator import substitute_proc
@@ -22,6 +22,7 @@ from abclang.terms import (
     Inact,
     Literal,
     Not,
+    Numbering,
     Or,
     Output,
     Par,
@@ -34,6 +35,7 @@ from abclang.terms import (
     VInt,
     VSet,
     VStr,
+    ZERO,
     ser_pred,
     ser_proc,
     ser_value,
@@ -198,6 +200,36 @@ def test_state_key_ignores_component_internals_order():
     c2 = ComponentState("C", env, frozenset(), Par((Call("A"), Call("B", subst))))
     assert state_key((c1,)) == state_key((c2,))
     assert state_hash((c1,)) == state_hash((c2,))
+
+
+def test_numbers_follow_the_canonical_text():
+    # equal numbers exactly for equal texts, in one numbering, also for
+    # terms regrouped and reordered under `|` and `+` and given `| 0`s
+    rng = random.Random(5)
+    numbering = Numbering()
+    procs = [rand_proc(rng, rand_env(rng), rand_subst(rng)) for _ in range(300)]
+    procs += [reshuffle(rng, p) for p in procs]
+    pairs = {(numbering.proc(p), ser_proc(p)) for p in procs}
+    assert len(pairs) == len({n for n, _ in pairs}) == len({t for _, t in pairs}) > 100
+    components = [rand_component(rng, rng.choice("CD")) for _ in range(300)]
+    pairs = {(state_key((c,), numbering), state_key((c,))) for c in components}
+    assert len(pairs) == len({n for n, _ in pairs}) == len({t for _, t in pairs}) > 100
+
+
+def test_numberings_share_terms_but_not_numbers():
+    # two numberings take the same term objects in turn, in opposite
+    # orders: each reads only the numbers it wrote
+    a = Output((Literal(VStr("a")),), TruePred(), (), ZERO)
+    b = Output((Literal(VStr("b")),), TruePred(), (), ZERO)
+    procs = [a, b, Par((a, b)), Choice((a, b)), Choice((b, a))]
+    first, second = Numbering(), Numbering()
+    for p, q in zip(procs, reversed(procs)):
+        first.proc(p)
+        second.proc(q)
+    for numbering in (first, second):
+        numbers = [numbering.proc(p) for p in [ZERO] + procs]
+        assert len(set(numbers)) == 5 and numbers[-1] == numbers[-2]
+        assert len(numbering.keys) == 5
 
 
 def test_state_key_distinguishes_envs():
