@@ -1,7 +1,8 @@
 """Command-line interface: parse, run, explore, check.
 
 Exit codes: 0 success / property holds; 1 a property fails; 2 parse or
-validation error, a file that cannot be read or written, or a usage error
+validation error, a file that cannot be read or written (standard output
+included), or a usage error
 (an unknown option, a negative --max-steps or --max-depth, a --max-states
 below 1); 3 a resource
 limit left a verdict unknown; 4 runtime evaluation error.
@@ -9,6 +10,7 @@ limit left a verdict unknown; 4 runtime evaluation error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -22,6 +24,20 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_SPEC_ERROR = 2
 EXIT_UNKNOWN = 3
 EXIT_EVAL_ERROR = 4
+
+
+class _StdoutError(Exception):
+    """Standard output could not be written; the message says why."""
+
+
+def _emit(text: str) -> None:
+    """Writes `text` to standard output and flushes it, so that a full
+    disk or a closed pipe is met here, as `_StdoutError`."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        raise _StdoutError(e.strerror or str(e)) from e
 
 
 def _load(path: str):
@@ -42,10 +58,10 @@ def _cmd_parse(args) -> int:
     spec, _ = _load(args.file)
     if spec is None:
         return EXIT_SPEC_ERROR
-    print(
+    _emit(
         f"{args.file}: ok "
         f"({len(spec.components)} component(s), {len(spec.proc_defs)} process definition(s), "
-        f"{len(spec.properties)} property(ies))"
+        f"{len(spec.properties)} property(ies))\n"
     )
     return EXIT_OK
 
@@ -57,9 +73,9 @@ def _cmd_run(args) -> int:
     trace = simulate(spec, source, args.seed, args.max_steps)
     names = spec.component_names()
     if args.format == "json":
-        sys.stdout.write(trace_to_json(trace, names))
+        _emit(trace_to_json(trace, names))
     else:
-        sys.stdout.write(trace_to_text(trace, names))
+        _emit(trace_to_text(trace, names))
     return EXIT_EVAL_ERROR if trace.termination == "error" else EXIT_OK
 
 
@@ -80,7 +96,7 @@ def _cmd_explore(args) -> int:
             print(f"error: cannot write {args.export_lts}: {e.strerror}", file=sys.stderr)
             return EXIT_SPEC_ERROR
     status = "truncated: " + lts.truncation_reason if lts.truncated else "complete"
-    print(f"{len(lts.states)} state(s), {len(lts.transitions)} transition(s) ({status})")
+    _emit(f"{len(lts.states)} state(s), {len(lts.transitions)} transition(s) ({status})\n")
     return EXIT_UNKNOWN if lts.truncated else EXIT_OK
 
 
@@ -108,9 +124,7 @@ def _cmd_check(args) -> int:
     for name, prop in selected:
         v = check_property(name, prop, lts)
         label = {"holds": "HOLDS", "fails": "FAILS", "unknown": "UNKNOWN"}[v.status]
-        print(f"{name}: {label} — {v.detail}")
-        for line in v.witness:
-            print(f"    {line}")
+        _emit(f"{name}: {label} — {v.detail}\n" + "".join(f"    {line}\n" for line in v.witness))
         any_fail |= v.status == "fails"
         any_unknown |= v.status == "unknown"
     if any_fail:
@@ -169,7 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _StdoutError as e:
+        print(f"error: cannot write standard output: {e}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes standard output again on exit: send
+            # what is left in its buffer to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return EXIT_SPEC_ERROR
 
 
 if __name__ == "__main__":

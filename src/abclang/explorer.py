@@ -114,7 +114,7 @@ def explore(
     `ValueError` for a `max_states` below 1 or a negative `max_depth`."""
     if max_states < 1 or max_depth is not None and max_depth < 0:
         raise ValueError(f"limits out of range: max_states={max_states}, max_depth={max_depth}")
-    run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
+    run = Run.of_spec(spec)
     names = spec.component_names()
     initial = spec.initial_state()
 

@@ -3,16 +3,19 @@
 Component level: enumeration of enabled broadcast outputs
 (`out_steps`) and the receive-or-discard judgement for an incoming
 broadcast (`in_step`).  System level: `system_steps` atomically
-delivers each candidate broadcast to every other component and builds
-the successor states.
+delivers each candidate broadcast to every other component, and its
+`Steps` build each successor state when it is read.
 
 Every step function takes the `Run` it belongs to.  They are pure,
-except that `unfold`, `_occurrences` and `system_steps` fill the run's
-memo and its event table.
+except that they fill the run's memo, its acceptance table and its
+event table.
 """
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,7 +43,9 @@ from .terms import (
     Predicate,
     ProcessTerm,
     Subst,
+    SystemSpec,
     SystemState,
+    TruePred,
     Value,
     ZERO,
     _operands,
@@ -53,14 +58,17 @@ class Memo:
     """What a run knows about one component object: its input and
     output occurrences once either is asked for (`occurrences`, see
     `_occurrences`), its output candidates once it has been asked as a
-    sender (`outs`, each with the number of its broadcast label), and its
+    sender (`outs`, each with the number of its broadcast label), its
     judgement of each label it has been asked to receive (`judged`, by
-    label number)."""
+    label number), and its exposed environment Γ↓I once a label's
+    target predicate or its own label needs it (`exposed`, see
+    `_exposed`)."""
 
     component: ComponentState
     occurrences: Optional[Tuple[List[tuple], List[tuple]]] = None
     outs: Optional[List[Tuple["OutCandidate", int]]] = None
     judged: Dict[int, "InResult"] = field(default_factory=dict)
+    exposed: Optional[Env] = None
 
 
 @dataclass
@@ -84,6 +92,11 @@ class Run:
     always one object.  A component that moves gets its process in
     normal form (`_rebuild`), so terms do not grow with the steps.
 
+    `accepts` holds, under each label number, whether the label's
+    target predicate accepts an exposed environment, keyed by the
+    environment: the predicate is closed, so it is judged once per
+    distinct Γ↓I, whichever component exposes it.
+
     `events` holds, under each label number, the `BroadcastEvent`s that
     `system_steps` has made for the label, keyed by (sender index,
     number of components, then each receiver with its branch ordinal in
@@ -98,6 +111,7 @@ class Run:
     records: Dict[int, Memo] = field(default_factory=dict)
     labels: Dict[tuple, int] = field(default_factory=dict)
     numbers: Iterator[int] = field(default_factory=itertools.count)
+    accepts: Dict[int, Dict[Env, bool]] = field(default_factory=dict)
     events: Dict[int, Dict[tuple, BroadcastEvent]] = field(default_factory=dict)
 
     @classmethod
@@ -112,18 +126,33 @@ class Run:
         require_domains(externs)
         return cls(defs, externs, call_needs(defs, roots))
 
+    @classmethod
+    def of_spec(cls, spec: SystemSpec) -> "Run":
+        """A fresh run of `spec`: `of` of its definitions, externs and
+        component processes.  What `of` derives is derived on the spec's
+        first run and kept with the spec (`SystemSpec.run_parts`), so
+        later runs of it share the definitions, externs and `needs`, which
+        no run changes, and each gets its own memo.  A spec that `of`
+        rejects keeps nothing, so every call raises again."""
+        parts = spec.run_parts
+        if parts is None:
+            run = cls.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
+            parts = (run.defs, run.externs, run.needs)
+            object.__setattr__(spec, "run_parts", parts)
+        return cls(*parts)
+
     def keep_only(self, components: Sequence[ComponentState], judged_events: bool = False) -> None:
         """Forgets the records of components that are not in `components`,
         the labels that no kept record holds, as a sender's candidate or
-        as a judgement, and the events of the labels that no kept record
-        holds as a candidate, or, with `judged_events`, that no kept
-        record holds at all.  `simulate` calls it with the state after
-        each step, and `explore`, with `judged_events`, with the
-        components of the next level's states, so a run does not keep
-        every component it met.  No hit is lost: each step makes new
-        objects for the components that move, so a component object
-        judged later is one of the kept ones, and a label a kept record
-        holds keeps its number.
+        as a judgement, with their acceptance tables, and the events of
+        the labels that no kept record holds as a candidate, or, with
+        `judged_events`, that no kept record holds at all.  `simulate`
+        calls it with the state after each step, and `explore`, with
+        `judged_events`, with the components of the next level's states,
+        so a run does not keep every component it met.  No hit is lost:
+        each step makes new objects for the components that move, so a
+        component object judged later is one of the kept ones, and a
+        label a kept record holds keeps its number.
 
         A label that only a judgement holds is often offered again a few
         levels on by a sender that moved, and the LTS holds every event
@@ -137,9 +166,11 @@ class Run:
             held.update(memo.judged)
             offered.update(n for _, n in memo.outs or ())
         held |= offered
-        dead = [label for label, n in self.labels.items() if n not in held]
-        for label in dead:  # few die per step: rebuilding would rehash every kept label
-            del self.labels[label]
+        labels, accepts = self.labels, self.accepts
+        dead = [(label, n) for label, n in labels.items() if n not in held]
+        for label, n in dead:  # few die per step: rebuilding would rehash every kept label
+            del labels[label]
+            accepts.pop(n, None)
         kept = held if judged_events else offered
         events = self.events
         for n in [n for n in events if n not in kept]:
@@ -157,6 +188,21 @@ def unfold(name: str, closure: Subst, run: Run) -> ProcessTerm:
     return body
 
 
+def _memo(c: ComponentState, run: Run) -> Memo:
+    """`c`'s record in `run.records`, made on first use."""
+    return run.records.get(id(c)) or run.records.setdefault(id(c), Memo(c))
+
+
+def _exposed(memo: Memo) -> Env:
+    """The exposed environment Γ↓I of `memo`'s component, restricted on
+    first use and kept in the record."""
+    exposed = memo.exposed
+    if exposed is None:
+        c = memo.component
+        exposed = memo.exposed = c.env.restricted(c.interface)
+    return exposed
+
+
 def _occurrences(c: ComponentState, kind, run: Run) -> List[tuple]:
     """The `kind` (Input or Output) occurrences of `c`'s process, left to
     right, from `c`'s record in `run.records`, walked on first use.  Each
@@ -169,7 +215,7 @@ def _occurrences(c: ComponentState, kind, run: Run) -> List[tuple]:
     a long `|` or `+` chain costs no depth, and a call is unfolded once
     per component object, not once per judgement.  Terminates because
     `Run.of` rejects call cycles that are not under a prefix."""
-    memo = run.records.get(id(c)) or run.records.setdefault(id(c), Memo(c))
+    memo = _memo(c, run)
     found = memo.occurrences
     if found is None:
         ins: List[tuple] = []
@@ -235,6 +281,7 @@ class InResult:
 
 
 DISCARD = InResult()
+TRUE = TruePred()
 
 
 def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
@@ -243,7 +290,7 @@ def out_steps(c: ComponentState, run: Run) -> List[OutCandidate]:
     come from the pre-update environment.  An evaluation error in a guard,
     payload, target or update propagates."""
     externs = run.externs
-    exposed = c.env.restricted(c.interface)
+    exposed = _exposed(_memo(c, run))
     candidates: List[OutCandidate] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c, Output, run)):
 
@@ -283,7 +330,7 @@ def in_step(
     keeps its ordinal.
     """
     externs = run.externs
-    if not satisfies(c.env.restricted(c.interface), sent_pred, externs):
+    if not satisfies(_exposed(_memo(c, run)), sent_pred, externs):
         return DISCARD
     successors: List[Tuple[int, ComponentState]] = []
     for ordinal, (node, guards, ctx) in enumerate(_occurrences(c, Input, run)):
@@ -314,21 +361,30 @@ def in_step(
     return InResult(successors)
 
 
-def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, SystemState]]:
-    """All system transitions from `state`.
+def system_steps(state: SystemState, run: Run) -> "Steps":
+    """All system transitions from `state`, as `Steps`.
 
     For each component and each of its output candidates, the broadcast
     is delivered atomically: every other component either receives
     (components that can receive must) or discards.  The successor set
     is the cartesian product of the receivers' choices.  The sender
-    never receives its own message.  `out_steps` and `in_step` are asked
-    only what the components' records do not hold, and an event is made
-    only when `run.events` holds none for its key (see `Run`).
+    never receives its own message.
+
+    Every (candidate, receiver) pair is judged here, in order, so an
+    evaluation error raises now, whichever step is taken.  `out_steps`
+    and `in_step` are asked only what the components' records do not
+    hold.  A label's target predicate is judged once per exposed
+    environment (`Run.accepts`); a receiver it does not select discards
+    without an `in_step` call, and one it selects is judged by `in_step`
+    with the predicate `tt` in its place, since the predicate is
+    already known to hold.  No event or successor state is built here:
+    `Steps` builds each when it is read, and an event only when
+    `run.events` holds none for its key (see `Run`).
     """
-    records, labels, events = run.records, run.labels, run.events
-    width = len(state)
-    memos = [records.get(id(c)) or records.setdefault(id(c), Memo(c)) for c in state]
-    results: List[Tuple[BroadcastEvent, SystemState]] = []
+    labels, accepts, events = run.labels, run.accepts, run.events
+    externs = run.externs
+    memos = [_memo(c, run) for c in state]
+    groups: List[tuple] = []
     for i, sender in enumerate(state):
         outs = memos[i].outs
         if outs is None:
@@ -341,36 +397,104 @@ def system_steps(state: SystemState, run: Run) -> List[Tuple[BroadcastEvent, Sys
             shared = events.get(n)
             if shared is None:
                 shared = events[n] = {}
-            receiver_choices: List[Tuple[int, List[Tuple[int, ComponentState]]]] = []
+            accepted = accepts.get(n)
+            if accepted is None:
+                accepted = accepts[n] = {}
+            receivers: List[int] = []
+            choices: List[List[Tuple[int, ComponentState]]] = []
             discarded = set()
-            for j, other in enumerate(state):
+            for j, memo in enumerate(memos):
                 if j == i:
                     continue
-                judged = memos[j].judged
+                judged = memo.judged
                 r = judged.get(n)
                 if r is None:
-                    r = judged[n] = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
+                    exposed = _exposed(memo)
+                    ok = accepted.get(exposed)
+                    if ok is None:
+                        ok = accepted[exposed] = satisfies(exposed, cand.sent_pred, externs)
+                    r = judged[n] = (in_step(memo.component, cand.exposed_env, TRUE, cand.message, run)
+                                     if ok else DISCARD)
                 if r.is_receive:
-                    receiver_choices.append((j, r.successors))
+                    receivers.append(j)
+                    choices.append(r.successors)
                 else:
                     discarded.add(j)
-            for combo in itertools.product(*(ch for _, ch in receiver_choices)):
-                new_state = list(state)
-                new_state[i] = cand.successor
-                received = []
-                for (j, _), (ordinal, succ) in zip(receiver_choices, combo):
-                    new_state[j] = succ
-                    received.append((j, ordinal))
-                key = (i, width, *received)
-                event = shared.get(key)
-                if event is None:
-                    event = shared[key] = BroadcastEvent(
-                        sender=i,
-                        message=cand.message,
-                        sent_pred=cand.sent_pred,
-                        exposed_env=cand.exposed_env,
-                        receivers=frozenset(received),
-                        discarded=frozenset(discarded),
-                    )
-                results.append((event, tuple(new_state)))
-    return results
+            groups.append((i, cand, receivers, choices, discarded, shared))
+    return Steps(state, groups)
+
+
+class Steps(SequenceABC):
+    """The transitions from one state that `system_steps` found, as a
+    sequence of (event, successor state): by sender, then by the
+    sender's candidate, then by the receivers' choices in
+    `itertools.product` order.  Each is built when it is read, by index
+    or by iteration, so `simulate`, which takes one, builds one;
+    iteration builds them all, in order.  Reading a transition twice
+    gives the same event object while the run keeps the label's events,
+    and an equal successor state."""
+
+    __slots__ = ("state", "groups", "starts", "total")
+
+    def __init__(self, state: SystemState, groups: List[tuple]):
+        # a group is (sender index, candidate, receiver indices, their
+        # successor choices, discard set, the label's event table); it
+        # has at least one transition, since every choice list does
+        self.state = state
+        self.groups = groups
+        self.starts: List[int] = []
+        total = 0
+        for group in groups:
+            self.starts.append(total)
+            count = 1
+            for choice in group[3]:
+                count *= len(choice)
+            total += count
+        self.total = total
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += self.total
+        if not 0 <= k < self.total:
+            raise IndexError("step index out of range")
+        g = bisect_right(self.starts, k) - 1
+        group = self.groups[g]
+        rest = k - self.starts[g]
+        combo = []
+        for choice in reversed(group[3]):  # product order: the last choice varies fastest
+            rest, d = divmod(rest, len(choice))
+            combo.append(choice[d])
+        combo.reverse()
+        return self._build(group, combo)
+
+    def __iter__(self):
+        build = self._build
+        for group in self.groups:
+            for combo in itertools.product(*group[3]):
+                yield build(group, combo)
+
+    def _build(self, group: tuple, combo) -> Tuple[BroadcastEvent, SystemState]:
+        """The transition of `group` in which receiver k takes `combo[k]`."""
+        i, cand, receivers, _, discarded, shared = group
+        new_state = list(self.state)
+        new_state[i] = cand.successor
+        received = []
+        for j, (ordinal, succ) in zip(receivers, combo):
+            new_state[j] = succ
+            received.append((j, ordinal))
+        key = (i, len(new_state), *received)
+        event = shared.get(key)
+        if event is None:
+            event = shared[key] = BroadcastEvent(
+                sender=i,
+                message=cand.message,
+                sent_pred=cand.sent_pred,
+                exposed_env=cand.exposed_env,
+                receivers=frozenset(received),
+                discarded=frozenset(discarded),
+            )
+        return event, tuple(new_state)

@@ -67,7 +67,7 @@ def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) ->
     trace = Trace(hashlib.sha256(source.encode()).hexdigest(), seed)
     state = spec.initial_state()
     try:
-        run = Run.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
+        run = Run.of_spec(spec)
         for i in range(max_steps):
             steps = system_steps(state, run)
             if not steps:

@@ -3,8 +3,9 @@
 Every record is immutable in its fields after construction and safe to
 share between threads.  The values a record keeps beside its fields
 are a component's canonical text (`ComponentState.text`), an input's
-message key (`Input.message_key`) and a property's term list
-(`Reachable.terms` and its kin), each written into the instance on
+message key (`Input.message_key`), a property's term list
+(`Reachable.terms` and its kin) and what a run derives from a spec
+(`SystemSpec.run_parts`), each written into the instance on
 first use: each is a pure function of fields that never change, so it
 cannot go stale, it stays out of `==`, `hash` and `repr`, and two
 threads that write it at once write equal values.  A process term, an
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import sys
+from bisect import bisect_right
 from typing import Optional, Tuple, Union
 
 
@@ -546,17 +548,24 @@ class Env(Record):
     def lookup(self, name: str, index: Tuple[Value, ...] = ()) -> Optional[Value]:
         """Value stored under the key, or None when absent."""
         for k, v in self.entries:
-            if k == (name, index):
+            if k[0] == name and k[1] == index:
                 return v
         return None
 
     def has(self, name: str, index: Tuple[Value, ...] = ()) -> bool:
-        return any(k == (name, index) for k, _ in self.entries)
+        return self.lookup(name, index) is not None
 
     def updated(self, name: str, index: Tuple[Value, ...], value: Value) -> "Env":
-        d = dict(self.entries)
-        d[(name, index)] = value
-        return Env(tuple(sorted(d.items(), key=lambda kv: _key_order(kv[0]))))
+        """The environment with `value` stored under the key: an existing
+        entry is replaced where it stands, and a new one is inserted in
+        key order."""
+        entries = self.entries
+        for i, (k, _) in enumerate(entries):
+            if k[0] == name and k[1] == index:
+                return Env(entries[:i] + ((k, value),) + entries[i + 1:])
+        key = (name, index)
+        i = bisect_right(entries, _key_order(key), key=lambda kv: _key_order(kv[0]))
+        return Env(entries[:i] + ((key, value),) + entries[i:])
 
     def restricted(self, names) -> "Env":
         return Env(tuple((k, v) for k, v in self.entries if k[0] in names))
@@ -856,6 +865,10 @@ class SystemSpec(Record):
     proc_defs: Tuple[Tuple[str, ProcessTerm], ...]
     externs: Tuple[Tuple[str, ExternDecl], ...]
     properties: Tuple[Tuple[str, Property], ...]
+
+    # (definitions, externs, needs) once `semantics.Run.of_spec` has
+    # accepted the spec; not a field, so equality and hash ignore it
+    run_parts = None
 
     def defs_map(self):
         return dict(self.proc_defs)

@@ -27,7 +27,13 @@ transition system, byte for byte.
 A run shares one event object among the transitions with the same
 broadcast and outcome.  Exploring with an event table that keeps
 nothing must give equal events, transition by transition.
+
+`system_steps` judges each label's target predicate once per exposed
+environment, and builds a transition only when it is read.  An eager
+expansion that asks `in_step` about every pair (`eager_steps`) must give
+the same transitions in the same order, by index and by iteration.
 """
+import itertools
 import random
 
 import pytest
@@ -41,12 +47,14 @@ from test_acceptance import load, mini_corpus, rand_spec_ast
 from test_explorer import gen_corpus, make_lts
 from test_sim_cli import CHAIN_CONTINUATIONS
 
-from abclang import explorer, semantics
+from abclang import explorer, semantics, simulator
 from abclang.evaluator import EvalError, close, satisfies
 from abclang.explorer import check_property, explore
-from abclang.semantics import Run, system_steps
+from abclang.semantics import Run, in_step, out_steps, system_steps
+from abclang.simulator import simulate
 from abclang.terms import (
-    EMPTY_SUBST, EnumDomain, Inact, Input, Par, VInt, VStr, _operands, state_key, subterms,
+    EMPTY_SUBST, BroadcastEvent, EnumDomain, Inact, Input, Par, VInt, VStr, _operands, state_key,
+    subterms,
 )
 
 # After "a" or "b", component A runs Q | R or R | Q: one canonical state,
@@ -108,10 +116,15 @@ def explore_raw(monkeypatch):
 @pytest.fixture
 def explore_untrimmed(monkeypatch):
     """`explore` with call closures that keep every binding in scope."""
+    of_spec = Run.of_spec
+
+    def untrimmed(spec):
+        run = of_spec(spec)
+        return Run(run.defs, run.externs, None)
 
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(semantics, "call_needs", lambda defs, roots=(): None)
+            m.setattr(Run, "of_spec", untrimmed)
             return explore(spec, **kw)
 
     return run
@@ -146,16 +159,16 @@ class Forgetful(dict):
 def explore_unshared(monkeypatch):
     """`explore` with a run whose event table keeps nothing, so each
     candidate of each state makes its own events."""
-    of = Run.of
+    of_spec = Run.of_spec
 
-    def unshared(*args):
-        run = of(*args)
+    def unshared(spec):
+        run = of_spec(spec)
         run.events = Forgetful()
         return run
 
     def run(spec, **kw):
         with monkeypatch.context() as m:
-            m.setattr(Run, "of", unshared)
+            m.setattr(Run, "of_spec", unshared)
             return explore(spec, **kw)
 
     return run
@@ -344,6 +357,78 @@ def test_generated_specs(explore_raw, explore_untrimmed, monkeypatch):
         counts["merged"] += len(raw.states) > len(reduced.states)
         counts["trimmed"] += len(whole.states) > len(reduced.states)
     assert counts["compared"] >= 90 and counts["merged"] >= 30 and counts["trimmed"] >= 10, counts
+
+
+def eager_steps(state, run):
+    """The reference step relation: every candidate of every sender, each
+    delivered to every other component through a full `in_step`, and every
+    transition built at once, in the order `system_steps` promises."""
+    steps = []
+    for i, sender in enumerate(state):
+        for cand in out_steps(sender, run):
+            receivers, discarded = [], set()
+            for j, other in enumerate(state):
+                if j != i:
+                    r = in_step(other, cand.exposed_env, cand.sent_pred, cand.message, run)
+                    if r.is_receive:
+                        receivers.append((j, r.successors))
+                    else:
+                        discarded.add(j)
+            for combo in itertools.product(*(choice for _, choice in receivers)):
+                succ = list(state)
+                succ[i] = cand.successor
+                for (j, _), (_, c) in zip(receivers, combo):
+                    succ[j] = c
+                received = frozenset((j, ordinal) for (j, _), (ordinal, _) in zip(receivers, combo))
+                event = BroadcastEvent(i, cand.message, cand.sent_pred, cand.exposed_env,
+                                       received, frozenset(discarded))
+                steps.append((event, tuple(succ)))
+    return steps
+
+
+def test_steps_match_an_eager_expansion(corpus_spec):
+    specs = list(fixture_specs(corpus_spec).values())
+    specs.append(load(fixture_path("travel-booking.abc")))
+    specs += [load(gen_corpus().corpus_variant(2, m, rooms=2), is_path=False) for m in (1, 2)]
+    rng = random.Random(13)
+    specs += [load(rand_reducible_spec(rng), is_path=False) for _ in range(100)]
+    compared = 0
+    for spec in specs:
+        lazy, eager = Run.of_spec(spec), Run.of_spec(spec)
+        for state in explore(spec, max_states=300).states:
+            steps = system_steps(state, lazy)
+            want = eager_steps(state, eager)
+            # read by index from the back first, so no transition is
+            # built by iteration before it is read by index
+            by_index = [steps[k] for k in reversed(range(len(steps)))][::-1]
+            listed = list(steps)
+            assert len(steps) == len(listed) == len(want)
+            assert listed == by_index == want
+            assert all(a[0] is b[0] for a, b in zip(listed, by_index))
+            if steps:
+                assert steps[-1] == steps[len(steps) - 1]
+            with pytest.raises(IndexError):
+                steps[len(steps)]
+            compared += len(steps)
+    assert compared > 10_000
+
+
+def test_simulate_builds_only_the_step_it_takes(corpus_source, monkeypatch):
+    made, per_step = [], []
+    monkeypatch.setattr(semantics, "BroadcastEvent",
+                        lambda *args, **kw: made.append(1) or BroadcastEvent(*args, **kw))
+
+    def counted(state, run):
+        per_step.append(len(made))
+        made.clear()
+        return system_steps(state, run)
+
+    monkeypatch.setattr(simulator, "system_steps", counted)
+    for source in (corpus_source, gen_corpus().corpus_variant(2, 2, rooms=2)):
+        spec = load(source, is_path=False)
+        for seed in range(5):
+            assert simulate(spec, source, seed, 200).termination == "deadlock"
+    assert max(per_step) == 1 and sum(per_step) > 100
 
 
 def closing_judge(env, p, externs=None, chooser=None, subst=EMPTY_SUBST, this=None):

@@ -315,13 +315,13 @@ component C { attrs { } interface { } run R }
     @pytest.mark.parametrize("source", [COUNTER, IDLE], ids=["counter", "idle"])
     def test_simulate_keeps_the_events_of_live_labels_only(self, monkeypatch, source):
         runs = []
-        of = Run.of
+        of_spec = Run.of_spec
 
-        def kept(*args):
-            runs.append(of(*args))
+        def kept(spec):
+            runs.append(of_spec(spec))
             return runs[-1]
 
-        monkeypatch.setattr(Run, "of", kept)
+        monkeypatch.setattr(Run, "of_spec", kept)
         spec = load_spec(source, "counter.abc")[0]
         trace = simulate(spec, source, 0, max_steps=2_000)
         assert trace.termination == "step-limit" and len(trace.steps) == 2_000

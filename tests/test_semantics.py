@@ -5,8 +5,9 @@ import pytest
 
 from _gen import rand_component, rand_env, rand_message, rand_pred, rand_subst
 
+from abclang import semantics
 from abclang.evaluator import EvalError, close, substitute_proc
-from abclang.parser import MAX_DEPTH, parse_pred_str, parse_process_str
+from abclang.parser import MAX_DEPTH, parse_pred_str, parse_process_str, parse_spec
 from abclang.pretty import pp_pred
 from abclang.semantics import Run, in_step, out_steps, system_steps, unfold
 from abclang.terms import (
@@ -73,6 +74,26 @@ class TestRun:
             Run.of({"P": deep}, {})
         with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
             Run.of({}, {}, [deep])
+
+
+    def test_of_spec_derives_once_per_spec(self, monkeypatch):
+        spec, _ = parse_spec('proc K = ("a")@(tt).K\ncomponent C { attrs { } interface { } run K }\n')
+        walks = []
+        monkeypatch.setattr(semantics, "call_needs", lambda *args: walks.append(1) or call_needs(*args))
+        first, second = Run.of_spec(spec), Run.of_spec(spec)
+        assert len(walks) == 1 and spec.run_parts == (first.defs, first.externs, first.needs)
+        assert (second.defs, second.externs, second.needs) == spec.run_parts
+        assert first.records is not second.records and first.labels is not second.labels
+        # an equal spec parsed again derives its own
+        again, _ = parse_spec('proc K = ("a")@(tt).K\ncomponent C { attrs { } interface { } run K }\n')
+        assert again == spec and again.run_parts is None
+
+    def test_of_spec_rejects_a_spec_on_every_call(self):
+        spec, _ = parse_spec("proc P = P + P\ncomponent C { attrs { } interface { } run P }\n")
+        for _ in range(2):
+            with pytest.raises(EvalError, match="unguarded recursion P -> P"):
+                Run.of_spec(spec)
+        assert spec.run_parts is None
 
 
 class TestUnfold:

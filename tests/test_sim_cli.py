@@ -1,5 +1,7 @@
 """Simulation traces, their serialization, and the command-line surface."""
+import errno
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -191,6 +193,45 @@ class TestSimulate:
                 traces = [trace_to_json(simulate(spec, src, seed, 200), spec.component_names()) for seed in range(5)]
                 runs.append((traces, len(judged)))
             assert runs[0] == runs[1] and runs[0][1] > 0, spec.component_names()
+
+    def test_each_target_predicate_is_judged_once_per_exposed_environment(self, monkeypatch):
+        # with nothing pruned a label keeps its number, so each (label,
+        # exposed environment) is judged once and kept in run.accepts,
+        # whichever component exposes the environment
+        runs, judged = [], []
+        of_spec, real_satisfies = Run.of_spec, semantics.satisfies
+        monkeypatch.setattr(Run, "of_spec", lambda spec: runs.append(of_spec(spec)) or runs[-1])
+        monkeypatch.setattr(Run, "keep_only", lambda run, components, **kw: None)
+
+        def satisfies(env, p, *args):
+            if len(args) == 1 and p is not semantics.TRUE:  # a target, as system_steps judges it
+                judged.append(len(runs) - 1)
+            return real_satisfies(env, p, *args)
+
+        monkeypatch.setattr(semantics, "satisfies", satisfies)
+        spec, src = load(fixture_path("travel-booking.abc"))
+        explore(spec)
+        for seed in range(5):
+            simulate(spec, src, seed, 200)
+        tables = [sum(len(t) for t in run.accepts.values()) for run in runs]
+        assert len(runs) == 6 and min(tables) > 0
+        assert [judged.count(k) for k in range(len(runs))] == tables
+
+    def test_acceptance_tables_go_with_their_labels(self, monkeypatch):
+        pruning, dropped = Run.keep_only, []
+
+        def checked(run, components, **kw):
+            before = set(run.accepts)
+            pruning(run, components, **kw)
+            assert set(run.accepts) <= set(run.labels.values())
+            dropped.append(len(before - set(run.accepts)))
+
+        monkeypatch.setattr(Run, "keep_only", checked)
+        for spec, src in [load(fixture_path("travel-booking.abc")), (load_spec(IDLE_SENDER)[0], IDLE_SENDER)]:
+            explore(spec)
+            for seed in range(5):
+                simulate(spec, src, seed, 50)
+        assert sum(dropped) > 0
 
     def test_explore_keeps_one_level_and_judges_nothing_twice(self, monkeypatch):
         # explore prunes the run to the components of the next level's
@@ -589,6 +630,34 @@ class TestCli:
     def test_export_lts_onto_directory_exit_2(self, tmp_path, capsys):
         assert main(["explore", fixture_path("ping.abc"), "--export-lts", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                       BrokenPipeError(errno.EPIPE, "Broken pipe")], ids=["full", "pipe"])
+    @pytest.mark.parametrize("args", [["run", "--format", "json"], ["run"], ["explore"], ["check", "--all"]])
+    def test_unwritable_stdout_exit_2(self, monkeypatch, capsys, error, args):
+        class Unwritable:
+            def write(self, text):
+                raise error
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Unwritable())
+        assert main([args[0], fixture_path("ping.abc"), *args[1:]]) == 2
+        assert capsys.readouterr().err == f"error: cannot write standard output: {error.strerror}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [["run", "--format", "json"], ["explore"], ["check", "--all"]])
+    def test_full_stdout_exit_2_without_traceback(self, args):
+        # the interpreter flushes standard output again on exit, which must
+        # not fail a second time
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "abclang.cli", args[0], fixture_path("travel-booking.abc"), *args[1:]],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+            )
+        assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output: No space left on device\n")
 
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0

@@ -120,6 +120,40 @@ def test_env_indexed_keys_are_independent():
     assert env.lookup("room", (VInt(6),)) is None
 
 
+def reference_lookup(env, name, index=()):
+    """`Env.lookup` as a dict of the entries."""
+    return dict(env.entries).get((name, index))
+
+
+def reference_updated(env, name, index, value):
+    """`Env.updated` as a dict of the entries, stored and sorted again."""
+    d = dict(env.entries)
+    d[(name, index)] = value
+    return Env(tuple(sorted(d.items(), key=lambda kv: (kv[0][0], tuple(ser_value(v) for v in kv[0][1])))))
+
+
+def test_env_lookup_and_updated_agree_with_a_dict_of_the_entries():
+    rng = random.Random(41)
+    # equal numbers of two types are different keys
+    indexes = [(), (VInt(1),), (VFloat(1.0),), (VInt(2),), (VFloat(0.5),), (VInt(1), VInt(2))]
+    replaced = inserted = 0
+    for _ in range(500):
+        env = rand_env(rng)
+        for _ in range(rng.randrange(4)):
+            env = env.updated(rng.choice("abcm"), rng.choice(indexes), rand_value(rng))
+        keys = [k for k, _ in env.entries]
+        probes = keys + [(rng.choice("abcmz"), rng.choice(indexes)) for _ in range(6)]
+        for name, index in probes:
+            assert env.lookup(name, index) == reference_lookup(env, name, index)
+            assert env.has(name, index) == ((name, index) in keys)
+            value = rand_value(rng)
+            got = env.updated(name, index, value)
+            assert got.entries == reference_updated(env, name, index, value).entries
+            replaced += (name, index) in keys
+            inserted += (name, index) not in keys
+    assert replaced > 1_000 and inserted > 1_000
+
+
 def test_subst_extension_shadows():
     # an input binder shadows an outer binding of the same name: the
     # substitution goes under the input without the binders
