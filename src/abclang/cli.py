@@ -188,8 +188,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _StdoutError as e:
         print(f"error: cannot write standard output: {e}", file=sys.stderr)
         if sys.stdout is sys.__stdout__:
-            # the interpreter flushes standard output again on exit: send
-            # what is left in its buffer to the null device
+            # the interpreter flushes standard output again on exit, and a
+            # closed pipe fails that flush too: send what is left in the
+            # buffer to the null device
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)

@@ -646,18 +646,25 @@ class TestCli:
         assert main([args[0], fixture_path("ping.abc"), *args[1:]]) == 2
         assert capsys.readouterr().err == f"error: cannot write standard output: {error.strerror}\n"
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("args", [["run", "--format", "json"], ["explore"], ["check", "--all"]])
-    def test_full_stdout_exit_2_without_traceback(self, args):
+    def test_unwritable_stdout_of_a_process_exit_2(self, args):
         # the interpreter flushes standard output again on exit, which must
         # not fail a second time
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "abclang.cli", args[0], fixture_path("travel-booking.abc"), *args[1:]],
-                stdout=full, stderr=subprocess.PIPE, text=True,
-                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
-            )
-        assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output: No space left on device\n")
+        read, closed_pipe = os.pipe()
+        os.close(read)
+        sinks = [(closed_pipe, "Broken pipe")]
+        if os.path.exists("/dev/full"):
+            sinks.append((os.open("/dev/full", os.O_WRONLY), "No space left on device"))
+        for fd, reason in sinks:
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "abclang.cli", args[0], fixture_path("travel-booking.abc"), *args[1:]],
+                    stdout=fd, stderr=subprocess.PIPE, text=True,
+                    env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+                )
+            finally:
+                os.close(fd)
+            assert (proc.returncode, proc.stderr) == (2, f"error: cannot write standard output: {reason}\n")
 
     def test_explore_exit_0(self, capsys):
         assert main(["explore", fixture_path("choice.abc")]) == 0
