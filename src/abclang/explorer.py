@@ -108,10 +108,10 @@ def explore(
     max_depth: Optional[int] = None,
 ) -> LTS:
     """Breadth-first exploration of `spec`'s reachable states.  Raises
-    `EvalError` for a spec that `semantics.Run.of` rejects (what
-    `validate` reports as E-UNGUARDED, E-UNDEF-PROC, E-EMPTY-DOMAIN and
-    E-DEPTH) and for a failed evaluation in a reachable state, and
-    `ValueError` for a `max_states` below 1 or a negative `max_depth`."""
+    `EvalError` with the message and span of `validate`'s first error for
+    a spec that `validate` rejects (see `semantics.Run.of_spec`), and for
+    a failed evaluation in a reachable state, and `ValueError` for a
+    `max_states` below 1 or a negative `max_depth`."""
     if max_states < 1 or max_depth is not None and max_depth < 0:
         raise ValueError(f"limits out of range: max_states={max_states}, max_depth={max_depth}")
     run = Run.of_spec(spec)
@@ -375,10 +375,11 @@ def check_leads_to(name: str, prop: LeadsTo, lts: LTS) -> Verdict:
 
 def check_property(name: str, prop: Property, lts: LTS) -> Verdict:
     """The verdict of property `prop` on `lts`.  Raises `EvalError` for
-    a property nested more than E-DEPTH allows or one that names a
-    component, other than `*`, that is not in `lts.component_names`
-    (`validate` reports these as E-DEPTH and E-UNDEF-COMP): the checkers
-    rely on there being none, and a spec need not have been validated."""
+    an LTS with two components of one name, a property nested more than
+    E-DEPTH allows and one that names a component, other than `*`, that
+    is not in `lts.component_names` (`validate` reports these as
+    E-DUP-COMP, E-DEPTH and E-UNDEF-COMP): the checkers rely on there
+    being none, and they take a property and an LTS, not a spec."""
     require_checkable(name, prop, lts.component_names)
     if isinstance(prop, Reachable):
         return check_reachable(name, prop, lts)

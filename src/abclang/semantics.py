@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluator import (
+    EvalError,
     ScriptedChooser,
     ThisAttrError,
     all_runs,
@@ -50,7 +51,7 @@ from .terms import (
     ZERO,
     _operands,
 )
-from .validate import call_needs, require_domains, require_guarded
+from .validate import call_needs, validate
 
 
 @dataclass(slots=True)
@@ -115,28 +116,31 @@ class Run:
     events: Dict[int, Dict[tuple, BroadcastEvent]] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, defs, externs, roots=()) -> "Run":
-        """Raises EvalError for an unguarded call cycle, an extern with an
-        empty domain, and a term, in a definition or in one of `roots`,
-        that is nested too deep or calls an undefined process (`validate`
-        reports these as E-UNGUARDED, E-EMPTY-DOMAIN, E-DEPTH and
-        E-UNDEF-PROC): the step relation relies on there being none, and
-        a spec need not have been validated."""
-        require_guarded(defs)
-        require_domains(externs)
-        return cls(defs, externs, call_needs(defs, roots))
+    def of(cls, defs, externs) -> "Run":
+        """A fresh run of the definitions `defs` and the externs
+        `externs`, which `validate` must have accepted: it checks
+        nothing."""
+        return cls(defs, externs, call_needs(defs))
 
     @classmethod
     def of_spec(cls, spec: SystemSpec) -> "Run":
-        """A fresh run of `spec`: `of` of its definitions, externs and
-        component processes.  What `of` derives is derived on the spec's
-        first run and kept with the spec (`SystemSpec.run_parts`), so
-        later runs of it share the definitions, externs and `needs`, which
-        no run changes, and each gets its own memo.  A spec that `of`
-        rejects keeps nothing, so every call raises again."""
+        """A fresh run of `spec`.  Raises EvalError with the message and
+        span of `validate`'s first error, read from
+        `SystemSpec.diagnostics`, or from one `validate` of a spec that
+        never went through it: the step relation is defined only for the
+        specs `validate` accepts.  What `of` derives is derived on an
+        accepted spec's first run and kept with the spec
+        (`SystemSpec.run_parts`), so later runs of it share the
+        definitions, externs and `needs`, which no run changes, and each
+        gets its own memo.  A rejected spec keeps nothing but its
+        diagnostics, so every call raises again."""
         parts = spec.run_parts
         if parts is None:
-            run = cls.of(spec.defs_map(), spec.externs_map(), [d.proc for d in spec.components])
+            diags = spec.diagnostics
+            for d in validate(spec) if diags is None else diags:
+                if d.severity == "error":
+                    raise EvalError(d.message, d.span)
+            run = cls.of(spec.defs_map(), spec.externs_map())
             parts = (run.defs, run.externs, run.needs)
             object.__setattr__(spec, "run_parts", parts)
         return cls(*parts)
@@ -214,7 +218,7 @@ def _occurrences(c: ComponentState, kind, run: Run) -> List[tuple]:
     in the context.  One walk with an explicit stack finds both kinds, so
     a long `|` or `+` chain costs no depth, and a call is unfolded once
     per component object, not once per judgement.  Terminates because
-    `Run.of` rejects call cycles that are not under a prefix."""
+    `validate` rejects call cycles that are not under a prefix."""
     memo = _memo(c, run)
     found = memo.occurrences
     if found is None:

@@ -61,6 +61,15 @@ def _env_updates(pre: SystemState, post: SystemState) -> List[Tuple[str, str, Tu
 
 
 def simulate(spec: SystemSpec, source: str, seed: int, max_steps: int = 1000) -> Trace:
+    """One run of `spec` from its initial state, taking at each step one
+    of the enabled steps uniformly at random from `random.Random(seed)`,
+    for at most `max_steps` steps.  `source` is the spec's text; the
+    trace records its SHA-256.  The trace ends in "deadlock", in
+    "step-limit", or in "error" with the `EvalError`'s text in
+    `Trace.error`: for a spec that `validate` rejects, that is its first
+    error, before any step (see `semantics.Run.of_spec`), and otherwise
+    a failed evaluation in the state the trace reached.  Raises
+    `ValueError` for a negative `max_steps`."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     rng = random.Random(seed)

@@ -4,7 +4,8 @@ Every record is immutable in its fields after construction and safe to
 share between threads.  The values a record keeps beside its fields
 are a component's canonical text (`ComponentState.text`), an input's
 message key (`Input.message_key`), a property's term list
-(`Reachable.terms` and its kin) and what a run derives from a spec
+(`Reachable.terms` and its kin), a spec's diagnostics
+(`SystemSpec.diagnostics`) and what a run derives from a spec
 (`SystemSpec.run_parts`), each written into the instance on
 first use: each is a pure function of fields that never change, so it
 cannot go stale, it stays out of `==`, `hash` and `repr`, and two
@@ -866,8 +867,10 @@ class SystemSpec(Record):
     externs: Tuple[Tuple[str, ExternDecl], ...]
     properties: Tuple[Tuple[str, Property], ...]
 
-    # (definitions, externs, needs) once `semantics.Run.of_spec` has
-    # accepted the spec; not a field, so equality and hash ignore it
+    # `validate`'s diagnostics once it has run, and (definitions,
+    # externs, needs) once `semantics.Run.of_spec` has accepted the spec;
+    # not fields, so equality and hash ignore them
+    diagnostics = None
     run_parts = None
 
     def defs_map(self):

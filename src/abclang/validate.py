@@ -4,7 +4,9 @@ Checks the well-formedness rules the step relations rely on: unique
 definitions, resolvable calls and externs, distinct binders, interfaces
 drawn from declared attributes, no unbound variables, and no binder
 shadowing a declared attribute (bound variables and attributes share
-the identifier namespace in source text).
+the identifier namespace in source text).  These are the engine's only
+checks of a spec: `explore` and `simulate` run only a spec that
+`validate` accepts.
 """
 from __future__ import annotations
 
@@ -103,21 +105,12 @@ def _fixpoint(defs, guards: bool) -> Dict[str, FrozenSet[str]]:
     return known
 
 
-def call_needs(defs, roots=()) -> Dict[str, FrozenSet[str]]:
+def call_needs(defs) -> Dict[str, FrozenSet[str]]:
     """The names each definition needs from the closure of a call to it,
     with what the definitions it calls need.  `substitute_proc` keeps only
     these in the closures it builds: the other bindings cannot change the
     unfolded body, and would only tell apart states that behave the same.
-
-    Raises EvalError for a term, in a definition or in one of `roots`,
-    nested too deep (see `_shallow_subterms`) and for a call to a process
-    `defs` does not define; `semantics.Run.of` passes the components'
-    processes, because a spec need not have been validated.
-    """
-    for root in (*defs.values(), *roots):
-        for q in _shallow_subterms(root):
-            if isinstance(q, Call) and q.name not in defs:
-                raise EvalError(f"undefined process {q.name}", q.span)
+    Relies on `validate` having accepted the definitions."""
     return _fixpoint(defs, True)
 
 
@@ -184,34 +177,6 @@ def _unguarded_cycles(defs) -> List[Tuple[List[str], Call]]:
     return cycles
 
 
-def _unguarded_message(path: List[str]) -> str:
-    return f"unguarded recursion {' -> '.join(path)}: the call cycle passes no input or output prefix"
-
-
-def require_guarded(defs) -> None:
-    """Raises EvalError for the first unguarded call cycle in `defs`.  The
-    step relation relies on there being none; `semantics.Run.of` checks
-    it because a spec need not have been validated."""
-    for path, call in _unguarded_cycles(defs):
-        raise EvalError(_unguarded_message(path), call.span)
-
-
-def _empty_domains(externs) -> List[str]:
-    """A message for each of the (name, declaration) pairs `externs` whose
-    enumerated domain is empty: a draw from it has no value to pick."""
-    return [f"extern {name} has an empty domain"
-            for name, decl in externs if isinstance(decl, EnumDomain) and not decl.values]
-
-
-def require_domains(externs) -> None:
-    """Raises EvalError for the first extern of the map `externs` whose
-    domain is empty.  The extern draws rely on there being none;
-    `semantics.Run.of` checks it because a spec need not have been
-    validated."""
-    for message in _empty_domains(externs.items()):
-        raise EvalError(message)
-
-
 def _shallow_subterms(root) -> Iterator:
     """`subterms(root)`, raising EvalError at the first term that lies
     more than MAX_DEPTH levels down an expression, predicate or formula
@@ -240,7 +205,7 @@ def require_checkable(name: str, prop, comp_names) -> None:
     names a component, other than `*`, that is not in `comp_names`
     (`validate` reports these as E-DUP-COMP, E-DEPTH and E-UNDEF-COMP).
     The checkers rely on there being none; `explorer.check_property`
-    checks it because a spec need not have been validated."""
+    checks it because it takes a property and an LTS, not a spec."""
     if len(set(comp_names)) < len(comp_names):
         dup = next(c for i, c in enumerate(comp_names) if c in comp_names[:i])
         raise EvalError(f"duplicate component {dup}")
@@ -287,6 +252,10 @@ def _bound(terms) -> Set[str]:
 
 
 def validate(spec: SystemSpec) -> List[Diagnostic]:
+    """The diagnostics of `spec`, in the order in which the rules are
+    checked below.  They are also kept with the spec
+    (`SystemSpec.diagnostics`), where `semantics.Run.of_spec` reads them:
+    the engine runs a spec only if none of them is an error."""
     diags: List[Diagnostic] = []
     defs = {}
     for name, body in spec.proc_defs:
@@ -300,8 +269,9 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
             diags.append(Diagnostic("error", comp.span, f"duplicate component {comp.name}", "E-DUP-COMP"))
         comp_names.add(comp.name)
 
-    for message in _empty_domains(spec.externs):
-        diags.append(Diagnostic("error", None, message, "E-EMPTY-DOMAIN"))
+    for name, decl in spec.externs:
+        if isinstance(decl, EnumDomain) and not decl.values:  # a draw has no value to pick
+            diags.append(Diagnostic("error", None, f"extern {name} has an empty domain", "E-EMPTY-DOMAIN"))
 
     # call targets and extern/builtin references
     roots = [body for _, body in spec.proc_defs] + [c.proc for c in spec.components]
@@ -323,9 +293,8 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
                 )
 
     for path, call in _unguarded_cycles(defs):
-        diags.append(
-            Diagnostic("error", call.span, _unguarded_message(path), "E-UNGUARDED")
-        )
+        message = f"unguarded recursion {' -> '.join(path)}: the call cycle passes no input or output prefix"
+        diags.append(Diagnostic("error", call.span, message, "E-UNGUARDED"))
 
     # distinct binders
     for terms in walked:
@@ -389,6 +358,7 @@ def validate(spec: SystemSpec) -> List[Diagnostic]:
             diags.append(Diagnostic("error", None, _unknown_message(name, q), "E-UNDEF-COMP"))
         if len(prop.terms) > MAX_DEPTH:  # else no path down is that long
             _too_deep(prop, diags)
+    object.__setattr__(spec, "diagnostics", tuple(diags))
     return diags
 
 

@@ -12,6 +12,7 @@ from abclang.pretty import pp_pred
 from abclang.semantics import Run, in_step, out_steps, system_steps, unfold
 from abclang.terms import (
     Call,
+    ComponentDecl,
     ComponentState,
     EnumDomain,
     Env,
@@ -20,6 +21,7 @@ from abclang.terms import (
     Input,
     Par,
     Subst,
+    SystemSpec,
     TruePred,
     VBool,
     VFloat,
@@ -48,33 +50,42 @@ CUSTOMER_F = (
 NO_DEFS = Run.of({}, {})
 
 
+def unvalidated(defs=(), externs=(), procs=()):
+    """A spec, never validated, of the definitions and externs given as
+    maps and one component per process in `procs`."""
+    comps = tuple(ComponentDecl(f"C{i}", (), (), p) for i, p in enumerate(procs))
+    return SystemSpec(comps, tuple(dict(defs).items()), tuple(dict(externs).items()), ())
+
+
 class TestRun:
+    # `Run.of_spec` runs `validate` on a spec that never went through it
+    # and raises its first error; `Run.of` checks nothing
+
     def test_rejects_unguarded_recursion(self):
         # unvalidated: bare system_steps once ended in RecursionError here
-        defs = {"P": parse_process_str("P + P")}
+        spec = unvalidated({"P": parse_process_str("P + P")})
         with pytest.raises(EvalError, match="unguarded recursion P -> P"):
-            Run.of(defs, {})
+            Run.of_spec(spec)
 
     def test_rejects_a_call_to_an_undefined_process(self):
         with pytest.raises(EvalError, match="undefined process Nope"):
-            Run.of({"P": parse_process_str('("m")@(tt).Nope')}, {})
+            Run.of_spec(unvalidated({"P": parse_process_str('("m")@(tt).Nope')}))
         with pytest.raises(EvalError, match="undefined process Nope"):
-            Run.of({}, {}, [parse_process_str("Nope")])
+            Run.of_spec(unvalidated(procs=[parse_process_str("Nope")]))
 
     def test_rejects_an_empty_domain(self):
         with pytest.raises(EvalError, match="extern e has an empty domain"):
-            Run.of({}, {"e": EnumDomain(())})
+            Run.of_spec(unvalidated(externs={"e": EnumDomain(())}))
 
     def test_rejects_a_term_nested_too_deep(self):
         # the innermost of n `tt`s, left-nested under `&&`, lies n levels down
         deep = parse_process_str("<" + " && ".join(["tt"] * (MAX_DEPTH + 1)) + '> ("a")@(tt).0')
         shallow = parse_process_str("<" + " && ".join(["tt"] * MAX_DEPTH) + '> ("a")@(tt).0')
-        Run.of({"P": shallow}, {}, [shallow])
+        Run.of_spec(unvalidated({"P": shallow}, procs=[shallow]))
         with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
-            Run.of({"P": deep}, {})
+            Run.of_spec(unvalidated({"P": deep}))
         with pytest.raises(EvalError, match=f"nested more than {MAX_DEPTH} levels deep"):
-            Run.of({}, {}, [deep])
-
+            Run.of_spec(unvalidated(procs=[deep]))
 
     def test_of_spec_derives_once_per_spec(self, monkeypatch):
         spec, _ = parse_spec('proc K = ("a")@(tt).K\ncomponent C { attrs { } interface { } run K }\n')
